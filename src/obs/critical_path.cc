@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <unordered_map>
 #include <vector>
 
 namespace taureau::obs {
@@ -66,16 +65,13 @@ std::string Breakdown::ToString() const {
 
 Result<TraceAttribution> AttributeTrace(const std::vector<Span>& spans,
                                         uint64_t root_span_id) {
-  const Span* root = nullptr;
-  for (const Span& s : spans) {
-    if (s.id == root_span_id) {
-      root = &s;
-      break;
-    }
-  }
-  if (root == nullptr) {
+  const auto root_it = std::lower_bound(
+      spans.begin(), spans.end(), root_span_id,
+      [](const Span& s, uint64_t id) { return s.id < id; });
+  if (root_it == spans.end() || root_it->id != root_span_id) {
     return Status::NotFound("no span with id " + std::to_string(root_span_id));
   }
+  const Span* root = &*root_it;
   if (!root->ended()) {
     return Status::FailedPrecondition("root span " +
                                       std::to_string(root_span_id) +
@@ -87,47 +83,55 @@ Result<TraceAttribution> AttributeTrace(const std::vector<Span>& spans,
   out.self_us.assign(spans.size(), 0);
   if (out.breakdown.total_us == 0) return out;
 
-  // Parents always precede children in id order, so a single forward pass
-  // both computes tree depth under the root and collects the descendant
-  // intervals, clipped to the root window. Every finished descendant is an
-  // interval (self-time needs all of them); only categorized ones carry a
-  // category.
-  struct Interval {
-    SimTime start;
-    SimTime end;
-    int depth;
+  // The subtree in id order, root first: a span belongs to it when its
+  // parent does. Parents precede children, so one forward pass from the
+  // root finds every member, looking the parent up by binary search of
+  // the members found so far (id-sorted by construction); memory grows
+  // with the subtree, not with `spans`.
+  // Each finished descendant also gets its interval clipped to the root
+  // window (self time needs all of them); only categorized ones carry a
+  // category. The root, unfinished spans and spans outside the window keep
+  // an empty interval, which covers nothing.
+  struct Member {
     uint64_t id;
+    int depth;
     size_t index;  ///< Position in `spans` (for self-time charging).
-    bool has_cat;
-    Category cat;
+    SimTime start = 0;
+    SimTime end = 0;
+    bool has_cat = false;
+    Category cat = Category::kOther;
   };
-  std::unordered_map<uint64_t, int> depth;
-  depth.reserve(spans.size());
-  depth[root_span_id] = 0;
-  size_t root_index = 0;
-  std::vector<Interval> intervals;
-  std::vector<SimTime> bounds{root->start_us, root->end_us};
-  for (size_t i = 0; i < spans.size(); ++i) {
+  const size_t root_index = size_t(root_it - spans.begin());
+  std::vector<Member> members{{root_span_id, 0, root_index}};
+  const auto member_less = [](const Member& m, uint64_t id) {
+    return m.id < id;
+  };
+  for (size_t i = root_index + 1; i < spans.size(); ++i) {
     const Span& s = spans[i];
-    if (s.id == root_span_id) {
-      root_index = i;
-      continue;
+    if (s.parent < root_span_id) continue;  // also skips roots (parent 0)
+    const auto parent = std::lower_bound(members.begin(), members.end(),
+                                         s.parent, member_less);
+    if (parent == members.end() || parent->id != s.parent) continue;
+    Member m{s.id, parent->depth + 1, i};
+    if (s.ended()) {
+      m.start = std::max(s.start_us, root->start_us);
+      m.end = std::max(m.start, std::min(s.end_us, root->end_us));
+      const auto it = s.attrs.find(kCategoryAttr);
+      const auto cat = it != s.attrs.end() ? ParseCategory(it->second)
+                                           : std::nullopt;
+      m.has_cat = cat.has_value();
+      m.cat = cat.value_or(Category::kOther);
     }
-    if (s.parent == 0) continue;
-    const auto dit = depth.find(s.parent);
-    if (dit == depth.end()) continue;
-    depth[s.id] = dit->second + 1;
-    if (!s.ended()) continue;
-    const auto it = s.attrs.find(kCategoryAttr);
-    const auto cat = it != s.attrs.end() ? ParseCategory(it->second)
-                                         : std::nullopt;
-    const SimTime lo = std::max(s.start_us, root->start_us);
-    const SimTime hi = std::min(s.end_us, root->end_us);
-    if (hi <= lo) continue;
-    intervals.push_back({lo, hi, depth[s.id], s.id, i, cat.has_value(),
-                         cat.value_or(Category::kOther)});
-    bounds.push_back(lo);
-    bounds.push_back(hi);
+    members.push_back(m);
+  }
+  std::vector<SimTime> bounds;
+  bounds.reserve(2 * members.size());
+  bounds.push_back(root->start_us);
+  bounds.push_back(root->end_us);
+  for (const Member& m : members) {
+    if (m.end <= m.start) continue;
+    bounds.push_back(m.start);
+    bounds.push_back(m.end);
   }
   std::sort(bounds.begin(), bounds.end());
   bounds.erase(std::unique(bounds.begin(), bounds.end()), bounds.end());
@@ -142,9 +146,9 @@ Result<TraceAttribution> AttributeTrace(const std::vector<Span>& spans,
   for (size_t i = 0; i + 1 < bounds.size(); ++i) {
     const SimTime lo = bounds[i];
     const SimTime hi = bounds[i + 1];
-    const Interval* best_cat = nullptr;
-    const Interval* best_any = nullptr;
-    for (const Interval& iv : intervals) {
+    const Member* best_cat = nullptr;
+    const Member* best_any = nullptr;
+    for (const Member& iv : members) {
       if (iv.start > lo || iv.end < hi) continue;
       const bool deeper_any =
           best_any == nullptr || iv.depth > best_any->depth ||

@@ -1,8 +1,7 @@
 #include "obs/flame.h"
 
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
+#include <cstddef>
 
 namespace taureau::obs {
 
@@ -10,59 +9,60 @@ void FlameProfile::FoldTrace(const std::vector<Span>& spans) {
   if (spans.empty()) return;
   ++folded_traces_;
 
-  std::unordered_set<uint64_t> present;
-  present.reserve(spans.size());
-  for (const Span& s : spans) present.insert(s.id);
-
-  // Path of each span: parent path + ";" + name; group roots start fresh.
-  std::unordered_map<uint64_t, const std::string*> path_of;
-  std::vector<std::string> paths(spans.size());
-  std::vector<uint64_t> group_roots;
-  for (size_t i = 0; i < spans.size(); ++i) {
+  // Path of each span: parent path + ";" + name; spans whose parent is not
+  // in the group start fresh as subtree roots. Parents precede children in
+  // the id-sorted group, so the parent is a binary search of the prefix.
+  // The path strings keep their capacity across traces, so building a path
+  // that is already known allocates nothing.
+  const size_t n = spans.size();
+  if (path_scratch_.size() < n) path_scratch_.resize(n);
+  root_scratch_.clear();
+  for (size_t i = 0; i < n; ++i) {
     const Span& s = spans[i];
-    const bool is_root = s.parent == 0 || !present.count(s.parent);
-    if (is_root) {
-      paths[i] = s.name;
-      group_roots.push_back(s.id);
+    std::string& path = path_scratch_[i];
+    const auto prefix_end = spans.begin() + std::ptrdiff_t(i);
+    const auto parent = std::lower_bound(
+        spans.begin(), prefix_end, s.parent,
+        [](const Span& a, uint64_t id) { return a.id < id; });
+    if (s.parent == 0 || parent == prefix_end || parent->id != s.parent) {
+      path.assign(s.name.str());
+      root_scratch_.push_back(i);
     } else {
-      auto it = path_of.find(s.parent);
-      paths[i] = it != path_of.end() ? *it->second + ";" + s.name : s.name;
+      path.assign(path_scratch_[size_t(parent - spans.begin())]);
+      path += ';';
+      path += s.name.str();
     }
-    path_of[s.id] = &paths[i];
   }
 
   // One attribution pass per subtree root charges every span's self time
   // and the root's category breakdown. Each span belongs to exactly one
   // subtree, so accumulating self_us across the passes never double-counts.
-  std::vector<SimDuration> self(spans.size(), 0);
-  for (uint64_t root_id : group_roots) {
-    auto attributed = AttributeTrace(spans, root_id);
+  self_scratch_.assign(n, 0);
+  for (size_t r : root_scratch_) {
+    const Span& root = spans[r];
+    auto attributed = AttributeTrace(spans, root.id);
     if (!attributed.ok()) continue;  // unfinished root: skip its subtree
-    for (size_t i = 0; i < spans.size(); ++i) {
-      self[i] += attributed->self_us[i];
+    for (size_t i = 0; i < n; ++i) {
+      self_scratch_[i] += attributed->self_us[i];
     }
-    const Span* root = nullptr;
-    for (const Span& s : spans) {
-      if (s.id == root_id) root = &s;
-    }
-    RootAggregate& agg = by_root_[root->name];
+    RootAggregate& agg = by_root_[root.name];
     ++agg.count;
     agg.breakdown.Accumulate(attributed->breakdown);
-    const auto tenant = root->attrs.find(kTenantAttr);
-    if (tenant != root->attrs.end()) {
+    const auto tenant = root.attrs.find(kTenantAttr);
+    if (tenant != root.attrs.end()) {
       RootAggregate& tagg = by_tenant_[tenant->second];
       ++tagg.count;
       tagg.breakdown.Accumulate(attributed->breakdown);
     }
   }
 
-  for (size_t i = 0; i < spans.size(); ++i) {
+  for (size_t i = 0; i < n; ++i) {
     const Span& s = spans[i];
     if (!s.ended()) continue;
-    PathStat& stat = paths_[paths[i]];
+    PathStat& stat = paths_[path_scratch_[i]];
     ++stat.count;
     stat.total_us += s.duration_us();
-    stat.self_us += self[i];
+    stat.self_us += self_scratch_[i];
     ++folded_spans_;
   }
 }

@@ -79,6 +79,11 @@ class FlameProfile {
   std::map<std::string, RootAggregate> by_tenant_;
   uint64_t folded_spans_ = 0;
   uint64_t folded_traces_ = 0;
+  // Per-trace working storage, reused by every FoldTrace call (each
+  // profile belongs to one simulation, so one shard under psim).
+  std::vector<std::string> path_scratch_;  ///< Path key of each span.
+  std::vector<size_t> root_scratch_;       ///< Subtree-root span indices.
+  std::vector<SimDuration> self_scratch_;  ///< Self time of each span.
 };
 
 /// Deterministic "name count=N total=... queue=... ..." lines for a

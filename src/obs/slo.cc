@@ -117,7 +117,8 @@ void SloEngine::Score(State* st, Track* tr, const std::string& tenant,
   ++tr->total;
   if (!good) ++tr->bad;
   if (st->max_window_us > 0) {
-    tr->window.push_back({at_us, good});
+    tr->window.push_back({at_us, tr->window_bad});
+    if (!good) ++tr->window_bad;
     // Window semantics are (now - W, now]: an event exactly W old has
     // aged out.
     while (!tr->window.empty() &&
@@ -141,14 +142,16 @@ SimDuration SloEngine::SlowBudgetFor(const std::string& module) const {
 
 double SloEngine::WindowBurn(const Track& tr, double target,
                              SimDuration window_us, SimTime now_us) const {
-  uint64_t total = 0;
-  uint64_t bad = 0;
-  for (auto it = tr.window.rbegin(); it != tr.window.rend(); ++it) {
-    if (it->at_us <= now_us - window_us) break;
-    ++total;
-    if (!it->good) ++bad;
-  }
-  if (total == 0) return 0.0;
+  // Timestamps in the window never decrease, so the events newer than
+  // now - W are a suffix: binary-search its start, then total and bad are
+  // differences of counts instead of a walk over the window.
+  const SimTime cutoff = now_us - window_us;
+  const auto first = std::partition_point(
+      tr.window.begin(), tr.window.end(),
+      [cutoff](const Event& e) { return e.at_us <= cutoff; });
+  if (first == tr.window.end()) return 0.0;
+  const uint64_t total = uint64_t(tr.window.end() - first);
+  const uint64_t bad = tr.window_bad - first->bad_before;
   const double bad_fraction = double(bad) / double(total);
   const double budget = 1.0 - target;
   return budget > 0 ? bad_fraction / budget : (bad > 0 ? 1e18 : 0.0);

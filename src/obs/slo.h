@@ -112,8 +112,11 @@ class SloEngine {
   /// -1 when none is configured.
   SimDuration SlowBudgetFor(const std::string& module) const;
 
-  /// Burn rate of `objective` over the trailing window ending at `now`
-  /// (events in (now - window, now]). 0 when no events or unknown name.
+  /// Burn rate of `objective` over the trailing window ending at `now`:
+  /// the kept events newer than now - window, i.e. (now - window, now]
+  /// when `now` is at or after the last Record. Events that fell out of
+  /// the longest policy window at an earlier Record are no longer kept.
+  /// 0 when no events or unknown name.
   double BurnRate(const std::string& objective, SimDuration window_us,
                   SimTime now_us) const;
 
@@ -169,14 +172,18 @@ class SloEngine {
   std::string ExportText() const;
 
  private:
+  /// One windowed event. `bad_before` is the track's window_bad when the
+  /// event was pushed, so the bad count of any suffix of the window is
+  /// window_bad minus the suffix's first bad_before.
   struct Event {
     SimTime at_us;
-    bool good;
+    uint64_t bad_before;
   };
   /// One burn-rate accounting unit: the module aggregate, or one tenant.
   struct Track {
     uint64_t total = 0;
-    uint64_t bad = 0;
+    uint64_t bad = 0;              ///< Lifetime; Demote folds victims in.
+    uint64_t window_bad = 0;       ///< Bad events ever pushed to `window`.
     std::deque<Event> window;      ///< Events within the longest window.
     std::map<std::string, bool> firing;  ///< By policy name.
     uint64_t attribution_bound = 0;      ///< See TenantAttributionBound.

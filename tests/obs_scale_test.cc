@@ -4,7 +4,11 @@
 // the Observability::EnableScale wiring.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "chaos/fault_plan.h"
@@ -396,6 +400,38 @@ TEST(FlameTest, PathKeysAreSemicolonJoinedFromGroupRoot) {
   EXPECT_EQ(flame.paths().at("a").self_us, 50);
 }
 
+TEST(FlameTest, AbsentParentStartsSubtreeAndUnfinishedSpansSkip) {
+  // A late group: ids 3 and 4 are not in it, so span 5 (parent 3) roots
+  // one subtree and span 7 (a root) another; span 8 never finished.
+  FlameProfile flame;
+  std::vector<Span> spans;
+  spans.push_back(MakeSpan(5, 3, 1, "late", 100, 200));
+  spans.push_back(MakeSpan(6, 5, 1, "work", 120, 180, "exec"));
+  spans.push_back(MakeSpan(7, 0, 1, "marker", 150, 190));
+  Span open = MakeSpan(8, 5, 1, "pending", 130, 0);
+  open.end_us = -1;
+  spans.push_back(open);
+  spans.push_back(MakeSpan(9, 7, 1, "tail", 160, 170, "exec"));
+  flame.FoldTrace(spans);
+
+  const auto& paths = flame.paths();
+  ASSERT_EQ(paths.size(), 4u);
+  EXPECT_EQ(paths.at("late").self_us + paths.at("late;work").self_us, 100);
+  EXPECT_EQ(paths.at("late;work").self_us, 60);
+  EXPECT_EQ(paths.at("marker").self_us + paths.at("marker;tail").self_us,
+            40);
+  EXPECT_EQ(paths.at("marker;tail").self_us, 10);
+  EXPECT_EQ(paths.count("late;pending"), 0u);
+  EXPECT_EQ(flame.folded_spans(), 4u);
+  EXPECT_EQ(flame.folded_traces(), 1u);
+
+  ASSERT_EQ(flame.by_root().size(), 2u);
+  EXPECT_EQ(flame.by_root().at("late").count, 1u);
+  EXPECT_EQ(flame.by_root().at("late").breakdown.Get(Category::kExec), 60);
+  EXPECT_EQ(flame.by_root().at("marker").count, 1u);
+  EXPECT_EQ(flame.by_root().at("marker").breakdown.total_us, 40);
+}
+
 TEST(FlameTest, TopKBySelfIsDeterministicWithLexicalTieBreak) {
   FlameProfile flame;
   std::vector<Span> spans;
@@ -501,6 +537,103 @@ TEST(SloTest, WindowBoundaryExcludesEventsExactlyWindowOld) {
   EXPECT_DOUBLE_EQ(slo.BurnRate("a", 100, 100), 0.0);
   // At now=99 the t=0 event is still inside: 1 bad / 2 events.
   EXPECT_DOUBLE_EQ(slo.BurnRate("a", 100, 99), 5.0);
+}
+
+/// The events one SloEngine track keeps, rebuilt by the test: a copy of
+/// each (clamped) event, aged only when the track itself takes an event.
+struct NaiveTrack {
+  std::deque<std::pair<SimTime, bool>> events;
+
+  void Push(SimTime at_us, bool good, SimDuration max_window_us) {
+    events.push_back({at_us, good});
+    while (events.front().first <= at_us - max_window_us) events.pop_front();
+  }
+  double Burn(double target, SimDuration window_us, SimTime now_us) const {
+    uint64_t total = 0;
+    uint64_t bad = 0;
+    for (const auto& [at_us, good] : events) {
+      if (at_us <= now_us - window_us) continue;
+      ++total;
+      if (!good) ++bad;
+    }
+    if (total == 0) return 0.0;
+    return double(bad) / double(total) / (1.0 - target);
+  }
+};
+
+TEST(SloTest, WindowBurnMatchesNaiveScan) {
+  constexpr SimDuration kMaxWindow = 3000;  // ticket's long window
+  const std::vector<BurnRatePolicy> policies = {
+      {"page", 1000, 100, 5.0}, {"ticket", kMaxWindow, 300, 2.0}};
+  const SimDuration windows[] = {50, 100, 1000, kMaxWindow, 5000};
+  const char* tenants[] = {"", "t0", "t0", "t0", "t1", "t1", "t2", "t3"};
+
+  auto run = [&](uint64_t seed, bool back_date) {
+    SloEngine slo;
+    slo.AllowClockRegression(back_date);
+    slo.AddObjective(Availability("avail", 0.99, policies));
+    SloObjective lat = Availability("lat", 0.9, policies);
+    lat.latency_budget_us = 50;
+    lat.per_tenant = true;
+    lat.max_tenant_series = 2;
+    slo.AddObjective(lat);
+
+    NaiveTrack avail;
+    NaiveTrack lat_agg;
+    std::map<std::string, NaiveTrack> lat_tenants;
+    Rng rng(seed);
+    SimTime t = 0;
+    SimTime last = 0;
+    for (int i = 0; i < 1500; ++i) {
+      // Repeated timestamps are common; a back-dated event is clamped.
+      t += SimTime(rng.NextBounded(4)) * 7;
+      SimTime sent = t;
+      if (back_date && rng.NextBool(0.1)) {
+        sent = t - SimTime(rng.NextBounded(60));
+      }
+      const SimTime at = std::max(sent, last);  // the engine's clamp
+      last = at;
+      const std::string tenant = tenants[rng.NextBounded(8)];
+      const SimDuration latency = SimDuration(rng.NextBounded(80));
+      const bool ok = rng.NextBool(0.85);
+      const bool lat_good = ok && latency <= 50;
+
+      slo.Record("svc", tenant, sent, latency, ok);
+      const auto after = slo.MaterializedTenants("lat");
+      // Demoted tenants lose their track; new tracks (a newly materialized
+      // tenant, or kOtherTenant made by a demotion) start empty.
+      std::map<std::string, NaiveTrack> kept;
+      for (const std::string& name : after) kept[name] = lat_tenants[name];
+      lat_tenants = std::move(kept);
+      const bool own_track =
+          !tenant.empty() &&
+          std::find(after.begin(), after.end(), tenant) != after.end();
+      avail.Push(at, ok, kMaxWindow);
+      lat_agg.Push(at, lat_good, kMaxWindow);
+      lat_tenants.at(own_track ? tenant : std::string(kOtherTenant))
+          .Push(at, lat_good, kMaxWindow);
+
+      for (SimDuration w : windows) {
+        for (SimTime now : {at, at - 40, at - 1700}) {
+          EXPECT_DOUBLE_EQ(slo.BurnRate("avail", w, now),
+                           avail.Burn(0.99, w, now));
+          EXPECT_DOUBLE_EQ(slo.BurnRate("lat", w, now),
+                           lat_agg.Burn(0.9, w, now));
+          for (const auto& [name, track] : lat_tenants) {
+            EXPECT_DOUBLE_EQ(slo.TenantBurnRate("lat", name, w, now),
+                             track.Burn(0.9, w, now))
+                << name;
+          }
+        }
+      }
+      if (::testing::Test::HasFailure()) return;
+    }
+    EXPECT_GT(slo.TenantDemotions("lat"), 0u);
+    EXPECT_EQ(slo.clamped_events() > 0, back_date);
+  };
+  run(11, false);
+  run(12, false);
+  run(13, true);
 }
 
 TEST(SloTest, BudgetExhaustionClampsAtZero) {
