@@ -12,10 +12,13 @@
 //   E24b  allocation discipline — steady-state allocations per event via a
 //         counting operator new. Acceptance: 0 for the new kernel.
 //   E24c  telemetry fast path — metric record and span start/end cost,
-//         map-lookup vs pre-resolved handle, interned streaming spans, and
-//         SloEngine::Record with ~1k vs ~100k events in the burn window.
-//         Acceptance: the 100k-event record costs <= 3x the 1k-event one
-//         (a ratio, so host speed cancels; a window scan grows ~100x).
+//         map-lookup vs pre-resolved handle, interned streaming spans,
+//         SloEngine::Record with ~1k vs ~100k events in the burn window,
+//         and a platform-shaped trace streamed through the whole always-on
+//         layer (sampler, flame, SLO). Acceptance: the 100k-event record
+//         costs <= 3x the 1k-event one (a ratio, so host speed cancels; a
+//         window scan grows ~100x), and a streamed trace makes <= 0.1 heap
+//         allocations (span, group and attribution storage is recycled).
 //   E24d  parallel sweep — the RunSweep driver over per-run isolated
 //         Simulation/Registry/Tracer worlds. Acceptance: merged results
 //         byte-identical at 1 thread and at N.
@@ -41,6 +44,7 @@
 #include "common/rng.h"
 #include "common/time_types.h"
 #include "obs/metrics.h"
+#include "obs/observability.h"
 #include "obs/slo.h"
 #include "obs/trace.h"
 #include "sim/simulation.h"
@@ -295,23 +299,28 @@ TelemetryResult MeasureTelemetry(long ops) {
   return r;
 }
 
-// SloEngine::Record against the benchmark worlds' objective (99% within
-// 50 ms, one 1 s / 100 ms page policy), with arrivals spaced so the long
-// window holds `window_events` events. The window is filled before timing;
-// 1% of events are bad, so no alert edge fires while timed. Min of three
-// runs, so one descheduled run cannot fail the growth gate.
+// The benchmark worlds' objective: 99% within 50 ms, one 1 s / 100 ms page
+// policy.
+obs::SloObjective BenchObjective() {
+  obs::SloObjective objective;
+  objective.name = "faas-latency";
+  objective.module = "faas";
+  objective.target = 0.99;
+  objective.latency_budget_us = 50 * kMillisecond;
+  objective.policies = {{"page", 1 * kSecond, 100 * kMillisecond, 10.0}};
+  return objective;
+}
+
+// SloEngine::Record against BenchObjective, with arrivals spaced so the
+// long window holds `window_events` events. The window is filled before
+// timing; 1% of events are bad, so no alert edge fires while timed. Min of
+// three runs, so one descheduled run cannot fail the growth gate.
 double MeasureSloRecord(long window_events, long ops) {
   const SimDuration gap_us = kSecond / window_events;
   double best_ns = 0;
   for (int run = 0; run < 3; ++run) {
     obs::SloEngine slo;
-    obs::SloObjective objective;
-    objective.name = "faas-latency";
-    objective.module = "faas";
-    objective.target = 0.99;
-    objective.latency_budget_us = 50 * kMillisecond;
-    objective.policies = {{"page", 1 * kSecond, 100 * kMillisecond, 10.0}};
-    slo.AddObjective(std::move(objective));
+    slo.AddObjective(BenchObjective());
     const std::string module = "faas";
     long i = 0;
     auto record = [&] {
@@ -328,6 +337,55 @@ double MeasureSloRecord(long window_events, long ops) {
     if (run == 0 || ns < best_ns) best_ns = ns;
   }
   return best_ns;
+}
+
+// A platform-shaped trace streamed through the always-on layer: a root
+// "invoke:f0" with tenant, status, outcome and severity attributes and an
+// "exec" child with three, at head rate 0 (every trace folded, scored and
+// dropped) under BenchObjective. Traces are 40 us apart, so the 1 s burn
+// window holds 25k events; it is filled twice over before counting, so
+// what is counted is steady state.
+struct TraceStreamResult {
+  double ns_per_trace = 0;
+  double allocs_per_trace = 0;
+};
+
+TraceStreamResult MeasureTraceStream(long traces) {
+  sim::Simulation sim;
+  obs::Observability o11y(&sim);
+  obs::ScaleConfig scale;
+  scale.sampler.head_rate = 0;
+  scale.objectives.push_back(BenchObjective());
+  o11y.EnableScale(scale);
+  obs::Tracer& tracer = o11y.tracer;
+  const SimDuration gap_us = 40;
+  long i = 0;
+  auto emit = [&] {
+    const SimTime t = SimTime(i++) * gap_us;
+    const SimTime exec_start = t + 500;
+    const SimTime end = exec_start + 10 * kMillisecond;
+    const obs::TraceContext root =
+        tracer.StartSpanAt("invoke:f0", "faas", {}, t);
+    tracer.SetAttr(root, obs::kTenantAttr, "t0");
+    tracer.EmitSpan("exec", "faas", root, exec_start, end,
+                    {{obs::kCategoryAttr, "exec"},
+                     {"attempt", "0"},
+                     {"status", "OK"}});
+    tracer.SetAttr(root, "status", "OK");
+    tracer.SetAttr(root, obs::kOutcomeAttr, obs::kOutcomeOk);
+    tracer.SetAttr(root, obs::kSeverityAttr, "info");
+    tracer.EndSpanAt(root, end);
+  };
+  while (i < 2 * (kSecond / gap_us)) emit();
+  const uint64_t alloc_before = AllocCount();
+  const auto t0 = std::chrono::steady_clock::now();
+  for (long n = 0; n < traces; ++n) emit();
+  const auto t1 = std::chrono::steady_clock::now();
+  TraceStreamResult r;
+  r.ns_per_trace = 1e9 * std::chrono::duration<double>(t1 - t0).count() /
+                   double(traces);
+  r.allocs_per_trace = double(AllocCount() - alloc_before) / double(traces);
+  return r;
 }
 
 // ------------------------------------------------------- parallel sweep
@@ -431,26 +489,37 @@ void RunExperiment() {
 
   // E24c: telemetry fast path.
   TelemetryResult tel = MeasureTelemetry(small ? 300000 : 3000000);
-  bench::Table telem({"operation", "ns/op"});
+  bench::Table telem({"operation", "ns/op", "allocs/op"});
   telem.AddRow({"Counter record, map lookup per record (pre-E24 slow path)",
-                bench::Fmt("%.1f", tel.ns_lookup_inc)});
+                bench::Fmt("%.1f", tel.ns_lookup_inc), "-"});
   telem.AddRow({"Counter record, pre-resolved handle",
-                bench::Fmt("%.1f", tel.ns_handle_inc)});
+                bench::Fmt("%.1f", tel.ns_handle_inc), "-"});
   telem.AddRow({"Histogram observe, pre-resolved handle",
-                bench::Fmt("%.1f", tel.ns_handle_observe)});
+                bench::Fmt("%.1f", tel.ns_handle_observe), "-"});
   telem.AddRow({"StartSpan+EndSpan, kStream, interned names",
-                bench::Fmt("%.1f", tel.ns_span_stream)});
+                bench::Fmt("%.1f", tel.ns_span_stream),
+                bench::Fmt("%.3f", tel.span_allocs_per_op)});
   const long slo_ops = small ? 50000 : 500000;
   const double slo_1k_ns = MeasureSloRecord(1000, slo_ops);
   const double slo_100k_ns = MeasureSloRecord(100000, slo_ops);
   const double slo_growth = slo_1k_ns > 0 ? slo_100k_ns / slo_1k_ns : 0;
   telem.AddRow({"SloEngine::Record, 1 s/100 ms page policy, ~1k events in "
                 "window",
-                bench::Fmt("%.1f", slo_1k_ns)});
+                bench::Fmt("%.1f", slo_1k_ns), "-"});
   telem.AddRow({"SloEngine::Record, 1 s/100 ms page policy, ~100k events "
                 "in window",
-                bench::Fmt("%.1f", slo_100k_ns)});
+                bench::Fmt("%.1f", slo_100k_ns), "-"});
+  const TraceStreamResult stream =
+      MeasureTraceStream(small ? 100000 : 1000000);
+  telem.AddRow({"2-span invoke trace through EnableScale (stream, head "
+                "rate 0, flame + SLO), per trace",
+                bench::Fmt("%.1f", stream.ns_per_trace),
+                bench::Fmt("%.3f", stream.allocs_per_trace)});
   telem.Print("E24c: telemetry record-path cost");
+  bench::JsonReport::Instance().Note(
+      "span_allocs_per_op", bench::Fmt("%.3f", tel.span_allocs_per_op));
+  bench::JsonReport::Instance().Note(
+      "trace_allocs_per_trace", bench::Fmt("%.3f", stream.allocs_per_trace));
   bench::JsonReport::Instance().Note(
       "handle_vs_lookup",
       bench::Fmt("%.1fx", tel.ns_handle_inc > 0
@@ -509,8 +578,9 @@ void RunExperiment() {
   const bool rerun_same = again.digest == serial[0].digest;
 
   const bool slo_flat = slo_growth > 0 && slo_growth <= 3.0;
+  const bool trace_lean = stream.allocs_per_trace <= 0.1;
   const bool pass = speedup >= 5.0 && same_checksum && zero_alloc &&
-                    slo_flat && sweep_same && rerun_same;
+                    slo_flat && trace_lean && sweep_same && rerun_same;
   bench::JsonReport::Instance().Note(
       "acceptance",
       std::string(pass ? "PASS" : "FAIL") +
@@ -518,6 +588,7 @@ void RunExperiment() {
           bench::Fmt(" allocs_per_event=%.3f(=0)",
                      e24.steady_allocs_per_event) +
           bench::Fmt(" slo_record_growth=%.2fx(<=3x)", slo_growth) +
+          bench::Fmt(" trace_allocs=%.3f(<=0.1)", stream.allocs_per_trace) +
           std::string(same_checksum ? " checksum=same" : " checksum=DIFF") +
           std::string(sweep_same ? " sweep=deterministic"
                                  : " sweep=DIVERGED") +
@@ -526,9 +597,10 @@ void RunExperiment() {
                                      sweep_same && rerun_same ? "yes"
                                                               : "BROKEN");
   std::printf("\nE24 acceptance: %s (speedup %.2fx, %.3f allocs/event, "
-              "SLO record growth %.2fx, sweep %s)\n",
+              "SLO record growth %.2fx, %.3f allocs/trace, sweep %s)\n",
               pass ? "PASS" : "FAIL", speedup, e24.steady_allocs_per_event,
-              slo_growth, sweep_same ? "deterministic" : "DIVERGED");
+              slo_growth, stream.allocs_per_trace,
+              sweep_same ? "deterministic" : "DIVERGED");
 }
 
 // --------------------------------------------------------- microbenchmarks

@@ -139,18 +139,18 @@ void FaasPlatform::EmitAttemptSpans(const Invocation& inv,
                           exec_start,
                           {{obs::kCategoryAttr, "cold"}, {"attempt", attempt}});
   }
-  std::vector<std::pair<std::string, std::string>> exec_attrs = {
+  obs::SpanAttrList exec_attrs = {
       {obs::kCategoryAttr, "exec"},
       {"attempt", attempt},
-      {"status", std::string(StatusCodeName(attempt_status.code()))}};
+      {"status", StatusCodeName(attempt_status.code())}};
   if (!inv.unit_owner.empty()) {
     // ExecutionUnit::owner of the hosting container — the tenant tag the
     // scheduler actually placed under (flame profiles group by it).
-    exec_attrs.emplace_back("owner", inv.unit_owner);
+    exec_attrs.Add("owner", inv.unit_owner);
   }
-  if (killed) exec_attrs.emplace_back("killed", "1");
+  if (killed) exec_attrs.Add("killed", "1");
   obs_->tracer.EmitSpan("exec", "faas", inv.root_ctx, exec_start,
-                        attempt_end_us, std::move(exec_attrs));
+                        attempt_end_us, exec_attrs);
 }
 
 Status FaasPlatform::RegisterFunction(FunctionSpec spec) {
@@ -604,14 +604,14 @@ void FaasPlatform::Complete(std::shared_ptr<Invocation> inv, bool cold,
                        : inv->served_via == ServedVia::kCoalesced
                            ? "coalesced"
                            : "approximation";
-    std::vector<std::pair<std::string, std::string>> attrs = {
-        {obs::kCategoryAttr, "reuse"}, {"path", path}};
+    obs::SpanAttrList attrs = {{obs::kCategoryAttr, "reuse"}, {"path", path}};
+    std::string error_bound;
     if (inv->served_via == ServedVia::kApproximation) {
-      attrs.emplace_back("error_bound",
-                         std::to_string(inv->approx_error_bound));
+      error_bound = std::to_string(inv->approx_error_bound);
+      attrs.Add("error_bound", error_bound);
     }
     obs_->tracer.EmitSpan(std::string("reuse-") + path, "faas", inv->root_ctx,
-                          inv->submit_us, sim_->Now(), std::move(attrs));
+                          inv->submit_us, sim_->Now(), attrs);
     obs_->tracer.SetAttr(inv->root_ctx, "reuse", path);
   }
   if (obs_ != nullptr && inv->root_ctx.valid()) {

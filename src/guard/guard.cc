@@ -109,26 +109,24 @@ void Guard::RecordShed(const std::string& module, AdmissionDecision d,
   } else {
     h_.shed_deadline.Inc();
   }
-  std::vector<std::pair<std::string, std::string>> attrs{
-      {"reason", std::string(AdmissionDecisionName(d))}};
+  obs::SpanAttrList attrs = {{"reason", AdmissionDecisionName(d)}};
   if (!tenant.empty()) {
     TenantMetrics(tenant).sheds.Inc();
-    attrs.emplace_back(obs::kTenantAttr, tenant);
+    attrs.Add(obs::kTenantAttr, tenant);
   }
-  EmitGuardSpan("shed", module, parent, now, now, std::move(attrs));
+  EmitGuardSpan("shed", module, parent, now, now, attrs);
 }
 
 void Guard::RecordDeadlineExceeded(const std::string& module,
                                    obs::TraceContext parent, SimTime start_us,
                                    SimTime now, const std::string& tenant) {
   h_.deadline_exceeded.Inc();
-  std::vector<std::pair<std::string, std::string>> attrs;
+  obs::SpanAttrList attrs;
   if (!tenant.empty()) {
     TenantMetrics(tenant).deadline_exceeded.Inc();
-    attrs.emplace_back(obs::kTenantAttr, tenant);
+    attrs.Add(obs::kTenantAttr, tenant);
   }
-  EmitGuardSpan("deadline-exceeded", module, parent, start_us, now,
-                std::move(attrs));
+  EmitGuardSpan("deadline-exceeded", module, parent, start_us, now, attrs);
 }
 
 void Guard::RecordRetryDecision(const std::string& module, bool granted,
@@ -140,14 +138,17 @@ void Guard::RecordRetryDecision(const std::string& module, bool granted,
     if (!tenant.empty()) TenantMetrics(tenant).retries_granted.Inc();
   } else {
     h_.retries_denied.Inc();
-    std::vector<std::pair<std::string, std::string>> attrs;
-    if (epoch_provider_) attrs.emplace_back("epoch", std::to_string(epoch));
+    obs::SpanAttrList attrs;
+    std::string epoch_text;
+    if (epoch_provider_) {
+      epoch_text = std::to_string(epoch);
+      attrs.Add("epoch", epoch_text);
+    }
     if (!tenant.empty()) {
       TenantMetrics(tenant).retries_denied.Inc();
-      attrs.emplace_back(obs::kTenantAttr, tenant);
+      attrs.Add(obs::kTenantAttr, tenant);
     }
-    EmitGuardSpan("retry-budget-exhausted", module, parent, now, now,
-                  std::move(attrs));
+    EmitGuardSpan("retry-budget-exhausted", module, parent, now, now, attrs);
   }
   h_.retry_tokens.Set(retry_budget_.tokens());
   if (epoch_provider_) h_.epoch.Set(double(epoch));
@@ -165,14 +166,15 @@ void Guard::RecordHedgeCancelled(SimDuration wasted_us) {
 
 void Guard::RecordHedgeDeduped() { h_.hedge_deduped.Inc(); }
 
-obs::TraceContext Guard::EmitGuardSpan(
-    const std::string& name, const std::string& module,
-    obs::TraceContext parent, SimTime start_us, SimTime end_us,
-    std::vector<std::pair<std::string, std::string>> extra_attrs) {
+obs::TraceContext Guard::EmitGuardSpan(std::string_view name,
+                                       std::string_view module,
+                                       obs::TraceContext parent,
+                                       SimTime start_us, SimTime end_us,
+                                       obs::SpanAttrList extra_attrs) {
   if (obs_ == nullptr || !parent.valid()) return {};
-  extra_attrs.emplace_back(obs::kCategoryAttr, "guard");
+  extra_attrs.Add(obs::kCategoryAttr, "guard");
   return obs_->tracer.EmitSpan(name, module, parent, start_us, end_us,
-                               std::move(extra_attrs));
+                               extra_attrs);
 }
 
 GuardStats Guard::stats() const {

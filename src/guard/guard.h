@@ -119,10 +119,11 @@ class Guard {
 
   /// Emits a finished guard-category span (e.g. the hedge wait window).
   /// No-op without tracing or a valid parent.
-  obs::TraceContext EmitGuardSpan(
-      const std::string& name, const std::string& module,
-      obs::TraceContext parent, SimTime start_us, SimTime end_us,
-      std::vector<std::pair<std::string, std::string>> extra_attrs = {});
+  obs::TraceContext EmitGuardSpan(std::string_view name,
+                                  std::string_view module,
+                                  obs::TraceContext parent, SimTime start_us,
+                                  SimTime end_us,
+                                  obs::SpanAttrList extra_attrs = {});
 
   GuardStats stats() const;
   /// Total duplicate execution time billed to cancelled hedges.

@@ -30,15 +30,14 @@ void BlockBacked::RecordOp(const char* name, obs::TraceContext parent,
   tenant_ops_counter_.Inc();  // no-op for anonymous structures
   op_latency_.Add(double(latency_us));
   const SimTime now = obs_->tracer.sim()->Now();
-  std::vector<std::pair<std::string, std::string>> attrs = {
+  obs::SpanAttrList attrs = {
       {obs::kCategoryAttr, "shuffle"},
       {obs::kAsyncAttr, "1"},
-      {"status", std::string(StatusCodeName(status.code()))},
+      {"status", StatusCodeName(status.code())},
       {obs::kOutcomeAttr, status.ok() ? obs::kOutcomeOk : obs::kOutcomeError},
       {obs::kSeverityAttr, status.ok() ? "info" : "error"}};
-  if (!owner_.empty()) attrs.emplace_back(obs::kTenantAttr, owner_);
-  obs_->tracer.EmitSpan(name, "jiffy", parent, now, now + latency_us,
-                        std::move(attrs));
+  if (!owner_.empty()) attrs.Add(obs::kTenantAttr, owner_);
+  obs_->tracer.EmitSpan(name, "jiffy", parent, now, now + latency_us, attrs);
 }
 
 JiffyOp BlockBacked::Done(JiffyOp op, const char* name,

@@ -280,14 +280,14 @@ size_t ControlPlane::ReconcileWith(ControlPlane* other) {
   return conflicts;
 }
 
-void ControlPlane::EmitSpan(
-    const std::string& name, const char* category,
-    std::vector<std::pair<std::string, std::string>> attrs) {
+void ControlPlane::EmitSpan(const std::string& name, const char* category,
+                            obs::SpanAttrList attrs) {
   if (obs_ == nullptr) return;
-  attrs.emplace_back("self", std::to_string(config_.self));
-  if (category != nullptr) attrs.emplace_back(obs::kCategoryAttr, category);
+  const std::string self = std::to_string(config_.self);
+  attrs.Add("self", self);
+  if (category != nullptr) attrs.Add(obs::kCategoryAttr, category);
   const SimTime now = sim_->Now();
-  obs_->tracer.EmitSpan(name, "control-plane", {}, now, now, std::move(attrs));
+  obs_->tracer.EmitSpan(name, "control-plane", {}, now, now, attrs);
 }
 
 const ControlPlaneStats& ControlPlane::stats() const {

@@ -202,8 +202,9 @@ class ControlPlane {
                     MemberState to, uint64_t epoch);
   void HandleDead(NodeId dead, uint64_t epoch);
   void HandleRejoin(NodeId rejoined, uint64_t epoch);
+  /// `attrs` views the caller's strings (temporaries of the call are fine).
   void EmitSpan(const std::string& name, const char* category,
-                std::vector<std::pair<std::string, std::string>> attrs);
+                obs::SpanAttrList attrs);
 
   sim::Simulation* sim_;
   MembershipService* membership_;

@@ -205,18 +205,21 @@ void MembershipService::SetMember(NodeId observer, NodeId peer,
     h_.rejoins.Inc();
   }
   if (obs_ != nullptr) {
-    std::vector<std::pair<std::string, std::string>> attrs = {
-        {"observer", std::to_string(observer)},
-        {"peer", std::to_string(peer)},
-        {"from", std::string(MemberStateName(from))},
-        {"inc", std::to_string(incarnation)},
-        {"epoch", std::to_string(self.epoch)},
-        {obs::kSeverityAttr, sev}};
+    const std::string observer_text = std::to_string(observer);
+    const std::string peer_text = std::to_string(peer);
+    const std::string inc_text = std::to_string(incarnation);
+    const std::string epoch_text = std::to_string(self.epoch);
+    obs::SpanAttrList attrs = {{"observer", observer_text},
+                               {"peer", peer_text},
+                               {"from", MemberStateName(from)},
+                               {"inc", inc_text},
+                               {"epoch", epoch_text},
+                               {obs::kSeverityAttr, sev}};
     if (state == MemberState::kDead) {
-      attrs.emplace_back(obs::kOutcomeAttr, obs::kOutcomeFault);
+      attrs.Add(obs::kOutcomeAttr, obs::kOutcomeFault);
     }
     obs_->tracer.EmitSpan("member:" + std::string(MemberStateName(state)),
-                          "membership", {}, now, now, std::move(attrs));
+                          "membership", {}, now, now, attrs);
   }
   for (const TransitionListener& l : listeners_) {
     l(observer, peer, from, state, self.epoch);

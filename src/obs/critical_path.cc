@@ -63,8 +63,9 @@ std::string Breakdown::ToString() const {
   return out;
 }
 
-Result<TraceAttribution> AttributeTrace(const std::vector<Span>& spans,
-                                        uint64_t root_span_id) {
+Status TraceAttributor::Attribute(std::span<const Span> spans,
+                                  uint64_t root_span_id, Breakdown* breakdown,
+                                  std::span<SimDuration> self_us) {
   const auto root_it = std::lower_bound(
       spans.begin(), spans.end(), root_span_id,
       [](const Span& s, uint64_t id) { return s.id < id; });
@@ -78,10 +79,9 @@ Result<TraceAttribution> AttributeTrace(const std::vector<Span>& spans,
                                       " is still open");
   }
 
-  TraceAttribution out;
-  out.breakdown.total_us = root->duration_us();
-  out.self_us.assign(spans.size(), 0);
-  if (out.breakdown.total_us == 0) return out;
+  *breakdown = Breakdown();
+  breakdown->total_us = root->duration_us();
+  if (breakdown->total_us == 0) return Status::OK();
 
   // The subtree in id order, root first: a span belongs to it when its
   // parent does. Parents precede children, so one forward pass from the
@@ -92,26 +92,18 @@ Result<TraceAttribution> AttributeTrace(const std::vector<Span>& spans,
   // window (self time needs all of them); only categorized ones carry a
   // category. The root, unfinished spans and spans outside the window keep
   // an empty interval, which covers nothing.
-  struct Member {
-    uint64_t id;
-    int depth;
-    size_t index;  ///< Position in `spans` (for self-time charging).
-    SimTime start = 0;
-    SimTime end = 0;
-    bool has_cat = false;
-    Category cat = Category::kOther;
-  };
   const size_t root_index = size_t(root_it - spans.begin());
-  std::vector<Member> members{{root_span_id, 0, root_index}};
+  members_.clear();
+  members_.push_back({root_span_id, 0, root_index});
   const auto member_less = [](const Member& m, uint64_t id) {
     return m.id < id;
   };
   for (size_t i = root_index + 1; i < spans.size(); ++i) {
     const Span& s = spans[i];
     if (s.parent < root_span_id) continue;  // also skips roots (parent 0)
-    const auto parent = std::lower_bound(members.begin(), members.end(),
+    const auto parent = std::lower_bound(members_.begin(), members_.end(),
                                          s.parent, member_less);
-    if (parent == members.end() || parent->id != s.parent) continue;
+    if (parent == members_.end() || parent->id != s.parent) continue;
     Member m{s.id, parent->depth + 1, i};
     if (s.ended()) {
       m.start = std::max(s.start_us, root->start_us);
@@ -122,19 +114,18 @@ Result<TraceAttribution> AttributeTrace(const std::vector<Span>& spans,
       m.has_cat = cat.has_value();
       m.cat = cat.value_or(Category::kOther);
     }
-    members.push_back(m);
+    members_.push_back(m);
   }
-  std::vector<SimTime> bounds;
-  bounds.reserve(2 * members.size());
-  bounds.push_back(root->start_us);
-  bounds.push_back(root->end_us);
-  for (const Member& m : members) {
+  bounds_.clear();
+  bounds_.push_back(root->start_us);
+  bounds_.push_back(root->end_us);
+  for (const Member& m : members_) {
     if (m.end <= m.start) continue;
-    bounds.push_back(m.start);
-    bounds.push_back(m.end);
+    bounds_.push_back(m.start);
+    bounds_.push_back(m.end);
   }
-  std::sort(bounds.begin(), bounds.end());
-  bounds.erase(std::unique(bounds.begin(), bounds.end()), bounds.end());
+  std::sort(bounds_.begin(), bounds_.end());
+  bounds_.erase(std::unique(bounds_.begin(), bounds_.end()), bounds_.end());
 
   // Each elementary interval between consecutive boundary points is covered
   // by a fixed set of spans; charge its category to the deepest categorized
@@ -143,12 +134,12 @@ Result<TraceAttribution> AttributeTrace(const std::vector<Span>& spans,
   // of any kind (the root when none). Charging every elementary interval
   // exactly once is what makes both partitions sum to total_us without
   // tolerance.
-  for (size_t i = 0; i + 1 < bounds.size(); ++i) {
-    const SimTime lo = bounds[i];
-    const SimTime hi = bounds[i + 1];
+  for (size_t i = 0; i + 1 < bounds_.size(); ++i) {
+    const SimTime lo = bounds_[i];
+    const SimTime hi = bounds_[i + 1];
     const Member* best_cat = nullptr;
     const Member* best_any = nullptr;
-    for (const Member& iv : members) {
+    for (const Member& iv : members_) {
       if (iv.start > lo || iv.end < hi) continue;
       const bool deeper_any =
           best_any == nullptr || iv.depth > best_any->depth ||
@@ -162,9 +153,21 @@ Result<TraceAttribution> AttributeTrace(const std::vector<Span>& spans,
     }
     const Category cat =
         best_cat != nullptr ? best_cat->cat : Category::kOther;
-    out.breakdown.by_category[static_cast<size_t>(cat)] += hi - lo;
-    out.self_us[best_any != nullptr ? best_any->index : root_index] += hi - lo;
+    breakdown->by_category[static_cast<size_t>(cat)] += hi - lo;
+    if (!self_us.empty()) {
+      self_us[best_any != nullptr ? best_any->index : root_index] += hi - lo;
+    }
   }
+  return Status::OK();
+}
+
+Result<TraceAttribution> AttributeTrace(std::span<const Span> spans,
+                                        uint64_t root_span_id) {
+  TraceAttribution out;
+  out.self_us.assign(spans.size(), 0);
+  TraceAttributor attributor;
+  TAU_RETURN_IF_ERROR(attributor.Attribute(spans, root_span_id,
+                                           &out.breakdown, out.self_us));
   return out;
 }
 

@@ -12,6 +12,7 @@
 #include <array>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -76,13 +77,41 @@ struct TraceAttribution {
   std::vector<SimDuration> self_us;
 };
 
-/// Storage-agnostic core shared by AnalyzeCriticalPath and the flame
-/// aggregator: attributes the subtree of `root_span_id` within `spans`
-/// (any id-ascending slice of one or more traces — parents must precede
-/// children, as the tracer guarantees). Unlike AnalyzeCriticalPath the
-/// root may itself have a parent outside `spans` (late/async span groups).
-/// NotFound for an absent root, FailedPrecondition for an unfinished one.
-Result<TraceAttribution> AttributeTrace(const std::vector<Span>& spans,
+/// The attribution core shared by AnalyzeCriticalPath, AttributeTrace and
+/// the flame aggregator. Its member and boundary vectors are working
+/// storage that keeps its capacity across calls, so an owner attributing
+/// trace after trace (FlameProfile holds one) allocates nothing once warm.
+class TraceAttributor {
+ public:
+  /// Attributes the subtree of `root_span_id` within `spans`, as
+  /// AttributeTrace does: writes the breakdown to `*breakdown` and *adds*
+  /// each member's self time to `self_us[i]`, which runs parallel to
+  /// `spans` (pass an empty span to skip self times). On failure nothing
+  /// is written.
+  Status Attribute(std::span<const Span> spans, uint64_t root_span_id,
+                   Breakdown* breakdown, std::span<SimDuration> self_us);
+
+ private:
+  struct Member {
+    uint64_t id;
+    int depth;
+    size_t index;  ///< Position in `spans` (for self-time charging).
+    SimTime start = 0;
+    SimTime end = 0;
+    bool has_cat = false;
+    Category cat = Category::kOther;
+  };
+  std::vector<Member> members_;
+  std::vector<SimTime> bounds_;
+};
+
+/// Storage-agnostic attribution of the subtree of `root_span_id` within
+/// `spans` (any id-ascending slice of one or more traces — parents must
+/// precede children, as the tracer guarantees). Unlike AnalyzeCriticalPath
+/// the root may itself have a parent outside `spans` (late/async span
+/// groups). NotFound for an absent root, FailedPrecondition for an
+/// unfinished one. A wrapper over a temporary TraceAttributor.
+Result<TraceAttribution> AttributeTrace(std::span<const Span> spans,
                                         uint64_t root_span_id);
 
 }  // namespace taureau::obs

@@ -5,66 +5,90 @@
 
 namespace taureau::obs {
 
-void FlameProfile::FoldTrace(const std::vector<Span>& spans) {
+void FlameProfile::FoldTrace(std::span<const Span> spans) {
   if (spans.empty()) return;
   ++folded_traces_;
 
   // Path of each span: parent path + ";" + name; spans whose parent is not
   // in the group start fresh as subtree roots. Parents precede children in
   // the id-sorted group, so the parent is a binary search of the prefix.
-  // The path strings keep their capacity across traces, so building a path
-  // that is already known allocates nothing.
   const size_t n = spans.size();
   if (path_scratch_.size() < n) path_scratch_.resize(n);
   root_scratch_.clear();
   for (size_t i = 0; i < n; ++i) {
     const Span& s = spans[i];
-    std::string& path = path_scratch_[i];
     const auto prefix_end = spans.begin() + std::ptrdiff_t(i);
     const auto parent = std::lower_bound(
         spans.begin(), prefix_end, s.parent,
         [](const Span& a, uint64_t id) { return a.id < id; });
+    uint32_t parent_path = kNoPath;
     if (s.parent == 0 || parent == prefix_end || parent->id != s.parent) {
-      path.assign(s.name.str());
       root_scratch_.push_back(i);
     } else {
-      path.assign(path_scratch_[size_t(parent - spans.begin())]);
-      path += ';';
-      path += s.name.str();
+      parent_path = path_scratch_[size_t(parent - spans.begin())];
     }
+    path_scratch_[i] = ResolvePath(parent_path, s.name.str());
   }
 
   // One attribution pass per subtree root charges every span's self time
   // and the root's category breakdown. Each span belongs to exactly one
   // subtree, so accumulating self_us across the passes never double-counts.
   self_scratch_.assign(n, 0);
+  Breakdown breakdown;
   for (size_t r : root_scratch_) {
     const Span& root = spans[r];
-    auto attributed = AttributeTrace(spans, root.id);
-    if (!attributed.ok()) continue;  // unfinished root: skip its subtree
-    for (size_t i = 0; i < n; ++i) {
-      self_scratch_[i] += attributed->self_us[i];
+    if (!attributor_.Attribute(spans, root.id, &breakdown, self_scratch_)
+             .ok()) {
+      continue;  // unfinished root: skip its subtree
     }
-    RootAggregate& agg = by_root_[root.name];
+    RootAggregate& agg =
+        ResolveAggregate(&by_root_, &root_index_, root.name.str());
     ++agg.count;
-    agg.breakdown.Accumulate(attributed->breakdown);
+    agg.breakdown.Accumulate(breakdown);
     const auto tenant = root.attrs.find(kTenantAttr);
     if (tenant != root.attrs.end()) {
-      RootAggregate& tagg = by_tenant_[tenant->second];
+      RootAggregate& tagg =
+          ResolveAggregate(&by_tenant_, &tenant_index_, tenant->second);
       ++tagg.count;
-      tagg.breakdown.Accumulate(attributed->breakdown);
+      tagg.breakdown.Accumulate(breakdown);
     }
   }
 
   for (size_t i = 0; i < n; ++i) {
     const Span& s = spans[i];
     if (!s.ended()) continue;
-    PathStat& stat = paths_[path_scratch_[i]];
-    ++stat.count;
-    stat.total_us += s.duration_us();
-    stat.self_us += self_scratch_[i];
+    PathNode& node = path_nodes_[path_scratch_[i]];
+    if (node.stat == nullptr) node.stat = &paths_[node.path];
+    ++node.stat->count;
+    node.stat->total_us += s.duration_us();
+    node.stat->self_us += self_scratch_[i];
     ++folded_spans_;
   }
+}
+
+uint32_t FlameProfile::ResolvePath(uint32_t parent, std::string_view name) {
+  const auto it = path_index_.find(PathKey{parent, name});
+  if (it != path_index_.end()) return it->second;
+  const uint32_t id = uint32_t(path_nodes_.size());
+  PathNode& node = path_nodes_.emplace_back();
+  if (parent != kNoPath) {
+    node.path = path_nodes_[parent].path;
+    node.path += ';';
+  }
+  node.path += name;
+  const std::string_view tail =
+      std::string_view(node.path).substr(node.path.size() - name.size());
+  path_index_.emplace(PathKey{parent, tail}, id);
+  return id;
+}
+
+RootAggregate& FlameProfile::ResolveAggregate(RootMap* map, RootIndex* index,
+                                              std::string_view key) {
+  const auto it = index->find(key);
+  if (it != index->end()) return *it->second;
+  auto& entry = *map->try_emplace(std::string(key)).first;
+  index->emplace(entry.first, &entry.second);
+  return entry.second;
 }
 
 std::vector<std::pair<std::string, PathStat>> FlameProfile::TopKBySelf(
@@ -102,6 +126,10 @@ void FlameProfile::Clear() {
   paths_.clear();
   by_root_.clear();
   by_tenant_.clear();
+  path_nodes_.clear();
+  path_index_.clear();
+  root_index_.clear();
+  tenant_index_.clear();
   folded_spans_ = 0;
   folded_traces_ = 0;
 }

@@ -8,15 +8,23 @@
 // O(distinct paths), independent of traffic.
 //
 // Path keys are semicolon-joined span names from the group root down
-// (folded-flame-graph convention): "invoke:serve;exec". Self time uses the
-// critical-path partition — each instant of the root window is charged to
-// the deepest covering span — so per-trace self times sum exactly to the
-// root span's wall time (the invariant the obs_scale tests pin).
+// (folded-flame-graph convention): "invoke:serve;exec". Each distinct path
+// string is built once; afterwards a span's path resolves through an index
+// keyed by (parent path, span name), so folding a known shape allocates
+// nothing. Self time uses the critical-path partition — each instant of
+// the root window is charged to the deepest covering span — so per-trace
+// self times sum exactly to the root span's wall time (the invariant the
+// obs_scale tests pin).
 #pragma once
 
 #include <cstdint>
+#include <deque>
+#include <functional>
 #include <map>
+#include <span>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "common/time_types.h"
@@ -45,7 +53,7 @@ class FlameProfile {
   /// (creation order — parents precede children); spans whose parent is
   /// absent from the group act as subtree roots (late/async groups, chaos
   /// markers). Unfinished spans are skipped.
-  void FoldTrace(const std::vector<Span>& spans);
+  void FoldTrace(std::span<const Span> spans);
 
   const std::map<std::string, PathStat>& paths() const { return paths_; }
   const std::map<std::string, RootAggregate>& by_root() const {
@@ -74,16 +82,50 @@ class FlameProfile {
   void Clear();
 
  private:
+  using RootMap = std::map<std::string, RootAggregate>;
+  using RootIndex = std::unordered_map<std::string_view, RootAggregate*>;
+
+  /// A path seen by the fold. Nodes never move (deque), so the index keys
+  /// below can view `path`.
+  struct PathNode {
+    std::string path;
+    PathStat* stat = nullptr;  ///< Its paths_ entry, once a finished span
+                               ///< folds there.
+  };
+  /// (parent path id, span name); the name views the tail of the path.
+  struct PathKey {
+    uint32_t parent;
+    std::string_view name;
+    bool operator==(const PathKey&) const = default;
+  };
+  struct PathKeyHash {
+    size_t operator()(const PathKey& k) const {
+      return std::hash<std::string_view>{}(k.name) * 31 + k.parent;
+    }
+  };
+  static constexpr uint32_t kNoPath = UINT32_MAX;  ///< Subtree roots' parent.
+
+  uint32_t ResolvePath(uint32_t parent, std::string_view name);
+  /// `map`'s entry for `key`, found through `index` (which views the map's
+  /// keys) or inserted into both.
+  static RootAggregate& ResolveAggregate(RootMap* map, RootIndex* index,
+                                         std::string_view key);
+
   std::map<std::string, PathStat> paths_;
-  std::map<std::string, RootAggregate> by_root_;
-  std::map<std::string, RootAggregate> by_tenant_;
+  RootMap by_root_;
+  RootMap by_tenant_;
   uint64_t folded_spans_ = 0;
   uint64_t folded_traces_ = 0;
+  std::deque<PathNode> path_nodes_;  ///< By path id.
+  std::unordered_map<PathKey, uint32_t, PathKeyHash> path_index_;
+  RootIndex root_index_;
+  RootIndex tenant_index_;
   // Per-trace working storage, reused by every FoldTrace call (each
   // profile belongs to one simulation, so one shard under psim).
-  std::vector<std::string> path_scratch_;  ///< Path key of each span.
+  std::vector<uint32_t> path_scratch_;     ///< Path id of each span.
   std::vector<size_t> root_scratch_;       ///< Subtree-root span indices.
   std::vector<SimDuration> self_scratch_;  ///< Self time of each span.
+  TraceAttributor attributor_;
 };
 
 /// Deterministic "name count=N total=... queue=... ..." lines for a

@@ -33,14 +33,18 @@ std::string Observability::ExportAll() const {
     // Retain mode without the scale layer: aggregate every finished root
     // through the same exact attribution the flame aggregator uses.
     std::map<std::string, RootAggregate> by_root;
+    TraceAttributor attributor;
+    Breakdown breakdown;
     for (uint64_t root_id : tracer.Roots()) {
       const Span* root = tracer.Find(root_id);
       if (root == nullptr || !root->ended()) continue;
-      auto attributed = AttributeTrace(tracer.spans(), root_id);
-      if (!attributed.ok()) continue;
+      if (!attributor.Attribute(tracer.spans(), root_id, &breakdown, {})
+               .ok()) {
+        continue;
+      }
       RootAggregate& agg = by_root[root->name];
       ++agg.count;
-      agg.breakdown.Accumulate(attributed->breakdown);
+      agg.breakdown.Accumulate(breakdown);
     }
     out += FormatRootAggregates(by_root);
   }

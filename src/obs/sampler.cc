@@ -47,8 +47,19 @@ RetainReason SamplingPipeline::DecisionFor(uint64_t trace_id) const {
   return decisions_[trace_id - 1];
 }
 
+SamplingPipeline::Pending& SamplingPipeline::GroupFor(uint64_t trace_id) {
+  const auto it = pending_.find(trace_id);
+  if (it != pending_.end()) return it->second;
+  if (free_groups_.empty()) return pending_[trace_id];
+  PendingMap::node_type node = std::move(free_groups_.back());
+  free_groups_.pop_back();
+  node.key() = trace_id;
+  node.mapped().Reset();
+  return pending_.insert(std::move(node)).position->second;
+}
+
 void SamplingPipeline::OnSpanStart(const Span& span) {
-  Pending& group = pending_[span.trace];
+  Pending& group = GroupFor(span.trace);
   ++group.open;
   if (span.parent == 0 && group.root_id == 0) {
     group.root_id = span.id;
@@ -69,30 +80,27 @@ void SamplingPipeline::OnSpanEnd(const Span& span) {
   if (it == pending_.end()) return;  // start was never seen; ignore
   Pending& group = it->second;
   NoteMarkers(span, &group);
-  if (span.id == group.root_id) {
-    group.root_ended = true;
-    group.root_module = span.module;
-    group.root_name = span.name;
-    group.root_end_us = span.end_us;
-    group.root_duration_us = span.duration_us();
-    const auto tenant = span.attrs.find(kTenantAttr);
-    if (tenant != span.attrs.end()) group.root_tenant = tenant->second;
+  if (span.id == group.root_id) group.root_ended = true;
+  if (group.size < group.slots.size()) {
+    group.slots[group.size] = span;
+  } else {
+    group.slots.push_back(span);
   }
-  group.spans.push_back(span);
+  ++group.size;
   if (group.open > 0) --group.open;
   if (group.open == 0 && (group.root_ended || group.late)) {
-    Pending done = std::move(group);
-    pending_.erase(it);
-    const bool complete = !done.late;
-    Finalize(span.trace, std::move(done), complete);
+    const bool complete = !group.late;
+    Finalize(pending_.extract(it), complete);
   }
 }
 
-void SamplingPipeline::Finalize(uint64_t trace_id, Pending&& group,
-                                bool complete) {
-  std::sort(group.spans.begin(), group.spans.end(),
+void SamplingPipeline::Finalize(PendingMap::node_type node, bool complete) {
+  const uint64_t trace_id = node.key();
+  Pending& group = node.mapped();
+  const std::span<Span> spans(group.slots.data(), group.size);
+  std::sort(spans.begin(), spans.end(),
             [](const Span& a, const Span& b) { return a.id < b.id; });
-  if (flame_ != nullptr) flame_->FoldTrace(group.spans);
+  if (flame_ != nullptr) flame_->FoldTrace(spans);
 
   if (group.late) {
     ++stats_.late_groups;
@@ -102,30 +110,44 @@ void SamplingPipeline::Finalize(uint64_t trace_id, Pending&& group,
     if (prior != RetainReason::kDropped && prior != RetainReason::kPending) {
       auto rit = retained_.find(trace_id);
       if (rit != retained_.end()) {
-        for (Span& s : group.spans) {
+        for (const Span& s : spans) {
           retained_span_count_ += 1;
           retained_bytes_ += ApproxSpanBytes(s);
           ++stats_.spans_retained;
-          rit->second.spans.push_back(std::move(s));
+          rit->second.spans.push_back(s);
         }
         EvictIfOver();
       }
     }
-    return;
+  } else {
+    Decide(trace_id, group, complete, spans);
   }
+  free_groups_.push_back(std::move(node));
+}
 
+void SamplingPipeline::Decide(uint64_t trace_id, const Pending& group,
+                              bool complete, std::span<const Span> spans) {
   ++stats_.traces_finalized;
   if (!complete || !group.root_ended) ++stats_.incomplete_traces;
 
   bool slow = false;
   if (group.root_ended) {
+    const Span& root = *std::lower_bound(
+        spans.begin(), spans.end(), group.root_id,
+        [](const Span& s, uint64_t id) { return s.id < id; });
     SimDuration budget =
-        slo_ != nullptr ? slo_->SlowBudgetFor(group.root_module) : -1;
+        slo_ != nullptr ? slo_->SlowBudgetFor(root.module) : -1;
     if (budget < 0) budget = config_.slow_threshold_us;
-    slow = budget >= 0 && group.root_duration_us > budget;
+    slow = budget >= 0 && root.duration_us() > budget;
     if (slo_ != nullptr) {
-      slo_->Record(group.root_module, group.root_tenant, group.root_end_us,
-                   group.root_duration_us, !group.saw_error);
+      const auto tenant = root.attrs.find(kTenantAttr);
+      if (tenant != root.attrs.end()) {
+        slo_->Record(root.module, tenant->second, root.end_us,
+                     root.duration_us(), !group.saw_error);
+      } else {
+        slo_->Record(root.module, root.end_us, root.duration_us(),
+                     !group.saw_error);
+      }
     }
   }
 
@@ -153,11 +175,11 @@ void SamplingPipeline::Finalize(uint64_t trace_id, Pending&& group,
   }
   ++stats_.traces_retained;
   if (important) ++stats_.important_retained;
-  Retain(trace_id, reason, std::move(group.spans));
+  Retain(trace_id, reason, spans);
 }
 
 void SamplingPipeline::Retain(uint64_t trace_id, RetainReason reason,
-                              std::vector<Span>&& spans) {
+                              std::span<const Span> spans) {
   RetainedTrace entry;
   entry.reason = reason;
   for (const Span& s : spans) {
@@ -165,7 +187,7 @@ void SamplingPipeline::Retain(uint64_t trace_id, RetainReason reason,
     retained_bytes_ += ApproxSpanBytes(s);
     ++stats_.spans_retained;
   }
-  entry.spans = std::move(spans);
+  entry.spans.assign(spans.begin(), spans.end());
   retained_.insert_or_assign(trace_id, std::move(entry));
   if (reason == RetainReason::kHead) healthy_.insert(trace_id);
   EvictIfOver();
@@ -201,25 +223,22 @@ void SamplingPipeline::Flush() {
   ids.reserve(pending_.size());
   for (const auto& [tid, group] : pending_) ids.push_back(tid);
   std::sort(ids.begin(), ids.end());
-  for (uint64_t tid : ids) {
-    auto it = pending_.find(tid);
-    if (it == pending_.end()) continue;
-    Pending group = std::move(it->second);
-    pending_.erase(it);
-    Finalize(tid, std::move(group), /*complete=*/false);
-  }
+  for (uint64_t tid : ids) Finalize(pending_.extract(tid), /*complete=*/false);
 }
 
 size_t SamplingPipeline::pending_span_count() const {
   size_t n = 0;
-  for (const auto& [tid, group] : pending_) {
-    n += group.spans.size() + group.open;
-  }
+  for (const auto& [tid, group] : pending_) n += group.size + group.open;
   return n;
 }
 
 size_t SamplingPipeline::ApproxSpanBytes(const Span& span) {
-  size_t bytes = sizeof(Span) + span.name.size() + span.module.size();
+  // The per-span base is the size Span had when it held a std::map of
+  // attributes. retained_bytes is printed in the "== sampler ==" export, so
+  // the estimate stays fixed rather than tracking sizeof(Span): outcome
+  // digests over ExportAll must not move with the in-memory layout.
+  constexpr size_t kSpanBytes = 104;
+  size_t bytes = kSpanBytes + span.name.size() + span.module.size();
   for (const auto& [k, v] : span.attrs) {
     bytes += k.size() + v.size() + 32;  // node + pointer overhead estimate
   }

@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <map>
 #include <set>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -115,36 +116,52 @@ class SamplingPipeline : public SpanSink {
   std::string ExportSummaryText() const;
 
  private:
+  /// One in-flight trace's closed spans. Groups are recycled: a finalized
+  /// group's node returns to `free_groups_` and serves a later trace, and
+  /// copy-assigning a span into a kept slot reuses its attribute block, so
+  /// steady-state streaming allocates nothing here.
   struct Pending {
-    std::vector<Span> spans;  ///< Closed spans, in close order.
+    /// slots[0, size) hold this trace's closed spans in close order; slots
+    /// past `size` are left from earlier traces.
+    std::vector<Span> slots;
+    size_t size = 0;
     size_t open = 0;
     uint64_t root_id = 0;
     bool root_ended = false;
     bool saw_error = false;
     bool saw_fault = false;
     bool late = false;  ///< Group arrived after the trace's decision.
-    std::string root_module;
-    std::string root_name;
-    std::string root_tenant;  ///< kTenantAttr of the root span, if set.
-    SimTime root_end_us = 0;
-    SimDuration root_duration_us = 0;
+
+    /// Empties the group for its next trace; the slots stay.
+    void Reset() {
+      size = 0;
+      open = 0;
+      root_id = 0;
+      root_ended = saw_error = saw_fault = late = false;
+    }
   };
+  using PendingMap = std::unordered_map<uint64_t, Pending>;
   struct RetainedTrace {
     RetainReason reason = RetainReason::kDropped;
     std::vector<Span> spans;
   };
 
+  Pending& GroupFor(uint64_t trace_id);
   void NoteMarkers(const Span& span, Pending* group);
-  void Finalize(uint64_t trace_id, Pending&& group, bool complete);
+  /// Folds, scores and decides an extracted group, then recycles its node.
+  void Finalize(PendingMap::node_type node, bool complete);
+  void Decide(uint64_t trace_id, const Pending& group, bool complete,
+              std::span<const Span> spans);
   void Retain(uint64_t trace_id, RetainReason reason,
-              std::vector<Span>&& spans);
+              std::span<const Span> spans);
   void EvictIfOver();
   static size_t ApproxSpanBytes(const Span& span);
 
   SamplerConfig config_;
   FlameProfile* flame_;
   SloEngine* slo_;
-  std::unordered_map<uint64_t, Pending> pending_;
+  PendingMap pending_;
+  std::vector<PendingMap::node_type> free_groups_;
   std::map<uint64_t, RetainedTrace> retained_;
   std::set<uint64_t> healthy_;  ///< Evict-first candidates (head-sampled).
   /// Decision per finalized trace id (ids are sequential from 1).

@@ -73,28 +73,34 @@ TraceContext Tracer::StartSpan(std::string_view name, std::string_view module,
 TraceContext Tracer::StartSpanAt(std::string_view name,
                                  std::string_view module, TraceContext parent,
                                  SimTime start_us) {
-  Span span;
-  span.id = next_span_++;
+  const uint64_t id = next_span_++;
+  Span& span =
+      mode_ == StoreMode::kStream ? OpenSlot(id) : spans_.emplace_back();
+  span.id = id;
   span.name = Interned(symbols_.Intern(name));
   span.module = Interned(symbols_.Intern(module));
   span.start_us = start_us;
-  if (parent.valid() && parent.span_id < span.id) {
+  span.end_us = -1;
+  if (parent.valid() && parent.span_id < id) {
     span.parent = parent.span_id;
     span.trace = parent.trace_id;
   } else {
+    span.parent = 0;
     span.trace = next_trace_++;
   }
   ++emitted_;
   const TraceContext ctx{span.trace, span.id};
-  const Span* stored;
-  if (mode_ == StoreMode::kStream) {
-    stored = &open_.emplace(span.id, std::move(span)).first->second;
-  } else {
-    spans_.push_back(std::move(span));
-    stored = &spans_.back();
-  }
-  if (sink_ != nullptr) sink_->OnSpanStart(*stored);
+  if (sink_ != nullptr) sink_->OnSpanStart(span);
   return ctx;
+}
+
+Span& Tracer::OpenSlot(uint64_t id) {
+  if (released_.empty()) return open_[id];
+  OpenMap::node_type node = std::move(released_.back());
+  released_.pop_back();
+  node.key() = id;
+  node.mapped().attrs.clear();
+  return open_.insert(std::move(node)).position->second;
 }
 
 Span* Tracer::FindMutable(TraceContext ctx) {
@@ -107,7 +113,7 @@ Span* Tracer::FindMutable(TraceContext ctx) {
   return &spans_[ctx.span_id - 1];
 }
 
-void Tracer::SetAttr(TraceContext ctx, const std::string& key,
+void Tracer::SetAttr(TraceContext ctx, std::string_view key,
                      std::string value) {
   if (Span* s = FindMutable(ctx)) s->attrs[key] = std::move(value);
 }
@@ -119,16 +125,18 @@ void Tracer::EndSpanAt(TraceContext ctx, SimTime end_us) {
   if (s == nullptr || s->ended()) return;
   s->end_us = std::max(end_us, s->start_us);
   if (sink_ != nullptr) sink_->OnSpanEnd(*s);
-  if (mode_ == StoreMode::kStream) open_.erase(ctx.span_id);
+  if (mode_ == StoreMode::kStream) {
+    released_.push_back(open_.extract(ctx.span_id));
+  }
 }
 
-TraceContext Tracer::EmitSpan(
-    std::string_view name, std::string_view module, TraceContext parent,
-    SimTime start_us, SimTime end_us,
-    std::vector<std::pair<std::string, std::string>> attrs) {
+TraceContext Tracer::EmitSpan(std::string_view name, std::string_view module,
+                              TraceContext parent, SimTime start_us,
+                              SimTime end_us, const SpanAttrList& attrs) {
   const TraceContext ctx = StartSpanAt(name, module, parent, start_us);
   if (Span* s = FindMutable(ctx)) {
-    for (auto& [k, v] : attrs) s->attrs[k] = std::move(v);
+    s->attrs.reserve(attrs.size());
+    for (const auto& [k, v] : attrs) s->attrs[k] = v;
   }
   EndSpanAt(ctx, end_us);
   return ctx;

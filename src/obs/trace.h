@@ -8,8 +8,12 @@
 // byte-identical traces — the determinism contract the obs test suite pins.
 #pragma once
 
+#include <algorithm>
+#include <array>
+#include <cassert>
 #include <cstdint>
-#include <map>
+#include <initializer_list>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -34,6 +38,56 @@ struct TraceContext {
   bool operator==(const TraceContext&) const = default;
 };
 
+/// A span's attributes as one key-sorted vector: all of a span's attributes
+/// live in one heap block instead of one std::map node each, and a Span that
+/// is reused (the tracer's stream mode, the sampler's group slots) keeps that
+/// block. It offers the std::map operations its readers use — find, count,
+/// at, operator[] and iteration in key order — so every export renders the
+/// same bytes as the map it replaced.
+class SpanAttrs {
+ public:
+  using value_type = std::pair<std::string, std::string>;
+  using const_iterator = std::vector<value_type>::const_iterator;
+
+  const_iterator begin() const { return items_.begin(); }
+  const_iterator end() const { return items_.end(); }
+  size_t size() const { return items_.size(); }
+  bool empty() const { return items_.empty(); }
+
+  const_iterator find(std::string_view key) const {
+    const auto it = LowerBound(items_, key);
+    return it != items_.end() && it->first == key ? it : items_.end();
+  }
+  size_t count(std::string_view key) const { return find(key) != end(); }
+  /// Throws std::out_of_range for an absent key, like std::map::at.
+  const std::string& at(std::string_view key) const {
+    const auto it = find(key);
+    if (it == end()) throw std::out_of_range("SpanAttrs::at");
+    return it->second;
+  }
+  /// The value under `key`, inserted empty at its sorted place if absent.
+  std::string& operator[](std::string_view key) {
+    const auto it = LowerBound(items_, key);
+    if (it != items_.end() && it->first == key) return it->second;
+    return items_.emplace(it, std::string(key), std::string())->second;
+  }
+
+  /// Drops every attribute; the block stays for the next span.
+  void clear() { items_.clear(); }
+  void reserve(size_t n) { items_.reserve(n); }
+
+ private:
+  template <typename Items>
+  static auto LowerBound(Items& items, std::string_view key)
+      -> decltype(items.begin()) {
+    return std::lower_bound(
+        items.begin(), items.end(), key,
+        [](const value_type& a, std::string_view k) { return a.first < k; });
+  }
+
+  std::vector<value_type> items_;
+};
+
 /// One timed, attributed node of a trace tree. Name and module are interned
 /// (see obs/interned.h): 8-byte references into the tracer's symbol table,
 /// reading exactly like the std::string fields they replaced.
@@ -45,9 +99,9 @@ struct Span {
   Interned module;  ///< Emitting layer ("faas", "pubsub", "jiffy", ...).
   SimTime start_us = 0;
   SimTime end_us = -1;  ///< < start_us means still open.
-  /// Sorted so serialization is deterministic. The "cat" attribute feeds
-  /// the critical-path analyzer (see critical_path.h).
-  std::map<std::string, std::string> attrs;
+  /// Key-sorted so serialization is deterministic. The "cat" attribute
+  /// feeds the critical-path analyzer (see critical_path.h).
+  SpanAttrs attrs;
 
   bool ended() const { return end_us >= start_us; }
   SimDuration duration_us() const { return ended() ? end_us - start_us : 0; }
@@ -90,11 +144,45 @@ inline constexpr const char* kSeverityAttr = "sev";
 /// breakdowns; absent spans score the module aggregate only.
 inline constexpr const char* kTenantAttr = "tenant";
 
+/// Attributes for Tracer::EmitSpan: up to kMaxAttrs (key, value) views held
+/// inline, so building the list costs no heap allocation. It owns nothing:
+/// the viewed strings must outlive the EmitSpan call, so build computed
+/// values (std::to_string, concatenations) in locals, or as temporaries of
+/// the call expression itself. A repeated key keeps its last value.
+class SpanAttrList {
+ public:
+  using Attr = std::pair<std::string_view, std::string_view>;
+  /// The most attributes any emit site passes is 7 (a membership
+  /// transition to dead).
+  static constexpr size_t kMaxAttrs = 8;
+
+  SpanAttrList() = default;
+  SpanAttrList(std::initializer_list<Attr> attrs) {
+    for (const Attr& a : attrs) Add(a.first, a.second);
+  }
+
+  void Add(std::string_view key, std::string_view value) {
+    assert(size_ < kMaxAttrs && "SpanAttrList: raise kMaxAttrs");
+    if (size_ < kMaxAttrs) items_[size_++] = {key, value};
+  }
+
+  const Attr* begin() const { return items_.data(); }
+  const Attr* end() const { return items_.data() + size_; }
+  size_t size() const { return size_; }
+
+ private:
+  std::array<Attr, kMaxAttrs> items_;
+  size_t size_ = 0;
+};
+
 /// Receives every span as it is emitted; the hook the sampling pipeline
 /// (obs/sampler.h) attaches to make tracing stream instead of accumulate.
 /// OnSpanStart fires before any attributes exist; OnSpanEnd fires exactly
 /// once per span with the final attribute set (modules set attrs before
 /// closing). Attributes set on an already-closed span are not re-delivered.
+/// The Span& handed to either call is valid only during that call: in
+/// stream mode the tracer reuses a closed span's storage for the next span
+/// it opens, so a sink that keeps a span must copy it.
 class SpanSink {
  public:
   virtual ~SpanSink() = default;
@@ -112,6 +200,8 @@ class SpanSink {
 ///  - kStream: only *open* spans are stored; a closed span is handed to the
 ///    attached SpanSink and released, so tracer memory is O(in-flight) and
 ///    retention policy lives entirely in the sink (see SamplingPipeline).
+///    Released storage (hash node and attribute block) is reused by the
+///    next span opened, so steady-state streaming allocates nothing.
 ///    Read APIs (spans()/Find/Roots/Validate/Export*) only see what is
 ///    still stored; serve reads from the sink's retained store instead.
 class Tracer {
@@ -137,7 +227,7 @@ class Tracer {
                            TraceContext parent, SimTime start_us);
 
   /// Sets one attribute (overwriting) on an open or closed span.
-  void SetAttr(TraceContext ctx, const std::string& key, std::string value);
+  void SetAttr(TraceContext ctx, std::string_view key, std::string value);
 
   /// Closes the span at Now() / at `end_us`. Closing twice keeps the first
   /// end time; invalid contexts are ignored.
@@ -147,10 +237,9 @@ class Tracer {
   /// Emits a fully-formed span in one call (retrospective instrumentation:
   /// the platform knows an attempt's queue/startup/exec intervals only once
   /// the attempt finishes).
-  TraceContext EmitSpan(
-      std::string_view name, std::string_view module, TraceContext parent,
-      SimTime start_us, SimTime end_us,
-      std::vector<std::pair<std::string, std::string>> attrs = {});
+  TraceContext EmitSpan(std::string_view name, std::string_view module,
+                        TraceContext parent, SimTime start_us, SimTime end_us,
+                        const SpanAttrList& attrs = {});
 
   /// Streams every span through `sink` as it opens/closes (nullptr
   /// detaches). Works in both store modes; in kStream the sink is the only
@@ -198,14 +287,20 @@ class Tracer {
   void Clear();
 
  private:
+  using OpenMap = std::unordered_map<uint64_t, Span>;
+
   Span* FindMutable(TraceContext ctx);
+  /// kStream: the stored span for a new id, in a released node when one is
+  /// free (its attributes cleared); every other field is the caller's.
+  Span& OpenSlot(uint64_t id);
 
   sim::Simulation* sim_;
   StoreMode mode_ = StoreMode::kRetainAll;
   SpanSink* sink_ = nullptr;
   SymbolTable symbols_;  ///< Canonical span name/module strings.
   std::vector<Span> spans_;  ///< kRetainAll: spans_[id - 1] holds span `id`.
-  std::unordered_map<uint64_t, Span> open_;  ///< kStream: open spans by id.
+  OpenMap open_;  ///< kStream: open spans by id.
+  std::vector<OpenMap::node_type> released_;  ///< kStream: closed spans' nodes.
   uint64_t next_trace_ = 1;
   uint64_t next_span_ = 1;
   uint64_t emitted_ = 0;

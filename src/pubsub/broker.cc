@@ -86,18 +86,18 @@ void PulsarCluster::EmitDeliverSpan(const MessageId& id, SimTime start_us,
   auto it = publish_spans_.find(id);
   const obs::TraceContext parent =
       it != publish_spans_.end() ? it->second : obs::TraceContext{};
-  std::vector<std::pair<std::string, std::string>> attrs = {
+  obs::SpanAttrList attrs = {
       {obs::kCategoryAttr, "queue"},
       {obs::kAsyncAttr, "1"},
       {"sub", subscription}};
   // A redelivery means the first delivery was lost/unacked — masked
   // trouble the tail sampler should see even on the async follow-up.
   if (redelivery) {
-    attrs.emplace_back("redelivery", "1");
-    attrs.emplace_back(obs::kSeverityAttr, "warn");
+    attrs.Add("redelivery", "1");
+    attrs.Add(obs::kSeverityAttr, "warn");
   }
   obs_->tracer.EmitSpan("deliver", "pubsub", parent, start_us, deliver_at,
-                        std::move(attrs));
+                        attrs);
 }
 
 Status PulsarCluster::CreateTopic(const std::string& topic,
@@ -268,15 +268,15 @@ Result<MessageId> PulsarCluster::Publish(const std::string& topic,
   h_.publish_latency_us.Add(double(ack_time - now));
   last_ack_time_us_ = std::max(last_ack_time_us_, ack_time);
   if (obs_ != nullptr) {
-    std::vector<std::pair<std::string, std::string>> attrs = {
-        {"partition", std::to_string(pidx)},
-        {obs::kOutcomeAttr, obs::kOutcomeOk},
-        {obs::kSeverityAttr, "info"}};
+    const std::string partition = std::to_string(pidx);
+    obs::SpanAttrList attrs = {{"partition", partition},
+                               {obs::kOutcomeAttr, obs::kOutcomeOk},
+                               {obs::kSeverityAttr, "info"}};
     if (!t.config.tenant.empty()) {
-      attrs.emplace_back(obs::kTenantAttr, t.config.tenant);
+      attrs.Add(obs::kTenantAttr, t.config.tenant);
     }
     publish_spans_[id] = obs_->tracer.EmitSpan(
-        "publish:" + topic, "pubsub", parent, now, ack_time, std::move(attrs));
+        "publish:" + topic, "pubsub", parent, now, ack_time, attrs);
   }
 
   // Once durable, the entry becomes dispatchable to every subscription.

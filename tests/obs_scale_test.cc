@@ -290,6 +290,75 @@ TEST(SamplerTest, RetainedBytesTrackStoreContent) {
   EXPECT_GT(o.pipeline()->retained_bytes(), one);
 }
 
+TEST(SamplerTest, RecycledGroupCarriesNoStaleSpans) {
+  // A finalized group's storage serves the next trace: a dropped 4-span
+  // trace with many attributes, then a 2-span error trace in the same
+  // recycled group. Only the second trace's spans may be retained or
+  // folded a second time.
+  sim::Simulation sim;
+  Observability o(&sim);
+  ASSERT_TRUE(o.EnableScale(Config(0.0)));
+  auto a = o.tracer.StartSpanAt("req", "svc", {}, 0);
+  o.tracer.SetAttr(a, kTenantAttr, "acme");
+  o.tracer.SetAttr(a, "status", "OK");
+  o.tracer.SetAttr(a, kOutcomeAttr, kOutcomeOk);
+  o.tracer.SetAttr(a, kSeverityAttr, "info");
+  o.tracer.EmitSpan("a", "svc", a, 0, 30,
+                    {{kCategoryAttr, "queue"}, {"attempt", "0"},
+                     {"owner", "acme"}, {"zone", "z1"}});
+  o.tracer.EmitSpan("b", "svc", a, 30, 90,
+                    {{kCategoryAttr, "exec"}, {"attempt", "0"},
+                     {"status", "OK"}, {"owner", "acme"}, {"killed", "0"}});
+  o.tracer.EmitSpan("c", "svc", a, 90, 100,
+                    {{kCategoryAttr, "retry"}, {"after_attempt", "0"}});
+  o.tracer.EndSpanAt(a, 100);
+  ASSERT_EQ(o.pipeline()->DecisionFor(a.trace_id), RetainReason::kDropped);
+
+  auto b = o.tracer.StartSpanAt("req", "svc", {}, 200);
+  o.tracer.EmitSpan("exec", "svc", b, 200, 280, {{kCategoryAttr, "exec"}});
+  o.tracer.SetAttr(b, kTenantAttr, "beta");
+  o.tracer.SetAttr(b, kOutcomeAttr, kOutcomeError);
+  o.tracer.EndSpanAt(b, 300);
+
+  const SamplingPipeline* p = o.pipeline();
+  EXPECT_EQ(p->ExportText(),
+            "trace=2 reason=error\n"
+            "span=5 parent=0 trace=2 [200,300] svc/req outcome=error "
+            "tenant=beta\n"
+            "span=6 parent=5 trace=2 [200,280] svc/exec cat=exec\n");
+  EXPECT_EQ(p->retained_span_count(), 2u);
+  EXPECT_EQ(p->pending_span_count(), 0u);
+
+  const FlameProfile* flame = o.flame();
+  EXPECT_EQ(flame->folded_traces(), 2u);
+  EXPECT_EQ(flame->folded_spans(), 6u);
+  const std::map<std::string, std::vector<SimDuration>> want = {
+      // path: count, total, self
+      {"req", {2, 200, 20}},     {"req;a", {1, 30, 30}},
+      {"req;b", {1, 60, 60}},    {"req;c", {1, 10, 10}},
+      {"req;exec", {1, 80, 80}},
+  };
+  ASSERT_EQ(flame->paths().size(), want.size());
+  for (const auto& [path, stat] : flame->paths()) {
+    ASSERT_EQ(want.count(path), 1u) << path;
+    EXPECT_EQ(SimDuration(stat.count), want.at(path)[0]) << path;
+    EXPECT_EQ(stat.total_us, want.at(path)[1]) << path;
+    EXPECT_EQ(stat.self_us, want.at(path)[2]) << path;
+  }
+  ASSERT_EQ(flame->by_root().size(), 1u);
+  const RootAggregate& req = flame->by_root().at("req");
+  EXPECT_EQ(req.count, 2u);
+  EXPECT_EQ(req.breakdown.total_us, 200);
+  EXPECT_EQ(req.breakdown.Get(Category::kQueue), 30);
+  EXPECT_EQ(req.breakdown.Get(Category::kExec), 140);
+  EXPECT_EQ(req.breakdown.Get(Category::kRetry), 10);
+  EXPECT_EQ(req.breakdown.Get(Category::kOther), 20);
+  ASSERT_EQ(flame->by_tenant().size(), 2u);
+  EXPECT_EQ(flame->by_tenant().at("acme").count, 1u);
+  EXPECT_EQ(flame->by_tenant().at("beta").count, 1u);
+  EXPECT_EQ(flame->by_tenant().at("beta").breakdown.total_us, 100);
+}
+
 // ------------------------------------------------- sampler properties
 
 TEST(SamplerPropertyTest, ImportantTracesAlwaysRetainedAcrossChaosSeeds) {

@@ -6,8 +6,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -181,6 +183,41 @@ TEST(TracerTest, ExportJsonEscapesAndContainsSpans) {
   EXPECT_EQ(json.back(), ']');
 }
 
+TEST(TracerTest, StreamSpanStorageReusedClean) {
+  // In stream mode a closed span's storage, attribute block included, is
+  // reused for the next span opened; nothing of the closed span may show.
+  struct StartCapture : SpanSink {
+    std::vector<Span> started;
+    void OnSpanStart(const Span& span) override { started.push_back(span); }
+    void OnSpanEnd(const Span&) override {}
+  } sink;
+  sim::Simulation sim;
+  Tracer tracer(&sim);
+  ASSERT_TRUE(tracer.SetStoreMode(Tracer::StoreMode::kStream));
+  tracer.SetSink(&sink);
+  const TraceContext root = tracer.StartTrace("root", "test");
+  const TraceContext child = tracer.StartSpan("child", "test", root);
+  for (const char* key : {"cat", "attempt", "status", "owner"}) {
+    tracer.SetAttr(child, key, "stale");
+  }
+  tracer.EndSpan(child);  // at t=0, so a kept end time would read as ended
+  const TraceContext next = tracer.StartTrace("next", "test");
+
+  ASSERT_EQ(sink.started.size(), 3u);
+  const Span& s = sink.started.back();
+  EXPECT_EQ(s.id, next.span_id);
+  EXPECT_EQ(s.parent, 0u);
+  EXPECT_EQ(s.trace, next.trace_id);
+  EXPECT_NE(s.trace, root.trace_id);
+  EXPECT_EQ(s.name, "next");
+  EXPECT_TRUE(s.attrs.empty());
+  EXPECT_FALSE(s.ended());
+  const Span* stored = tracer.Find(next.span_id);
+  ASSERT_NE(stored, nullptr);
+  EXPECT_TRUE(stored->attrs.empty());
+  EXPECT_EQ(tracer.Find(child.span_id), nullptr);
+}
+
 TEST(TracerTest, ClearResetsSpansButAdvancesNothingElse) {
   sim::Simulation sim;
   Tracer tracer(&sim);
@@ -188,6 +225,70 @@ TEST(TracerTest, ClearResetsSpansButAdvancesNothingElse) {
   tracer.Clear();
   EXPECT_EQ(tracer.span_count(), 0u);
   EXPECT_TRUE(tracer.Roots().empty());
+}
+
+// ------------------------------------------------------------- SpanAttrs
+
+TEST(SpanAttrsTest, MatchesStdMap) {
+  // Keys that prefix one another, so the sorted order is the map's
+  // lexicographic one and not, say, a length-first one.
+  const char* keys[] = {"a", "ab", "attempt", "attempts", "cat"};
+  for (uint64_t seed = 1; seed <= 50; ++seed) {
+    Rng rng(seed);
+    Span span;
+    span.id = seed;
+    span.name = "op";
+    span.module = "test";
+    span.end_us = 5;
+    std::map<std::string, std::string> ref;
+    const int ops = int(rng.NextInt(0, 30));
+    for (int i = 0; i < ops; ++i) {
+      const std::string key = keys[rng.NextBounded(5)];
+      const std::string value = "v" + std::to_string(rng.NextBounded(100));
+      span.attrs[key] = value;
+      ref[key] = value;
+      for (const char* k : keys) {
+        ASSERT_EQ(span.attrs.count(k), ref.count(k)) << "seed " << seed;
+        const auto it = span.attrs.find(k);
+        ASSERT_EQ(it != span.attrs.end(), ref.count(k) == 1);
+        if (it != span.attrs.end()) {
+          EXPECT_EQ(it->first, k);
+          EXPECT_EQ(it->second, ref.at(k));
+          EXPECT_EQ(span.attrs.at(k), ref.at(k));
+        } else {
+          EXPECT_THROW(span.attrs.at(k), std::out_of_range);
+        }
+      }
+    }
+    ASSERT_EQ(span.attrs.size(), ref.size());
+    ASSERT_EQ(span.attrs.empty(), ref.empty());
+    auto want_it = ref.begin();
+    for (const auto& [k, v] : span.attrs) {
+      ASSERT_NE(want_it, ref.end());
+      EXPECT_EQ(k, want_it->first) << "seed " << seed;
+      EXPECT_EQ(v, want_it->second);
+      ++want_it;
+    }
+
+    std::string rendered;
+    AppendSpanLine(span, &rendered);
+    std::string want = "span=" + std::to_string(seed) +
+                       " parent=0 trace=0 [0,5] test/op";
+    for (const auto& [k, v] : ref) want += " " + k + "=" + v;
+    EXPECT_EQ(rendered, want + "\n");
+  }
+
+  // An EmitSpan list with a repeated key keeps the last value.
+  sim::Simulation sim;
+  Tracer tracer(&sim);
+  const TraceContext ctx = tracer.EmitSpan(
+      "op", "test", {}, 0, 1,
+      {{"attempt", "0"}, {"cat", "exec"}, {"attempt", "1"}});
+  const Span* s = tracer.Find(ctx.span_id);
+  ASSERT_NE(s, nullptr);
+  EXPECT_EQ(s->attrs.size(), 2u);
+  EXPECT_EQ(s->attrs.at("attempt"), "1");
+  EXPECT_EQ(s->attrs.at("cat"), "exec");
 }
 
 // --------------------------------------------------------------- Registry
@@ -493,12 +594,9 @@ TEST(SpanTreePropertyTest, CriticalPathSumsExactlyOnRandomTrees) {
       const auto& [pctx, w] = nodes[size_t(rng.NextBounded(nodes.size()))];
       const SimTime s = rng.NextInt(w.first, w.second);
       const SimTime e = rng.NextInt(s, w.second);
-      std::vector<std::pair<std::string, std::string>> attrs;
-      if (rng.NextBool(0.7)) {
-        attrs.push_back({kCategoryAttr, cats[rng.NextBounded(5)]});
-      }
-      const TraceContext c =
-          tracer.EmitSpan("n", "prop", pctx, s, e, std::move(attrs));
+      SpanAttrList attrs;
+      if (rng.NextBool(0.7)) attrs.Add(kCategoryAttr, cats[rng.NextBounded(5)]);
+      const TraceContext c = tracer.EmitSpan("n", "prop", pctx, s, e, attrs);
       nodes.push_back({c, {s, e}});
     }
     const auto breakdown = AnalyzeCriticalPath(tracer, root.span_id);

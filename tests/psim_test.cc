@@ -26,6 +26,7 @@
 #include "common/rng.h"
 #include "common/time_types.h"
 #include "obs/metrics.h"
+#include "obs/observability.h"
 #include "obs/shard_merge.h"
 #include "obs/trace.h"
 #include "psim/lookahead.h"
@@ -163,6 +164,116 @@ TEST(PsimDifferential, StormActuallyCrossesShards) {
   const Fingerprint fp = RunStorm(3, 4, 1);
   EXPECT_GT(fp.cross_posts, 50u);
   EXPECT_GT(fp.clamped, 0u);  // NextInt(0,1500) dips under the 500us lookahead.
+}
+
+// ------------------------------------------- stream telemetry per shard
+//
+// The storm with the always-on obs layer on every shard: stream-mode
+// tracer, sampling pipeline, flame profile and SLO engine, whose tracer
+// and pipeline recycle span and group storage. Each shard's ExportAll must
+// not depend on the thread count; storage shared across shards (a static
+// or global pool) would break that here and race under TSan.
+
+struct TracedShard {
+  std::unique_ptr<obs::Observability> o11y;
+  Rng rng{0};
+};
+
+struct TracedWorld {
+  ParallelSimulation world;
+  std::vector<TracedShard> state;
+
+  explicit TracedWorld(const PsimConfig& cfg) : world(cfg) {}
+};
+
+void TracedHop(TracedWorld* w, ShardId s, int remaining) {
+  TracedShard& st = w->state[s];
+  obs::Tracer& tracer = st.o11y->tracer;
+  const SimTime now = w->world.shard(s).Now();
+  const obs::TraceContext root = tracer.StartSpan("hop", "storm", {});
+  const std::string tenant = "tenant-" + std::to_string(st.rng.NextBounded(3));
+  tracer.SetAttr(root, obs::kTenantAttr, tenant);
+  const SimDuration work = SimDuration(st.rng.NextInt(1, 800));
+  const std::string left = std::to_string(remaining);
+  tracer.EmitSpan("exec", "storm", root, now, now + work,
+                  {{obs::kCategoryAttr, "exec"}, {"left", left}});
+  w->world.shard(s).Schedule(work, [w, s, root, remaining] {
+    TracedShard& shard = w->state[s];
+    const bool failed = shard.rng.NextBool(0.05);
+    shard.o11y->tracer.SetAttr(root, obs::kOutcomeAttr,
+                               failed ? obs::kOutcomeError : obs::kOutcomeOk);
+    shard.o11y->tracer.EndSpan(root);
+    if (remaining <= 0) return;
+    const SimDuration delay = SimDuration(shard.rng.NextInt(0, 1500));
+    if (shard.rng.NextBool(0.3)) {
+      const ShardId dst =
+          ShardId(shard.rng.NextBounded(w->world.num_shards()));
+      w->world.Post(s, dst, delay,
+                    [w, dst, remaining] { TracedHop(w, dst, remaining - 1); });
+    } else {
+      w->world.shard(s).Schedule(
+          delay, [w, s, remaining] { TracedHop(w, s, remaining - 1); });
+    }
+  });
+}
+
+std::vector<std::string> RunTracedStorm(uint64_t seed, unsigned threads) {
+  PsimConfig cfg;
+  cfg.shards = 4;
+  cfg.threads = threads;
+  cfg.lookahead_us = 500;
+  TracedWorld w(cfg);
+  w.state = std::vector<TracedShard>(cfg.shards);
+  for (uint32_t s = 0; s < cfg.shards; ++s) {
+    TracedShard& st = w.state[s];
+    st.o11y = std::make_unique<obs::Observability>(&w.world.shard(s));
+    obs::ScaleConfig scale;
+    scale.sampler.head_rate = 0.2;
+    scale.sampler.seed = 422;
+    scale.sampler.slow_threshold_us = 700;
+    obs::SloObjective latency;
+    latency.name = "storm-latency";
+    latency.module = "storm";
+    latency.target = 0.9;
+    latency.latency_budget_us = 600;
+    latency.per_tenant = true;
+    latency.policies = {{"page", 20 * kMillisecond, 2 * kMillisecond, 2.0}};
+    scale.objectives.push_back(std::move(latency));
+    EXPECT_TRUE(st.o11y->EnableScale(scale));
+    st.rng = Rng(HashCombine(seed, s));
+    for (int c = 0; c < 12; ++c) {
+      w.world.shard(s).ScheduleAt(SimTime(c) * 97, [wp = &w, s] {
+        TracedHop(wp, s, /*remaining=*/10);
+      });
+    }
+  }
+  w.world.Run();
+  EXPECT_TRUE(w.world.Drained());
+  std::vector<std::string> exports;
+  for (TracedShard& st : w.state) {
+    st.o11y->Flush();
+    EXPECT_EQ(st.o11y->tracer.stored_span_count(), 0u);
+    EXPECT_EQ(st.o11y->pipeline()->pending_span_count(), 0u);
+    exports.push_back(st.o11y->ExportAll());
+  }
+  return exports;
+}
+
+TEST(PsimDifferential, StreamTelemetryShardExportsIdenticalAcrossThreads) {
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    const std::vector<std::string> serial = RunTracedStorm(seed, 1);
+    const std::vector<std::string> parallel = RunTracedStorm(seed, 4);
+    ASSERT_EQ(serial.size(), parallel.size());
+    for (size_t s = 0; s < serial.size(); ++s) {
+      ASSERT_EQ(serial[s], parallel[s]) << "seed=" << seed << " shard=" << s;
+      // Every layer of the pipeline saw traffic on every shard.
+      EXPECT_NE(serial[s].find("reason=error"), std::string::npos);
+      EXPECT_NE(serial[s].find("reason=head"), std::string::npos);
+      EXPECT_NE(serial[s].find("hop;exec count="), std::string::npos);
+      EXPECT_NE(serial[s].find("tenant-2 count="), std::string::npos);
+      EXPECT_NE(serial[s].find("storm-latency"), std::string::npos);
+    }
+  }
 }
 
 // -------------------------------------------------- lookahead & merge rules
