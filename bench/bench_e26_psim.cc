@@ -432,7 +432,7 @@ DiurnalFingerprint RunDiurnalDay(unsigned threads) {
   const uint64_t total_requests = DiurnalRequests();
   const uint64_t per_cell = total_requests / kCells;
   // The only cross-cell edge is the inter-cell RPC: one geo RTT, two broker
-  // dispatch hops (the same floor E6's geo-replication pays).
+  // dispatch hops.
   const SimDuration lookahead =
       psim::MineLookahead({2 * pubsub::PulsarConfig{}.dispatch_latency_us});
   PsimConfig cfg;

@@ -17,7 +17,7 @@ int main() {
   sim::Simulation sim;
   cluster::Cluster region(16, {32000, 65536});
   faas::FaasConfig cfg;
-  cfg.max_retries = 3;
+  cfg.retry = chaos::RetryPolicy::Immediate(4);
   faas::FaasPlatform platform(&sim, &region, cfg);
   baas::KvStore registry;
 

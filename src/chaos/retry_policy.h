@@ -15,8 +15,7 @@ namespace taureau::chaos {
 
 /// How a failed operation is re-attempted.
 struct RetryPolicy {
-  /// Total attempts including the first. <= 0 means "caller-defined"
-  /// (the FaaS platform falls back to its legacy max_retries knob).
+  /// Total attempts including the first.
   int max_attempts = 3;
   /// Backoff before the first re-attempt.
   SimDuration initial_backoff_us = 10 * kMillisecond;
@@ -31,7 +30,7 @@ struct RetryPolicy {
   /// No retries at all: one attempt, no backoff.
   static RetryPolicy None() { return {1, 0, 1.0, 0, 0.0}; }
 
-  /// Immediate retries (legacy behaviour): `attempts` tries, zero backoff.
+  /// Immediate retries: `attempts` tries, zero backoff.
   static RetryPolicy Immediate(int attempts) {
     return {attempts, 0, 1.0, 0, 0.0};
   }

@@ -373,54 +373,58 @@ bool FaasPlatform::TryPlace(std::shared_ptr<Invocation> inv) {
       Container* c = containers_.at(*it).get();
       if (!cluster_->MachineUsable(c->machine)) continue;
       dq.erase(std::next(it).base());
-      if (c->keep_alive_event != 0) {
-        sim_->Cancel(c->keep_alive_event);
-        c->keep_alive_event = 0;
-      }
+      CancelKeepAlive(c);
       c->busy = true;
       StartOnContainer(std::move(inv), c, /*cold=*/false, /*startup_us=*/0);
       return true;
     }
   }
 
-  if (containers_.size() >= config_.max_concurrency) return false;
-  if (spec.max_concurrency > 0 &&
-      containers_per_function_[inv->function] >= spec.max_concurrency) {
-    return false;  // per-function reserved-concurrency cap
-  }
-
-  auto unit = cluster_->Allocate(
-      cluster::IsolationLevel::kLambda, spec.demand, config_.placement,
-      spec.tenant.empty() ? inv->function : spec.tenant);
-  if (!unit.ok()) {
-    if (unit.status().IsResourceExhausted()) return false;
-    Complete(std::move(inv), false, 0, 0, unit.status(), "");
+  auto launch = LaunchContainer(inv->function, spec);
+  if (!launch.ok()) {
+    if (launch.status().IsResourceExhausted()) return false;
+    Complete(std::move(inv), false, 0, 0, launch.status(), "");
     return true;  // terminal: do not queue
   }
+  StartOnContainer(std::move(inv), launch->container, /*cold=*/true,
+                   launch->startup_us);
+  return true;
+}
 
+Result<FaasPlatform::ColdStart> FaasPlatform::LaunchContainer(
+    const std::string& function, const FunctionSpec& spec) {
+  if (containers_.size() >= config_.max_concurrency ||
+      (spec.max_concurrency > 0 &&
+       containers_per_function_[function] >= spec.max_concurrency)) {
+    return Status::ResourceExhausted("concurrency cap");
+  }
+  auto unit = cluster_->Allocate(
+      cluster::IsolationLevel::kLambda, spec.demand, config_.placement,
+      spec.tenant.empty() ? function : spec.tenant);
+  if (!unit.ok()) return unit.status();
+
+  const cluster::StartupModel model =
+      cluster::DefaultStartupModel(cluster::IsolationLevel::kLambda);
   auto c = std::make_unique<Container>();
   c->id = next_container_id_++;
-  c->function = inv->function;
+  c->function = function;
   c->unit = *unit;
   c->machine = cluster_->MachineOf(*unit).value_or(0);
   c->owner = cluster_->OwnerOf(*unit).value_or("");
   c->created_us = sim_->Now();
-  c->memory_mb =
-      spec.demand.memory_mb +
-      cluster::DefaultStartupModel(cluster::IsolationLevel::kLambda)
-          .overhead_mb;
+  c->memory_mb = spec.demand.memory_mb + model.overhead_mb;
   c->busy = true;
   Container* raw = c.get();
   containers_.emplace(raw->id, std::move(c));
-  containers_per_function_[raw->function] += 1;
+  containers_per_function_[function] += 1;
   h_.peak_containers.SetMax(double(containers_.size()));
+  return ColdStart{raw, model.SampleStartup(&rng_) + spec.init_us};
+}
 
-  const SimDuration startup =
-      cluster::DefaultStartupModel(cluster::IsolationLevel::kLambda)
-          .SampleStartup(&rng_) +
-      spec.init_us;
-  StartOnContainer(std::move(inv), raw, /*cold=*/true, startup);
-  return true;
+void FaasPlatform::CancelKeepAlive(Container* c) {
+  if (c->keep_alive_event == 0) return;
+  sim_->Cancel(c->keep_alive_event);
+  c->keep_alive_event = 0;
 }
 
 void FaasPlatform::StartOnContainer(std::shared_ptr<Invocation> inv,
@@ -513,7 +517,7 @@ void FaasPlatform::RetryOrComplete(std::shared_ptr<Invocation> inv, bool cold,
                                    SimDuration startup_us, SimDuration exec_us,
                                    Status attempt_status, std::string output) {
   bool want_retry =
-      !attempt_status.ok() && inv->attempt + 1 < EffectiveMaxAttempts() &&
+      !attempt_status.ok() && config_.retry.ShouldRetry(inv->attempt) &&
       !inv->abandoned && !attempt_status.IsCancelled();
   if (want_retry && GuardActive() &&
       inv->deadline.Expired(sim_->Now())) {
@@ -536,7 +540,7 @@ void FaasPlatform::RetryOrComplete(std::shared_ptr<Invocation> inv, bool cold,
     const int failed_attempt = inv->attempt;
     ++inv->attempt;
     inv->attempt_start_us = sim_->Now();
-    // Backoff (zero under the legacy policy) plus the usual dispatch hop.
+    // Backoff (zero under the default policy) plus the usual dispatch hop.
     const SimDuration delay =
         config_.retry.BackoffFor(failed_attempt, &rng_) + SampleDispatchDelay();
     if (obs_ != nullptr && inv->root_ctx.valid() && delay > 0) {
@@ -725,42 +729,16 @@ Result<size_t> FaasPlatform::Prewarm(const std::string& function,
   }
   const FunctionSpec& spec = spec_it->second;
   size_t started = 0;
-  for (size_t i = 0; i < count; ++i) {
-    if (containers_.size() >= config_.max_concurrency) break;
-    if (spec.max_concurrency > 0 &&
-        containers_per_function_[function] >= spec.max_concurrency) {
-      break;
-    }
-    auto unit = cluster_->Allocate(
-        cluster::IsolationLevel::kLambda, spec.demand, config_.placement,
-        spec.tenant.empty() ? function : spec.tenant);
-    if (!unit.ok()) break;
-    auto c = std::make_unique<Container>();
-    c->id = next_container_id_++;
-    c->function = function;
-    c->unit = *unit;
-    c->machine = cluster_->MachineOf(*unit).value_or(0);
-    c->owner = cluster_->OwnerOf(*unit).value_or("");
-    c->created_us = sim_->Now();
-    c->memory_mb =
-        spec.demand.memory_mb +
-        cluster::DefaultStartupModel(cluster::IsolationLevel::kLambda)
-            .overhead_mb;
-    c->busy = true;  // initializing; parks warm when startup completes
-    const uint64_t cid = c->id;
-    containers_.emplace(cid, std::move(c));
-    containers_per_function_[function] += 1;
-    h_.peak_containers.SetMax(double(containers_.size()));
-    const SimDuration startup =
-        cluster::DefaultStartupModel(cluster::IsolationLevel::kLambda)
-            .SampleStartup(&rng_) +
-        spec.init_us;
-    sim_->Schedule(startup, [this, cid] {
+  for (; started < count; ++started) {
+    auto launch = LaunchContainer(function, spec);
+    if (!launch.ok()) break;
+    // Busy while initializing; parks warm when startup completes.
+    const uint64_t cid = launch->container->id;
+    sim_->Schedule(launch->startup_us, [this, cid] {
       auto it = containers_.find(cid);
       if (it == containers_.end()) return;
       ReleaseToWarmPool(it->second.get());
     });
-    ++started;
   }
   return started;
 }
@@ -773,34 +751,13 @@ bool FaasPlatform::KillContainer(uint64_t container_id,
   h_.killed_containers.Inc();
 
   if (c->inflight != nullptr) {
-    // A running attempt dies with its container: cancel the scheduled
-    // completion, bill the execution time burned so far, and push the
-    // invocation back through the retry path.
-    sim_->Cancel(c->inflight_event);
-    c->inflight_event = 0;
-    std::shared_ptr<Invocation> inv = std::move(c->inflight);
-    c->inflight.reset();
-    const FunctionSpec& spec = functions_.at(inv->function);
-    const SimDuration elapsed_exec =
-        std::max<SimDuration>(0, sim_->Now() - c->exec_began_us);
-    // A container killed mid-startup only burned part of its init; report
-    // the actual elapsed startup so the attempt timeline stays contiguous.
-    const SimTime place_us = c->exec_began_us - c->inflight_startup_us;
-    const SimDuration startup_us =
-        std::min(c->inflight_startup_us,
-                 std::max<SimDuration>(0, sim_->Now() - place_us));
-    inv->cost_so_far += ledger_.Charge(inv->id, inv->attempt, inv->function,
-                                       elapsed_exec, spec.demand.memory_mb);
-    h_.exec_latency_us.Add(double(elapsed_exec));
-    h_.failures.Inc();
-    inv->chaos_killed = true;
-    const bool cold = c->inflight_cold;
+    // A running attempt dies with its container and goes back through the
+    // retry path.
     const Status kill_status =
         Status::Unavailable("container killed: " + reason);
-    EmitAttemptSpans(*inv, sim_->Now(), startup_us, elapsed_exec, cold,
-                     kill_status, /*killed=*/true);
+    StoppedAttempt a = StopAttempt(c, kill_status, /*killed=*/true);
     ForceDestroyContainer(container_id);
-    RetryOrComplete(std::move(inv), cold, startup_us, elapsed_exec,
+    RetryOrComplete(std::move(a.inv), a.cold, a.startup_us, a.exec_us,
                     kill_status, "");
   } else {
     ForceDestroyContainer(container_id);
@@ -820,14 +777,40 @@ size_t FaasPlatform::KillContainersOnMachine(cluster::MachineId machine,
   return victims.size();
 }
 
+FaasPlatform::StoppedAttempt FaasPlatform::StopAttempt(Container* c,
+                                                      const Status& status,
+                                                      bool killed) {
+  sim_->Cancel(c->inflight_event);
+  c->inflight_event = 0;
+  StoppedAttempt a;
+  a.inv = std::move(c->inflight);
+  c->inflight.reset();
+  a.cold = c->inflight_cold;
+  a.exec_us = std::max<SimDuration>(0, sim_->Now() - c->exec_began_us);
+  // An attempt stopped mid-startup only burned part of its init; report
+  // the actual elapsed startup so the attempt timeline stays contiguous.
+  const SimTime place_us = c->exec_began_us - c->inflight_startup_us;
+  a.startup_us = std::min(c->inflight_startup_us,
+                          std::max<SimDuration>(0, sim_->Now() - place_us));
+  Invocation& inv = *a.inv;
+  inv.cost_so_far +=
+      ledger_.Charge(inv.id, inv.attempt, inv.function, a.exec_us,
+                     functions_.at(inv.function).demand.memory_mb);
+  h_.exec_latency_us.Add(double(a.exec_us));
+  if (killed) {
+    h_.failures.Inc();
+    inv.chaos_killed = true;
+  }
+  EmitAttemptSpans(inv, sim_->Now(), a.startup_us, a.exec_us, a.cold, status,
+                   killed);
+  return a;
+}
+
 void FaasPlatform::ForceDestroyContainer(uint64_t container_id) {
   auto it = containers_.find(container_id);
   if (it == containers_.end()) return;
   Container* c = it->second.get();
-  if (c->keep_alive_event != 0) {
-    sim_->Cancel(c->keep_alive_event);
-    c->keep_alive_event = 0;
-  }
+  CancelKeepAlive(c);
   c->busy = false;  // let DestroyContainer proceed even mid-attempt
   DestroyContainer(container_id);
 }
@@ -847,32 +830,16 @@ SimDuration FaasPlatform::CancelInvocationInternal(uint64_t id,
              "");
     return 0;
   }
-  // Running on a container? Stop the attempt, bill the execution burned so
-  // far, and return the (healthy) container to the warm pool.
+  // Running on a container? Stop the attempt and return the (healthy)
+  // container to the warm pool.
   for (auto& [cid, c] : containers_) {
     if (c->inflight == nullptr || c->inflight->id != id) continue;
-    sim_->Cancel(c->inflight_event);
-    c->inflight_event = 0;
-    std::shared_ptr<Invocation> inv = std::move(c->inflight);
-    c->inflight.reset();
-    const FunctionSpec& spec = functions_.at(inv->function);
-    const SimDuration elapsed_exec =
-        std::max<SimDuration>(0, sim_->Now() - c->exec_began_us);
-    const SimTime place_us = c->exec_began_us - c->inflight_startup_us;
-    const SimDuration startup_us =
-        std::min(c->inflight_startup_us,
-                 std::max<SimDuration>(0, sim_->Now() - place_us));
-    inv->cost_so_far += ledger_.Charge(inv->id, inv->attempt, inv->function,
-                                       elapsed_exec, spec.demand.memory_mb);
-    h_.exec_latency_us.Add(double(elapsed_exec));
-    const bool cold = c->inflight_cold;
     const Status cancel_status = Status::Cancelled(why);
-    EmitAttemptSpans(*inv, sim_->Now(), startup_us, elapsed_exec, cold,
-                     cancel_status, /*killed=*/false);
+    StoppedAttempt a = StopAttempt(c.get(), cancel_status, /*killed=*/false);
     ReleaseToWarmPool(c.get());
-    Complete(std::move(inv), cold, startup_us, elapsed_exec, cancel_status,
+    Complete(std::move(a.inv), a.cold, a.startup_us, a.exec_us, cancel_status,
              "");
-    return elapsed_exec;
+    return a.exec_us;
   }
   // Between events (dispatch delay or retry backoff): flag it; the next
   // Dispatch completes it Cancelled.
@@ -1096,14 +1063,8 @@ void FaasPlatform::FlushWarmPool() {
   for (auto& [fn, dq] : warm_pools_) {
     ids.insert(ids.end(), dq.begin(), dq.end());
   }
-  for (uint64_t id : ids) {
-    auto it = containers_.find(id);
-    if (it != containers_.end() && it->second->keep_alive_event != 0) {
-      sim_->Cancel(it->second->keep_alive_event);
-      it->second->keep_alive_event = 0;
-    }
-    DestroyContainer(id);
-  }
+  // Pooled containers are idle, so forcing only cancels their keep-alive.
+  for (uint64_t id : ids) ForceDestroyContainer(id);
 }
 
 }  // namespace taureau::faas

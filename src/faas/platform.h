@@ -40,15 +40,10 @@ struct FaasConfig {
   /// When at the cap: queue the invocation (true) or fail it (false,
   /// Lambda-style throttling).
   bool queue_on_throttle = true;
-  /// Automatic re-execution attempts after a failed/timed-out attempt.
-  /// Used when `retry.max_attempts <= 0` (legacy knob).
-  int max_retries = 2;
-  /// Retry policy shared with the orchestrator (chaos::RetryPolicy). The
-  /// default (`max_attempts = 0`, zero backoff) preserves the legacy
-  /// behaviour: `max_retries` immediate re-dispatches. Set a real policy
-  /// (e.g. RetryPolicy::ExponentialJitter) to get backoff + jitter between
-  /// attempts.
-  chaos::RetryPolicy retry{0, 0, 2.0, 10 * kSecond, 0.0};
+  /// Re-execution after a failed/timed-out attempt, shared with the
+  /// orchestrator. The default is three attempts with no backoff; set e.g.
+  /// RetryPolicy::ExponentialJitter to get backoff + jitter between them.
+  chaos::RetryPolicy retry = chaos::RetryPolicy::Immediate(3);
   /// How long one injected network-delay spike inflates dispatch latency.
   SimDuration network_delay_window_us = 1 * kSecond;
   /// Median platform dispatch overhead (routing, auth, scheduling).
@@ -370,13 +365,6 @@ class FaasPlatform {
     obs::HistogramHandle e2e_latency_us;
   };
 
-  /// Total attempts allowed: the retry policy when set, else the legacy
-  /// max_retries knob.
-  int EffectiveMaxAttempts() const {
-    return config_.retry.max_attempts > 0 ? config_.retry.max_attempts
-                                          : config_.max_retries + 1;
-  }
-
   /// Consults the reuse layer for an idempotent invocation. True when the
   /// request was fully handled (cache hit / approximation scheduled, or
   /// attached as a singleflight follower) — the caller must not dispatch.
@@ -392,6 +380,20 @@ class FaasPlatform {
   /// Attempts to start the invocation now; false means no capacity and the
   /// caller should queue it.
   bool TryPlace(std::shared_ptr<Invocation> inv);
+  /// A new container, busy until its first attempt ends (or, prewarmed,
+  /// until `startup_us` of runtime and function init has passed).
+  struct ColdStart {
+    Container* container;
+    SimDuration startup_us;
+  };
+  /// Cold-starts a container for `function` within the account and
+  /// per-function concurrency caps: allocates its cluster unit, records it
+  /// and samples its start-up time. ResourceExhausted when a cap or the
+  /// cluster has no room; any other error comes from the cluster.
+  Result<ColdStart> LaunchContainer(const std::string& function,
+                                    const FunctionSpec& spec);
+  /// Cancels the container's pending keep-alive teardown, if any.
+  void CancelKeepAlive(Container* c);
   void StartOnContainer(std::shared_ptr<Invocation> inv, Container* container,
                         bool cold, SimDuration startup_us);
   void FinishAttempt(std::shared_ptr<Invocation> inv, Container* container,
@@ -409,6 +411,18 @@ class FaasPlatform {
   void DestroyContainer(uint64_t container_id);
   /// DestroyContainer that also works on busy containers (chaos kill).
   void ForceDestroyContainer(uint64_t container_id);
+  /// The attempt StopAttempt took off its container.
+  struct StoppedAttempt {
+    std::shared_ptr<Invocation> inv;
+    bool cold = false;
+    SimDuration startup_us = 0;  ///< Start-up elapsed before the stop.
+    SimDuration exec_us = 0;     ///< Execution burned (and billed).
+  };
+  /// Stops the attempt in flight on `c` (chaos kill or cancel): cancels its
+  /// completion event, bills and records the execution burned so far, and
+  /// emits its spans with `status`. A kill also counts an attempt failure
+  /// and marks the invocation chaos-killed. The container is the caller's.
+  StoppedAttempt StopAttempt(Container* c, const Status& status, bool killed);
   void DrainPending();
   SimDuration SampleDispatchDelay();
   /// Cancel + Complete(Cancelled); returns the execution time billed to

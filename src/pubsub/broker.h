@@ -121,7 +121,7 @@ class PulsarCluster {
   /// Publishes a message. Routing: hash of `key` when non-empty, else
   /// round-robin. The message becomes visible to subscriptions once its
   /// ledger append reaches the ack quorum (simulated time).
-  /// `replicated_from` marks geo-replicated traffic (set by GeoReplicator).
+  /// `replicated_from` tags a message copied in from another region.
   ///
   /// With observability attached, each accepted publish emits a
   /// "publish:<topic>" span covering submit -> durable ack (optionally

@@ -23,7 +23,6 @@ struct Message {
   std::string key;      ///< Optional routing/partitioning key.
   std::string payload;
   /// Region that originally produced the message; empty for local messages.
-  /// Set by geo-replication (§4.3) so replicators never forward twice.
   std::string replicated_from;
   SimTime publish_time_us = 0;
   SimTime deliver_time_us = 0;

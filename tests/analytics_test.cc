@@ -1,6 +1,5 @@
 // Unit tests for the analytics applications (§5.1): MapReduce/ETL, Pregel
-// graph processing, matrix multiplication, video encoding, sequence
-// comparison.
+// graph processing, matrix multiplication, Monte Carlo simulation.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -11,8 +10,7 @@
 #include "analytics/graph.h"
 #include "analytics/mapreduce.h"
 #include "analytics/matmul.h"
-#include "analytics/sequence.h"
-#include "analytics/video.h"
+#include "analytics/montecarlo.h"
 #include "baas/blob_store.h"
 #include "jiffy/controller.h"
 #include "sim/simulation.h"
@@ -325,103 +323,6 @@ TEST(MatmulTest, ServerlessStrassenCorrect) {
   EXPECT_LT(stats.makespan_us, stats.serial_time_us);
 }
 
-// ------------------------------------------------------------------ Video
-
-TEST(VideoTest, GeneratorShape) {
-  auto v = Video::Generate(300, 30, 41);
-  EXPECT_EQ(v.frames.size(), 300u);
-  EXPECT_GT(v.TotalRawBytes(), 300ull * 1024 * 1024);  // ~3MB/frame raw
-}
-
-TEST(VideoTest, ServerlessFasterThanSerial) {
-  auto v = Video::Generate(240, 30, 43);
-  EncodeConfig cfg;
-  auto stats = EncodeServerless(v, cfg);
-  ASSERT_TRUE(stats.ok());
-  EXPECT_GT(stats->Speedup(), 2.0);
-  EXPECT_LT(stats->makespan_us, stats->serial_encode_us);
-}
-
-TEST(VideoTest, SmallerChunksCostCompression) {
-  // ExCamera's tradeoff: more parallelism (smaller chunks) => more
-  // chunk-leading keyframes => larger output.
-  auto v = Video::Generate(240, 30, 47);
-  EncodeConfig small_chunks, big_chunks;
-  small_chunks.chunk_frames = 6;
-  big_chunks.chunk_frames = 48;
-  auto s = EncodeServerless(v, small_chunks);
-  auto b = EncodeServerless(v, big_chunks);
-  ASSERT_TRUE(s.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_GT(s->output_bytes, b->output_bytes);
-  EXPECT_LT(s->makespan_us, b->makespan_us + b->serial_encode_us);
-}
-
-TEST(VideoTest, EmptyVideoRejected) {
-  Video v;
-  EXPECT_TRUE(EncodeServerless(v, {}).status().IsInvalidArgument());
-}
-
-// --------------------------------------------------------------- Sequence
-
-TEST(SequenceTest, SmithWatermanKnownScores) {
-  // Identical sequences: every char matches, score = 3 * len.
-  EXPECT_EQ(SmithWatermanScore("ACGT", "ACGT"), 12);
-  // Disjoint alphabets: nothing aligns.
-  EXPECT_EQ(SmithWatermanScore("AAAA", "GGGG"), 0);
-  // A shared substring dominates.
-  EXPECT_EQ(SmithWatermanScore("XXXACGTXXX", "YYYACGTYYY"), 12);
-  EXPECT_EQ(SmithWatermanScore("", "ACGT"), 0);
-}
-
-TEST(SequenceTest, ScoreSymmetry) {
-  auto seqs = GenerateProteinSet(10, 20, 60, 51);
-  for (size_t i = 0; i < 5; ++i) {
-    EXPECT_EQ(SmithWatermanScore(seqs[i], seqs[i + 5]),
-              SmithWatermanScore(seqs[i + 5], seqs[i]));
-  }
-}
-
-TEST(SequenceTest, AllPairsCoversEverything) {
-  auto seqs = GenerateProteinSet(40, 150, 250, 53);
-  std::vector<PairScore> scores;
-  auto stats = AllPairsCompare(seqs, {.num_workers = 4}, &scores);
-  ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(scores.size(), 40u * 39 / 2);
-  EXPECT_EQ(stats->pairs, scores.size());
-  // Compute-dominated workload: 4 workers should win clearly.
-  EXPECT_GT(stats->Speedup(), 2.0);
-}
-
-TEST(SequenceTest, SelfSimilarityDetectable) {
-  auto seqs = GenerateProteinSet(5, 80, 100, 59);
-  // Append a near-duplicate of seqs[0].
-  std::string dup = seqs[0];
-  dup[10] = dup[10] == 'A' ? 'C' : 'A';
-  seqs.push_back(dup);
-  std::vector<PairScore> scores;
-  ASSERT_TRUE(AllPairsCompare(seqs, {.num_workers = 2}, &scores).ok());
-  int dup_score = 0, other_max = 0;
-  for (const auto& p : scores) {
-    if (p.a == 0 && p.b == 5) {
-      dup_score = p.score;
-    } else {
-      other_max = std::max(other_max, p.score);
-    }
-  }
-  EXPECT_GT(dup_score, other_max);
-}
-
-TEST(SequenceTest, Validation) {
-  std::vector<PairScore> scores;
-  EXPECT_TRUE(AllPairsCompare({"A"}, {}, &scores).status()
-                  .IsInvalidArgument());
-  auto seqs = GenerateProteinSet(3, 10, 20, 61);
-  EXPECT_TRUE(AllPairsCompare(seqs, {.num_workers = 0}, &scores)
-                  .status()
-                  .IsInvalidArgument());
-}
-
 // ---------------------------------------- Parameterized matmul size sweep
 
 class MatmulSizeSweep : public ::testing::TestWithParam<uint32_t> {};
@@ -446,6 +347,85 @@ TEST_P(MatmulSizeSweep, AllAlgorithmsAgree) {
 
 INSTANTIATE_TEST_SUITE_P(Sizes, MatmulSizeSweep,
                          ::testing::Values(7, 16, 31, 64));
+
+// -------------------------------------------------------------- MonteCarlo
+
+TEST(MonteCarloTest, PiConvergesWithinStandardError) {
+  auto stats = analytics::EstimatePi(400000, {.num_workers = 16});
+  ASSERT_TRUE(stats.ok());
+  EXPECT_NEAR(stats->estimate, M_PI, 4 * stats->std_error);
+  EXPECT_GT(stats->std_error, 0);
+  EXPECT_LT(stats->std_error, 0.01);
+}
+
+TEST(MonteCarloTest, DeterministicForSeed) {
+  analytics::MonteCarloConfig cfg{.num_workers = 8, .seed = 42};
+  auto a = analytics::EstimatePi(100000, cfg);
+  auto b = analytics::EstimatePi(100000, cfg);
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  EXPECT_DOUBLE_EQ(a->estimate, b->estimate);
+}
+
+TEST(MonteCarloTest, MoreWorkersFasterSameSamples) {
+  // Compute-dominated configuration so parallelism can show through the
+  // per-task invocation overhead.
+  analytics::MonteCarloConfig cfg;
+  cfg.task_model.compute_us_per_unit = 0.5;
+  cfg.num_workers = 1;
+  auto w1 = analytics::EstimatePi(2000000, cfg);
+  cfg.num_workers = 16;
+  auto w16 = analytics::EstimatePi(2000000, cfg);
+  ASSERT_TRUE(w1.ok());
+  ASSERT_TRUE(w16.ok());
+  EXPECT_GT(w16->Speedup(), 8.0);
+  EXPECT_LT(w16->makespan_us, w1->makespan_us);
+}
+
+TEST(MonteCarloTest, AsianOptionSanity) {
+  // Deep in-the-money option with ~zero volatility prices near its
+  // deterministic discounted payoff.
+  analytics::AsianOption option;
+  option.spot = 150;
+  option.strike = 100;
+  option.volatility = 1e-4;
+  option.rate = 0.0;
+  auto stats = analytics::PriceAsianOption(option, 20000,
+                                           {.num_workers = 8});
+  ASSERT_TRUE(stats.ok());
+  EXPECT_NEAR(stats->estimate, 50.0, 1.0);
+
+  // Worthless option: far out of the money, tiny vol.
+  option.spot = 50;
+  auto worthless = analytics::PriceAsianOption(option, 20000,
+                                               {.num_workers = 8});
+  ASSERT_TRUE(worthless.ok());
+  EXPECT_NEAR(worthless->estimate, 0.0, 1e-6);
+}
+
+TEST(MonteCarloTest, VolatilityRaisesOptionValue) {
+  analytics::AsianOption calm, wild;
+  calm.volatility = 0.05;
+  wild.volatility = 0.6;
+  auto c = analytics::PriceAsianOption(calm, 50000, {.num_workers = 8});
+  auto w = analytics::PriceAsianOption(wild, 50000, {.num_workers = 8});
+  ASSERT_TRUE(c.ok());
+  ASSERT_TRUE(w.ok());
+  EXPECT_GT(w->estimate, c->estimate);
+}
+
+TEST(MonteCarloTest, Validation) {
+  EXPECT_TRUE(
+      analytics::EstimatePi(0, {}).status().IsInvalidArgument());
+  EXPECT_TRUE(analytics::EstimatePi(10, {.num_workers = 0})
+                  .status()
+                  .IsInvalidArgument());
+  analytics::AsianOption bad;
+  bad.steps = 0;
+  EXPECT_TRUE(analytics::PriceAsianOption(bad, 10, {})
+                  .status()
+                  .IsInvalidArgument());
+}
 
 }  // namespace
 }  // namespace taureau::analytics

@@ -1,12 +1,11 @@
-// Unit tests for the BaaS substrates: blob store, KV store, transactional
-// table store — including the §4.1 exactly-once-under-retry property.
+// Unit tests for the BaaS substrates: blob store, KV store and the shared
+// latency model.
 #include <gtest/gtest.h>
 
 #include "baas/blob_store.h"
 #include "common/stats.h"
 #include "baas/kv_store.h"
 #include "baas/latency_model.h"
-#include "baas/table_store.h"
 
 namespace taureau::baas {
 namespace {
@@ -175,116 +174,15 @@ TEST(KvStoreTest, DeleteRemoves) {
   EXPECT_TRUE(kv.Delete("k", 0).status.IsNotFound());
 }
 
-// ------------------------------------------------------------- TableStore
-
-TEST(TableStoreTest, CommittedReadAfterCommit) {
-  TableStore table;
-  TxnId t = table.Begin();
-  ASSERT_TRUE(table.Write(t, "row", "value").ok());
-  ASSERT_TRUE(table.Commit(t).ok());
-  auto v = table.GetCommitted("row");
-  ASSERT_TRUE(v.ok());
-  EXPECT_EQ(*v, "value");
-  EXPECT_EQ(table.commits(), 1u);
-}
-
-TEST(TableStoreTest, ReadYourWrites) {
-  TableStore table;
-  TxnId t = table.Begin();
-  ASSERT_TRUE(table.Write(t, "k", "mine").ok());
-  auto v = table.Read(t, "k");
-  ASSERT_TRUE(v.ok());
-  EXPECT_EQ(*v, "mine");
-  table.Abort(t);
-}
-
-TEST(TableStoreTest, AbortDiscardsWrites) {
-  TableStore table;
-  TxnId t = table.Begin();
-  table.Write(t, "k", "v");
-  ASSERT_TRUE(table.Abort(t).ok());
-  EXPECT_TRUE(table.GetCommitted("k").status().IsNotFound());
-  EXPECT_EQ(table.aborts(), 1u);
-}
-
-TEST(TableStoreTest, ConflictingCommitAborts) {
-  TableStore table;
-  // T1 reads k, T2 writes k and commits, then T1's commit must abort.
-  TxnId t1 = table.Begin();
-  ASSERT_TRUE(table.Read(t1, "k").ok());
-  TxnId t2 = table.Begin();
-  ASSERT_TRUE(table.Write(t2, "k", "t2").ok());
-  ASSERT_TRUE(table.Commit(t2).ok());
-  ASSERT_TRUE(table.Write(t1, "k", "t1").ok());
-  EXPECT_TRUE(table.Commit(t1).IsAborted());
-  EXPECT_EQ(*table.GetCommitted("k"), "t2");
-}
-
-TEST(TableStoreTest, DisjointTransactionsBothCommit) {
-  TableStore table;
-  TxnId t1 = table.Begin(), t2 = table.Begin();
-  table.Write(t1, "a", "1");
-  table.Write(t2, "b", "2");
-  EXPECT_TRUE(table.Commit(t1).ok());
-  EXPECT_TRUE(table.Commit(t2).ok());
-}
-
-TEST(TableStoreTest, OperationsOnDeadTxnFail) {
-  TableStore table;
-  TxnId t = table.Begin();
-  table.Commit(t);
-  EXPECT_TRUE(table.Read(t, "k").status().IsNotFound());
-  EXPECT_TRUE(table.Write(t, "k", "v").IsNotFound());
-  EXPECT_TRUE(table.Commit(t).IsNotFound());
-  EXPECT_TRUE(table.Abort(t).IsNotFound());
-}
-
-TEST(TableStoreTest, ExactlyOnceUnderRetry) {
-  // §4.1: transactional semantics make FaaS re-execution safe. Model a
-  // handler that transfers credit exactly once using an idempotency row;
-  // the naive counter double-counts under retry, the transactional one
-  // doesn't.
-  TableStore table;
-  int naive_counter = 0;
-
-  auto transactional_effect = [&table](const std::string& invocation_id) {
-    while (true) {
-      TxnId t = table.Begin();
-      auto done = table.Read(t, "done:" + invocation_id);
-      if (!done.ok()) return;
-      if (!done->empty()) {
-        table.Abort(t);
-        return;  // effect already applied
-      }
-      auto bal = table.Read(t, "balance");
-      const int current = bal->empty() ? 0 : std::stoi(*bal);
-      table.Write(t, "balance", std::to_string(current + 10));
-      table.Write(t, "done:" + invocation_id, "yes");
-      if (table.Commit(t).ok()) return;
-      // Aborted: retry the transaction.
-    }
-  };
-
-  // The platform re-executes invocation "inv-1" three times.
-  for (int attempt = 0; attempt < 3; ++attempt) {
-    naive_counter += 10;  // non-transactional side effect duplicates
-    transactional_effect("inv-1");
-  }
-  EXPECT_EQ(naive_counter, 30);                       // wrong: triple-applied
-  EXPECT_EQ(*table.GetCommitted("balance"), "10");    // right: exactly once
-}
-
-TEST(TableStoreTest, InsertIfAbsentValidatesAbsence) {
-  TableStore table;
-  // Two txns both see the key absent; only one can win.
-  TxnId t1 = table.Begin(), t2 = table.Begin();
-  ASSERT_TRUE(table.Read(t1, "k")->empty());
-  ASSERT_TRUE(table.Read(t2, "k")->empty());
-  table.Write(t1, "k", "one");
-  table.Write(t2, "k", "two");
-  EXPECT_TRUE(table.Commit(t1).ok());
-  EXPECT_TRUE(table.Commit(t2).IsAborted());
-  EXPECT_EQ(*table.GetCommitted("k"), "one");
+TEST(KvStoreDepthTest, PutIfAbsentSucceedsAfterTtlExpiry) {
+  baas::KvStore kv;
+  ASSERT_TRUE(kv.PutIfAbsent("k", "v1", 0, /*ttl=*/kSecond).status.ok());
+  EXPECT_TRUE(kv.PutIfAbsent("k", "v2", 500 * kMillisecond).status
+                  .IsAlreadyExists());
+  EXPECT_TRUE(kv.PutIfAbsent("k", "v3", 2 * kSecond).status.ok());
+  std::string v;
+  kv.Get("k", 2 * kSecond, &v);
+  EXPECT_EQ(v, "v3");
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Unit tests for the cluster substrate: resources, virtualization models,
-// machines, and placement policies.
+// machines, placement policies, GPU heterogeneity and dedicated tenancy.
 #include <gtest/gtest.h>
 
 #include "cluster/cluster.h"
@@ -8,6 +8,8 @@
 #include "cluster/virtualization.h"
 #include "common/rng.h"
 #include "common/stats.h"
+#include "faas/platform.h"
+#include "sim/simulation.h"
 
 namespace taureau::cluster {
 namespace {
@@ -251,6 +253,132 @@ TEST(ClusterTest, PolicyNames) {
   EXPECT_EQ(PlacementPolicyName(PlacementPolicy::kBestFit), "best-fit");
   EXPECT_EQ(PlacementPolicyName(PlacementPolicy::kComplementary),
             "complementary");
+}
+
+// -------------------------------------------------- Hardware heterogeneity
+
+TEST(HeterogeneityTest, GpuDimensionInResourceVector) {
+  cluster::ResourceVector demand{1000, 2048, 2};
+  cluster::ResourceVector gpu_box{32000, 65536, 4};
+  cluster::ResourceVector cpu_box{32000, 65536, 0};
+  EXPECT_TRUE(demand.FitsIn(gpu_box));
+  EXPECT_FALSE(demand.FitsIn(cpu_box));
+  EXPECT_EQ((demand + demand).gpus, 4);
+  EXPECT_EQ(demand.ToString(), "1000mCPU/2048MB/2GPU");
+  EXPECT_DOUBLE_EQ(demand.DominantShare(gpu_box), 0.5);  // gpu-dominant
+}
+
+TEST(HeterogeneityTest, GpuFunctionsLandOnGpuMachines) {
+  // Mixed fleet: 3 CPU boxes + 1 GPU box.
+  cluster::Cluster cl({{32000, 65536, 0},
+                       {32000, 65536, 0},
+                       {32000, 65536, 0},
+                       {32000, 65536, 4}});
+  auto unit = cl.Allocate(cluster::IsolationLevel::kLambda, {1000, 2048, 1},
+                          cluster::PlacementPolicy::kFirstFit, "trainer");
+  ASSERT_TRUE(unit.ok());
+  auto machine = cl.MachineOf(*unit);
+  ASSERT_TRUE(machine.ok());
+  EXPECT_EQ(*machine, 3u);  // the only GPU-bearing box
+}
+
+TEST(HeterogeneityTest, GpuExhaustionIndependentOfCpu) {
+  cluster::Cluster cl({{32000, 65536, 2}});
+  ASSERT_TRUE(cl.Allocate(cluster::IsolationLevel::kLambda, {500, 512, 2},
+                          cluster::PlacementPolicy::kFirstFit)
+                  .ok());
+  // Plenty of CPU left, but no GPUs.
+  EXPECT_TRUE(cl.Allocate(cluster::IsolationLevel::kLambda, {500, 512, 1},
+                          cluster::PlacementPolicy::kFirstFit)
+                  .status()
+                  .IsResourceExhausted());
+  // CPU-only functions still place fine.
+  EXPECT_TRUE(cl.Allocate(cluster::IsolationLevel::kLambda, {500, 512, 0},
+                          cluster::PlacementPolicy::kFirstFit)
+                  .ok());
+}
+
+TEST(HeterogeneityTest, GpuFunctionOnFaasPlatform) {
+  sim::Simulation sim;
+  cluster::Cluster cl({{32000, 65536, 0}, {32000, 65536, 2}});
+  faas::FaasPlatform platform(&sim, &cl, faas::FaasConfig{});
+  faas::FunctionSpec train;
+  train.name = "gpu-train";
+  train.demand = {2000, 4096, 1};
+  train.exec = {faas::ExecTimeModel::Kind::kFixed, 100 * kMillisecond, 0, 0};
+  ASSERT_TRUE(platform.RegisterFunction(train).ok());
+  auto res = platform.InvokeSync("gpu-train", "");
+  ASSERT_TRUE(res.ok());
+  EXPECT_TRUE(res->status.ok());
+}
+
+// ------------------------------------------------------ Dedicated tenancy
+
+TEST(DedicatedTenancyTest, NeverSharesMachinesAcrossTenants) {
+  cluster::Cluster cl(4, {8000, 16384});
+  for (int i = 0; i < 6; ++i) {
+    const std::string tenant = i % 2 == 0 ? "alice" : "bob";
+    auto r = cl.AllocateIsolated(cluster::IsolationLevel::kLambda,
+                                 {1000, 1024},
+                                 cluster::PlacementPolicy::kFirstFit, tenant);
+    ASSERT_TRUE(r.ok()) << i;
+  }
+  EXPECT_EQ(cl.CoResidentTenantPairs(), 0u);
+}
+
+TEST(DedicatedTenancyTest, SharedPlacementCoResides) {
+  cluster::Cluster cl(4, {8000, 16384});
+  for (int i = 0; i < 6; ++i) {
+    const std::string tenant = i % 2 == 0 ? "alice" : "bob";
+    ASSERT_TRUE(cl.Allocate(cluster::IsolationLevel::kLambda, {1000, 1024},
+                            cluster::PlacementPolicy::kFirstFit, tenant)
+                    .ok());
+  }
+  EXPECT_GT(cl.CoResidentTenantPairs(), 0u);
+}
+
+TEST(DedicatedTenancyTest, IsolationCostsCapacity) {
+  // With 2 machines and 3 tenants, dedicated tenancy must reject the third
+  // tenant even though capacity remains.
+  cluster::Cluster cl(2, {8000, 16384});
+  ASSERT_TRUE(cl.AllocateIsolated(cluster::IsolationLevel::kLambda,
+                                  {1000, 1024},
+                                  cluster::PlacementPolicy::kFirstFit, "a")
+                  .ok());
+  ASSERT_TRUE(cl.AllocateIsolated(cluster::IsolationLevel::kLambda,
+                                  {1000, 1024},
+                                  cluster::PlacementPolicy::kFirstFit, "b")
+                  .ok());
+  EXPECT_TRUE(cl.AllocateIsolated(cluster::IsolationLevel::kLambda,
+                                  {1000, 1024},
+                                  cluster::PlacementPolicy::kFirstFit, "c")
+                  .status()
+                  .IsResourceExhausted());
+  // The same tenant can keep packing its own machines.
+  EXPECT_TRUE(cl.AllocateIsolated(cluster::IsolationLevel::kLambda,
+                                  {1000, 1024},
+                                  cluster::PlacementPolicy::kFirstFit, "a")
+                  .ok());
+}
+
+TEST(DedicatedTenancyTest, RequiresOwnerTag) {
+  cluster::Cluster cl(2, {8000, 16384});
+  EXPECT_TRUE(cl.AllocateIsolated(cluster::IsolationLevel::kLambda,
+                                  {1000, 1024},
+                                  cluster::PlacementPolicy::kFirstFit, "")
+                  .status()
+                  .IsInvalidArgument());
+}
+
+// ---------------------------------------------------------- Cluster depth
+
+TEST(ClusterDepthTest, HeterogeneousStatsAggregate) {
+  cluster::Cluster cl({{16000, 32768, 0}, {32000, 65536, 8}});
+  const auto stats = cl.Stats();
+  EXPECT_EQ(stats.total_capacity.cpu_millis, 48000);
+  EXPECT_EQ(stats.total_capacity.gpus, 8);
+  EXPECT_EQ(stats.machines_total, 2u);
+  EXPECT_EQ(cl.ReservedCost(3, 0).nano_dollars(), 0);
 }
 
 }  // namespace

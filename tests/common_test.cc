@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <set>
+#include <vector>
 
 #include "common/hash.h"
 #include "common/money.h"
@@ -323,6 +324,44 @@ TEST(HashTest, MixU64AvalanchesLowBits) {
   std::set<uint64_t> outputs;
   for (uint64_t i = 0; i < 1000; ++i) outputs.insert(MixU64(i) % 1024);
   EXPECT_GT(outputs.size(), 500u);
+}
+
+// ------------------------------------------------ Rng and Histogram depth
+
+TEST(RngDepthTest, LogNormalMedian) {
+  Rng rng(1);
+  std::vector<double> xs;
+  for (int i = 0; i < 20001; ++i) xs.push_back(rng.NextLogNormal(std::log(100.0), 0.5));
+  EXPECT_NEAR(ExactQuantile(xs, 0.5), 100.0, 5.0);
+}
+
+TEST(RngDepthTest, ParetoHeavyTail) {
+  Rng rng(2);
+  int above_10x = 0;
+  const int n = 100000;
+  for (int i = 0; i < n; ++i) {
+    const double x = rng.NextPareto(1.0, 1.5);
+    EXPECT_GE(x, 1.0);
+    if (x > 10.0) ++above_10x;
+  }
+  // P(X > 10) = 10^-1.5 ~ 3.16%.
+  EXPECT_NEAR(double(above_10x) / n, 0.0316, 0.005);
+}
+
+TEST(HistogramDepthTest, AddNWeightedEquivalentToLoop) {
+  Histogram a, b;
+  a.AddN(50.0, 1000);
+  for (int i = 0; i < 1000; ++i) b.Add(50.0);
+  EXPECT_EQ(a.count(), b.count());
+  EXPECT_DOUBLE_EQ(a.mean(), b.mean());
+  EXPECT_DOUBLE_EQ(a.P99(), b.P99());
+}
+
+TEST(HistogramDepthTest, QuantileClampsOutOfRange) {
+  Histogram h;
+  h.Add(7.0);
+  EXPECT_DOUBLE_EQ(h.Quantile(-0.5), h.Quantile(0.0));
+  EXPECT_DOUBLE_EQ(h.Quantile(2.0), h.Quantile(1.0));
 }
 
 }  // namespace

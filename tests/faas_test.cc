@@ -1,5 +1,6 @@
 // Unit tests for the FaaS platform: lifecycle, cold/warm starts, keep-alive,
-// throttling, timeouts, retries, billing, server-pool baseline.
+// throttling, timeouts, retries, billing, server-pool baseline, predictive
+// pre-warming and per-function reserved concurrency.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -7,6 +8,7 @@
 #include "cluster/cluster.h"
 #include "faas/billing.h"
 #include "faas/platform.h"
+#include "faas/prewarmer.h"
 #include "faas/server_pool.h"
 #include "sim/simulation.h"
 
@@ -154,7 +156,7 @@ TEST(FaasPlatformTest, StatelessnessContainerCacheScopedToContainer) {
 
 TEST(FaasPlatformTest, TimeoutKillsAndRetries) {
   FaasConfig cfg;
-  cfg.max_retries = 1;
+  cfg.retry = chaos::RetryPolicy::Immediate(2);
   Fixture f(cfg);
   FunctionSpec spec = f.SimpleSpec("slow", /*exec=*/10 * kMinute);
   spec.timeout_us = 1 * kSecond;
@@ -169,7 +171,7 @@ TEST(FaasPlatformTest, TimeoutKillsAndRetries) {
 
 TEST(FaasPlatformTest, InjectedFailureRetriesThenSucceeds) {
   FaasConfig cfg;
-  cfg.max_retries = 5;
+  cfg.retry = chaos::RetryPolicy::Immediate(6);
   Fixture f(cfg);
   FunctionSpec spec = f.SimpleSpec("flaky");
   int calls = 0;
@@ -188,9 +190,9 @@ TEST(FaasPlatformTest, InjectedFailureRetriesThenSucceeds) {
 }
 
 TEST(FaasPlatformTest, RetriesExhaustedReportsFailure) {
-  FaasConfig cfg;
-  cfg.max_retries = 2;
-  Fixture f(cfg);
+  // The default policy (three immediate attempts) is what every bench,
+  // example and workload that leaves FaasConfig::retry unset runs with.
+  Fixture f;
   FunctionSpec spec = f.SimpleSpec("doomed");
   spec.handler = [](const std::string&, InvocationContext&)
       -> Result<std::string> { return Status::Aborted("always"); };
@@ -205,7 +207,7 @@ TEST(FaasPlatformTest, RetriesExhaustedReportsFailure) {
 TEST(FaasPlatformTest, EveryAttemptIsBilled) {
   // Real FaaS platforms bill failed attempts too.
   FaasConfig cfg;
-  cfg.max_retries = 2;
+  cfg.retry = chaos::RetryPolicy::Immediate(3);
   Fixture f(cfg);
   FunctionSpec spec = f.SimpleSpec("doomed");
   spec.handler = [](const std::string&, InvocationContext&)
@@ -425,6 +427,217 @@ TEST_P(KeepAliveSweep, LongerKeepAliveNeverIncreasesColdStarts) {
 INSTANTIATE_TEST_SUITE_P(Durations, KeepAliveSweep,
                          ::testing::Values(10 * kSecond, 30 * kSecond,
                                            60 * kSecond));
+
+// -------------------------------------------------------------- Prewarmer
+
+struct PrewarmFixture {
+  sim::Simulation sim;
+  cluster::Cluster cl{16, {32000, 65536}};
+  faas::FaasConfig cfg;
+  std::unique_ptr<faas::FaasPlatform> platform;
+
+  PrewarmFixture() {
+    cfg.keep_alive_us = 10 * kMinute;
+    platform = std::make_unique<faas::FaasPlatform>(&sim, &cl, cfg);
+    faas::FunctionSpec spec;
+    spec.name = "fn";
+    spec.demand = {200, 256};
+    spec.exec = {faas::ExecTimeModel::Kind::kFixed, 50 * kMillisecond, 0, 0};
+    spec.init_us = 200 * kMillisecond;
+    EXPECT_TRUE(platform->RegisterFunction(spec).ok());
+  }
+};
+
+TEST(PrewarmerTest, ForecastTracksArrivalRate) {
+  PrewarmFixture f;
+  faas::PrewarmerConfig pcfg;
+  pcfg.tick_us = 1 * kSecond;
+  pcfg.alpha = 0.5;
+  faas::Prewarmer pw(&f.sim, f.platform.get(), "fn", pcfg);
+  pw.Start();
+  // 20 req/s for 30 seconds.
+  for (SimTime t = 0; t < 30 * kSecond; t += 50 * kMillisecond) {
+    f.sim.ScheduleAt(t, [&] { pw.Invoke("", nullptr); });
+  }
+  f.sim.RunUntil(30 * kSecond);
+  EXPECT_NEAR(pw.ForecastRps(), 20.0, 3.0);
+  pw.Stop();
+  f.sim.Run();
+}
+
+TEST(PrewarmerTest, MaintainsWarmPoolAheadOfDemand) {
+  PrewarmFixture f;
+  faas::PrewarmerConfig pcfg;
+  pcfg.tick_us = 1 * kSecond;
+  pcfg.alpha = 0.5;
+  pcfg.provision_window_us = 2 * kSecond;
+  pcfg.headroom = 1.5;
+  faas::Prewarmer pw(&f.sim, f.platform.get(), "fn", pcfg);
+  pw.Start();
+  for (SimTime t = 0; t < 20 * kSecond; t += 100 * kMillisecond) {
+    f.sim.ScheduleAt(t, [&] { pw.Invoke("", nullptr); });
+  }
+  f.sim.RunUntil(25 * kSecond);
+  // 10 rps * 2s window * 1.5 headroom = 30 warm containers targeted.
+  EXPECT_GE(f.platform->warm_container_count("fn"), 20u);
+  EXPECT_GT(pw.stats().containers_prewarmed, 0u);
+  pw.Stop();
+  f.sim.Run();
+}
+
+TEST(PrewarmerTest, CutsColdStartsOnBurstArrival) {
+  // The BARISTA claim: proactive provisioning absorbs a foreseeable ramp.
+  auto run = [](bool prewarm) {
+    PrewarmFixture f;
+    faas::PrewarmerConfig pcfg;
+    pcfg.tick_us = 1 * kSecond;
+    pcfg.alpha = 0.6;
+    pcfg.provision_window_us = 3 * kSecond;
+    faas::Prewarmer pw(&f.sim, f.platform.get(), "fn", pcfg);
+    if (prewarm) pw.Start();
+    // Ramp: 2 rps for 20s, then a 30-rps burst for 5s.
+    for (SimTime t = 0; t < 20 * kSecond; t += 500 * kMillisecond) {
+      f.sim.ScheduleAt(t, [&] { pw.Invoke("", nullptr); });
+    }
+    for (SimTime t = 20 * kSecond; t < 25 * kSecond;
+         t += 33 * kMillisecond) {
+      f.sim.ScheduleAt(t, [&] { pw.Invoke("", nullptr); });
+    }
+    f.sim.RunUntil(30 * kSecond);
+    pw.Stop();
+    f.sim.Run();
+    return f.platform->metrics();
+  };
+  const auto without = run(false);
+  const auto with = run(true);
+  // Pre-warmed containers absorb invocations that would otherwise start
+  // cold during the burst ramp.
+  EXPECT_LT(with.cold_starts, without.cold_starts);
+  EXPECT_LE(with.e2e_latency_us.P50(), without.e2e_latency_us.P50());
+}
+
+// ----------------------------------------- Per-function reserved concurrency
+
+TEST(ReservedConcurrencyTest, CapBoundsContainers) {
+  sim::Simulation sim;
+  cluster::Cluster cl(32, {32000, 65536});
+  faas::FaasPlatform platform(&sim, &cl, faas::FaasConfig{});
+  faas::FunctionSpec spec;
+  spec.name = "capped";
+  spec.exec = {faas::ExecTimeModel::Kind::kFixed, kSecond, 0, 0};
+  spec.max_concurrency = 3;
+  ASSERT_TRUE(platform.RegisterFunction(spec).ok());
+  int done = 0;
+  for (int i = 0; i < 10; ++i) {
+    platform.Invoke("capped", "", [&](const faas::InvocationResult& r) {
+      EXPECT_TRUE(r.status.ok());
+      ++done;
+    });
+  }
+  sim.Run();
+  EXPECT_EQ(done, 10);
+  EXPECT_LE(platform.metrics().peak_containers, 3u);
+  EXPECT_EQ(platform.metrics().cold_starts, 3u);
+  EXPECT_EQ(platform.metrics().warm_starts, 7u);
+}
+
+TEST(ReservedConcurrencyTest, OneFunctionCannotStarveAnother) {
+  sim::Simulation sim;
+  cluster::Cluster cl(32, {32000, 65536});
+  faas::FaasConfig cfg;
+  cfg.max_concurrency = 100;
+  faas::FaasPlatform platform(&sim, &cl, cfg);
+  faas::FunctionSpec hog;
+  hog.name = "hog";
+  hog.exec = {faas::ExecTimeModel::Kind::kFixed, 10 * kSecond, 0, 0};
+  hog.max_concurrency = 5;  // capped, so it cannot take all 100 slots
+  faas::FunctionSpec latency_sensitive;
+  latency_sensitive.name = "fast";
+  latency_sensitive.exec = {faas::ExecTimeModel::Kind::kFixed,
+                            10 * kMillisecond, 0, 0};
+  ASSERT_TRUE(platform.RegisterFunction(hog).ok());
+  ASSERT_TRUE(platform.RegisterFunction(latency_sensitive).ok());
+  for (int i = 0; i < 200; ++i) platform.Invoke("hog", "", nullptr);
+  SimDuration fast_latency = 0;
+  platform.Invoke("fast", "", [&](const faas::InvocationResult& r) {
+    fast_latency = r.EndToEnd();
+  });
+  sim.Run();
+  // "fast" got a container immediately despite the hog backlog.
+  EXPECT_LT(fast_latency, kSecond);
+}
+
+TEST(ReservedConcurrencyTest, PrewarmRespectsCap) {
+  sim::Simulation sim;
+  cluster::Cluster cl(32, {32000, 65536});
+  faas::FaasPlatform platform(&sim, &cl, faas::FaasConfig{});
+  faas::FunctionSpec spec;
+  spec.name = "capped";
+  spec.exec = {faas::ExecTimeModel::Kind::kFixed, kMillisecond, 0, 0};
+  spec.max_concurrency = 4;
+  ASSERT_TRUE(platform.RegisterFunction(spec).ok());
+  auto started = platform.Prewarm("capped", 20);
+  ASSERT_TRUE(started.ok());
+  EXPECT_EQ(*started, 4u);
+  // Run past the startups but not past the keep-alive horizon.
+  sim.RunUntil(sim.Now() + 5 * kSecond);
+  EXPECT_EQ(platform.warm_container_count("capped"), 4u);
+}
+
+// ------------------------------------------------------- ServerPool depth
+
+TEST(ServerPoolDepthTest, InstrumentationDuringRun) {
+  sim::Simulation sim;
+  faas::ServerPool pool(&sim, {.num_servers = 2, .per_server_concurrency = 1});
+  for (int i = 0; i < 5; ++i) pool.Submit(kSecond);
+  EXPECT_EQ(pool.busy_slots(), 2u);
+  EXPECT_EQ(pool.queue_depth(), 3u);
+  sim.Run();
+  EXPECT_EQ(pool.busy_slots(), 0u);
+  EXPECT_EQ(pool.queue_depth(), 0u);
+  EXPECT_EQ(pool.completed(), 5u);
+  EXPECT_EQ(pool.wait_hist().count(), 5u);
+  // Sojourn = wait + service; the last request waited 2 services.
+  EXPECT_DOUBLE_EQ(pool.sojourn_hist().max(), double(3 * kSecond));
+}
+
+// --------------------------------------------------------- Platform depth
+
+TEST(PlatformDepthTest, QueueLatencyRecordedUnderContention) {
+  sim::Simulation sim;
+  cluster::Cluster cl(8, {32000, 65536});
+  faas::FaasConfig cfg;
+  cfg.max_concurrency = 1;
+  faas::FaasPlatform platform(&sim, &cl, cfg);
+  faas::FunctionSpec spec;
+  spec.name = "fn";
+  spec.exec = {faas::ExecTimeModel::Kind::kFixed, kSecond, 0, 0};
+  ASSERT_TRUE(platform.RegisterFunction(spec).ok());
+  for (int i = 0; i < 4; ++i) platform.Invoke("fn", "", nullptr);
+  sim.Run();
+  // The 4th invocation queued ~3 service times.
+  EXPECT_GT(platform.metrics().queue_latency_us.max(),
+            double(2 * kSecond));
+  EXPECT_EQ(platform.pending_queue_depth(), 0u);
+}
+
+TEST(PlatformDepthTest, FlushWarmPoolDropsIdleContainers) {
+  sim::Simulation sim;
+  cluster::Cluster cl(8, {32000, 65536});
+  faas::FaasPlatform platform(&sim, &cl, faas::FaasConfig{});
+  faas::FunctionSpec spec;
+  spec.name = "fn";
+  spec.exec = {faas::ExecTimeModel::Kind::kFixed, kMillisecond, 0, 0};
+  ASSERT_TRUE(platform.RegisterFunction(spec).ok());
+  ASSERT_TRUE(platform.InvokeSync("fn", "").ok());
+  EXPECT_EQ(platform.active_containers(), 1u);
+  platform.FlushWarmPool();
+  EXPECT_EQ(platform.active_containers(), 0u);
+  EXPECT_EQ(cl.Stats().units, 0u);
+  // The next invocation cold-starts again.
+  auto res = platform.InvokeSync("fn", "");
+  EXPECT_TRUE(res->cold_start);
+}
 
 }  // namespace
 }  // namespace taureau::faas

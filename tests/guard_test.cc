@@ -591,7 +591,7 @@ TEST(PlatformGuardTest, AdmissionQueueBoundSheds) {
 
 TEST(PlatformGuardTest, RetryBudgetCapsPlatformRetries) {
   faas::FaasConfig cfg;
-  cfg.max_retries = 5;  // would retry 5 times unguarded
+  cfg.retry = chaos::RetryPolicy::Immediate(6);  // 5 retries unguarded
   GuardConfig gcfg;
   gcfg.retry_budget.initial_tokens = 2.0;
   gcfg.retry_budget.refill_ratio = 0.0;

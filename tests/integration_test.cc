@@ -131,7 +131,7 @@ TEST(IntegrationTest, IotRegistryExactlyOnceUnderRetries) {
   sim::Simulation sim;
   cluster::Cluster cl(8, {32000, 65536});
   faas::FaasConfig cfg;
-  cfg.max_retries = 3;
+  cfg.retry = chaos::RetryPolicy::Immediate(4);
   faas::FaasPlatform platform(&sim, &cl, cfg);
   baas::KvStore registry;
   int attempts_seen = 0;

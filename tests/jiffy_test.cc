@@ -1,5 +1,6 @@
 // Unit tests for the Jiffy ephemeral state store (§4.4): pool, data
-// structures, namespaces, leases, notifications, and baselines.
+// structures, queue spilling, namespaces, leases, notifications, and
+// baselines.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -487,6 +488,77 @@ TEST_P(MultiplexSweep, SequentialAppsReuseTheSamePool) {
 
 INSTANTIATE_TEST_SUITE_P(AppCounts, MultiplexSweep,
                          ::testing::Values(2, 5, 10));
+
+// ------------------------------------------------------------ Queue spill
+
+TEST(QueueSpillTest, SpillsInsteadOfFailing) {
+  jiffy::MemoryPool pool(1, 2, 1024);  // tiny: 2KB total
+  baas::BlobStore cold;
+  jiffy::JiffyQueue q(&pool, "job", 47);
+  q.EnableSpill(&cold);
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(q.Enqueue(std::string(900, char('a' + i))).status.ok()) << i;
+  }
+  EXPECT_GT(q.spilled_items(), 0u);
+  EXPECT_GT(cold.object_count(), 0u);
+  // FIFO order preserved across the spill boundary.
+  for (int i = 0; i < 10; ++i) {
+    std::string v;
+    ASSERT_TRUE(q.Dequeue(&v).status.ok()) << i;
+    EXPECT_EQ(v, std::string(900, char('a' + i))) << i;
+  }
+  EXPECT_EQ(cold.object_count(), 0u);  // spilled objects reclaimed
+}
+
+TEST(QueueSpillTest, WithoutSpillStillFailsCleanly) {
+  jiffy::MemoryPool pool(1, 2, 1024);
+  jiffy::JiffyQueue q(&pool, "job");
+  Status last;
+  for (int i = 0; i < 10; ++i) {
+    last = q.Enqueue(std::string(900, 'x')).status;
+    if (!last.ok()) break;
+  }
+  EXPECT_TRUE(last.IsResourceExhausted());
+}
+
+TEST(QueueSpillTest, SpilledAccessIsSlower) {
+  jiffy::MemoryPool pool(1, 2, 1024);
+  baas::BlobStore cold;
+  jiffy::JiffyQueue q(&pool, "job", 47);
+  q.EnableSpill(&cold);
+  auto in_memory = q.Enqueue(std::string(900, 'a'));
+  ASSERT_TRUE(in_memory.status.ok());
+  // Fill until spill kicks in.
+  jiffy::JiffyOp spilled{};
+  for (int i = 0; i < 5; ++i) {
+    spilled = q.Enqueue(std::string(900, 'b'));
+    ASSERT_TRUE(spilled.status.ok());
+  }
+  ASSERT_GT(q.spilled_items(), 0u);
+  EXPECT_GT(spilled.latency_us, in_memory.latency_us * 5);
+}
+
+// ------------------------------------------------------- Controller depth
+
+TEST(JiffyDepthTest, RenewPermanentLeaseIsNoop) {
+  sim::Simulation sim;
+  jiffy::JiffyConfig cfg;
+  cfg.num_memory_nodes = 1;
+  cfg.blocks_per_node = 8;
+  jiffy::JiffyController jc(&sim, cfg);
+  ASSERT_TRUE(jc.CreateNamespace("/pin", -1).ok());
+  EXPECT_TRUE(jc.RenewLease("/pin").ok());
+  auto remaining = jc.LeaseRemaining("/pin");
+  ASSERT_TRUE(remaining.ok());
+  EXPECT_EQ(*remaining, INT64_MAX);
+}
+
+TEST(JiffyDepthTest, NotifyUnknownPathFails) {
+  sim::Simulation sim;
+  jiffy::JiffyController jc(&sim, jiffy::JiffyConfig{});
+  EXPECT_TRUE(jc.Notify("/ghost", "evt").IsNotFound());
+  EXPECT_TRUE(jc.Subscribe("/ghost", nullptr).IsNotFound());
+}
 
 }  // namespace
 }  // namespace taureau::jiffy

@@ -1,6 +1,6 @@
 // Unit tests for orchestration (§4.2): the three properties of composition
 // frameworks — black-box functions, composition-as-function, no double
-// billing.
+// billing — plus the Map state.
 #include <gtest/gtest.h>
 
 #include "cluster/cluster.h"
@@ -280,6 +280,101 @@ TEST_P(ChainDepthSweep, CostGrowsLinearlyNoOverhead) {
 
 INSTANTIATE_TEST_SUITE_P(Depths, ChainDepthSweep,
                          ::testing::Values(1, 4, 16, 64));
+
+// ---------------------------------------------------------------- Map state
+
+struct MapFixture {
+  sim::Simulation sim;
+  cluster::Cluster cluster{16, {32000, 65536}};
+  faas::FaasPlatform platform{&sim, &cluster, faas::FaasConfig{}};
+  orchestration::Orchestrator orch{&sim, &platform};
+
+  MapFixture() {
+    faas::FunctionSpec up;
+    up.name = "upper";
+    up.exec = {faas::ExecTimeModel::Kind::kFixed, 20 * kMillisecond, 0, 0};
+    up.handler = [](const std::string& in, faas::InvocationContext&)
+        -> Result<std::string> {
+      std::string out = in;
+      for (char& c : out) c = char(toupper(c));
+      return out;
+    };
+    EXPECT_TRUE(platform.RegisterFunction(up).ok());
+  }
+};
+
+TEST(MapStateTest, AppliesItemToEveryPiece) {
+  MapFixture f;
+  auto comp = Composition::Map(Composition::Task("upper"));
+  auto res = f.orch.RunSync(comp, "alpha\nbravo\ncharlie");
+  ASSERT_TRUE(res.ok());
+  ASSERT_TRUE(res->status.ok());
+  EXPECT_EQ(res->output, "ALPHA\nBRAVO\nCHARLIE");
+  EXPECT_EQ(res->function_invocations, 3u);
+}
+
+TEST(MapStateTest, RunsItemsConcurrently) {
+  MapFixture f;
+  faas::FunctionSpec slow;
+  slow.name = "slow";
+  slow.exec = {faas::ExecTimeModel::Kind::kFixed, 400 * kMillisecond, 0, 0};
+  ASSERT_TRUE(f.platform.RegisterFunction(slow).ok());
+  std::string input;
+  for (int i = 0; i < 8; ++i) input += "item\n";
+  auto res = f.orch.RunSync(Composition::Map(Composition::Task("slow")),
+                            input);
+  ASSERT_TRUE(res.ok());
+  // Concurrent: ~1 item's time (+cold start), not 8x.
+  EXPECT_LT(res->Makespan(), 3 * (400 * kMillisecond));
+}
+
+TEST(MapStateTest, EmptyInputIsNoop) {
+  MapFixture f;
+  auto res = f.orch.RunSync(Composition::Map(Composition::Task("upper")), "");
+  ASSERT_TRUE(res.ok());
+  EXPECT_EQ(res->output, "");
+  EXPECT_EQ(res->function_invocations, 0u);
+  EXPECT_EQ(res->cost, Money::Zero());
+}
+
+TEST(MapStateTest, CustomDelimiter) {
+  MapFixture f;
+  auto res = f.orch.RunSync(
+      Composition::Map(Composition::Task("upper"), ','), "a,b,c");
+  ASSERT_TRUE(res.ok());
+  EXPECT_EQ(res->output, "A,B,C");
+}
+
+TEST(MapStateTest, MapOfSequencesSingleBilled) {
+  MapFixture f;
+  auto per_item = Composition::Sequence(
+      {Composition::Task("upper"), Composition::Task("upper")});
+  auto res = f.orch.RunSync(Composition::Map(per_item), "x\ny");
+  ASSERT_TRUE(res.ok());
+  EXPECT_EQ(res->function_invocations, 4u);
+  EXPECT_EQ(res->cost, f.platform.ledger().Total());
+}
+
+// ----------------------------------------------------- Orchestrator depth
+
+TEST(OrchestratorDepthTest, NullPredicateTakesElse) {
+  sim::Simulation sim;
+  cluster::Cluster cl(4, {32000, 65536});
+  faas::FaasPlatform platform(&sim, &cl, faas::FaasConfig{});
+  faas::FunctionSpec spec;
+  spec.name = "tag";
+  spec.exec = {faas::ExecTimeModel::Kind::kFixed, kMillisecond, 0, 0};
+  spec.handler = [](const std::string& in, faas::InvocationContext&)
+      -> Result<std::string> { return in + "!"; };
+  ASSERT_TRUE(platform.RegisterFunction(spec).ok());
+  orchestration::Orchestrator orch(&sim, &platform);
+  auto comp = orchestration::Composition::Choice(
+      nullptr, orchestration::Composition::Task("tag"),
+      orchestration::Composition::Sequence({}));
+  auto res = orch.RunSync(comp, "unchanged");
+  ASSERT_TRUE(res.ok());
+  EXPECT_EQ(res->output, "unchanged");  // else branch: pass-through
+}
 
 }  // namespace
 }  // namespace taureau::orchestration

@@ -1,10 +1,13 @@
 // Unit tests for the Pulsar-like messaging substrate (§4.3): bookies,
-// ledgers, brokers, subscriptions, functions.
+// ledgers, brokers, subscriptions, functions, tiered storage and backlog
+// trimming.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <set>
+#include <vector>
 
+#include "baas/blob_store.h"
 #include "pubsub/bookkeeper.h"
 #include "pubsub/broker.h"
 #include "pubsub/functions.h"
@@ -403,6 +406,245 @@ TEST(FunctionWorkerTest, ParallelismValidation) {
                           return Status::OK();
                         });
   EXPECT_TRUE(worker.Deploy().IsInvalidArgument());
+}
+
+// -------------------------------------------------- Pulsar tiered storage
+
+TEST(TieredStorageTest, OffloadedLedgerStillReadable) {
+  pubsub::BookKeeper bk(4);
+  baas::BlobStore cold;
+  auto ledger = bk.CreateLedger(3, 2, 2);
+  ASSERT_TRUE(ledger.ok());
+  for (int i = 0; i < 25; ++i) {
+    ASSERT_TRUE(bk.Append(*ledger, "entry-" + std::to_string(i), 0).ok());
+  }
+  ASSERT_TRUE(bk.CloseLedger(*ledger).ok());
+  ASSERT_TRUE(bk.OffloadLedger(*ledger, &cold).ok());
+  // Bookies are free; data served from the blob store.
+  for (size_t b = 0; b < bk.bookie_count(); ++b) {
+    EXPECT_EQ(bk.bookie(pubsub::BookieId(b)).entries_stored(), 0u);
+  }
+  for (int i = 0; i < 25; ++i) {
+    auto r = bk.Read(*ledger, uint64_t(i));
+    ASSERT_TRUE(r.ok()) << i;
+    EXPECT_EQ(*r, "entry-" + std::to_string(i));
+  }
+  EXPECT_EQ(cold.object_count(), 25u);
+}
+
+TEST(TieredStorageTest, OpenLedgerCannotOffload) {
+  pubsub::BookKeeper bk(3);
+  baas::BlobStore cold;
+  auto ledger = bk.CreateLedger(3, 2, 2);
+  ASSERT_TRUE(ledger.ok());
+  ASSERT_TRUE(bk.Append(*ledger, "x", 0).ok());
+  EXPECT_TRUE(bk.OffloadLedger(*ledger, &cold).IsFailedPrecondition());
+}
+
+TEST(TieredStorageTest, DoubleOffloadRejected) {
+  pubsub::BookKeeper bk(3);
+  baas::BlobStore cold;
+  auto ledger = bk.CreateLedger(3, 2, 2);
+  ASSERT_TRUE(ledger.ok());
+  ASSERT_TRUE(bk.Append(*ledger, "x", 0).ok());
+  ASSERT_TRUE(bk.CloseLedger(*ledger).ok());
+  ASSERT_TRUE(bk.OffloadLedger(*ledger, &cold).ok());
+  EXPECT_TRUE(bk.OffloadLedger(*ledger, &cold).IsFailedPrecondition());
+}
+
+TEST(TieredStorageTest, SurvivesTotalBookieLoss) {
+  // Once offloaded, even losing every bookie cannot lose the data.
+  pubsub::BookKeeper bk(3);
+  baas::BlobStore cold;
+  auto ledger = bk.CreateLedger(3, 3, 2);
+  ASSERT_TRUE(ledger.ok());
+  ASSERT_TRUE(bk.Append(*ledger, "precious", 0).ok());
+  ASSERT_TRUE(bk.CloseLedger(*ledger).ok());
+  ASSERT_TRUE(bk.OffloadLedger(*ledger, &cold).ok());
+  for (size_t b = 0; b < bk.bookie_count(); ++b) {
+    bk.bookie(pubsub::BookieId(b)).Crash();
+  }
+  auto r = bk.Read(*ledger, 0);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(*r, "precious");
+}
+
+// ------------------------------------------------------- Backlog trimming
+
+struct TrimFixture {
+  sim::Simulation sim;
+  pubsub::PulsarCluster pulsar{&sim, pubsub::PulsarConfig{}};
+  pubsub::ConsumerId consumer = 0;
+  std::vector<pubsub::MessageId> delivered;
+
+  TrimFixture() {
+    EXPECT_TRUE(pulsar.CreateTopic("t", {.partitions = 1}).ok());
+    auto c = pulsar.Subscribe("t", "sub", pubsub::SubscriptionType::kShared,
+                              [this](const pubsub::Message& m) {
+                                delivered.push_back(m.id);
+                              });
+    EXPECT_TRUE(c.ok());
+    consumer = *c;
+  }
+
+  uint64_t BookieEntries() {
+    uint64_t total = 0;
+    for (size_t b = 0; b < pulsar.bookkeeper().bookie_count(); ++b) {
+      total += pulsar.bookkeeper().bookie(pubsub::BookieId(b)).entries_stored();
+    }
+    return total;
+  }
+};
+
+TEST(BacklogTrimTest, FullyAckedBacklogReclaimed) {
+  TrimFixture f;
+  for (int i = 0; i < 20; ++i) f.pulsar.Publish("t", "", "m");
+  f.sim.Run();
+  ASSERT_EQ(f.delivered.size(), 20u);
+  for (const auto& id : f.delivered) {
+    ASSERT_TRUE(f.pulsar.Ack(f.consumer, id).ok());
+  }
+  ASSERT_GT(f.BookieEntries(), 0u);
+  auto trimmed = f.pulsar.TrimConsumedBacklog("t");
+  ASSERT_TRUE(trimmed.ok());
+  EXPECT_EQ(*trimmed, 20u);
+  EXPECT_EQ(f.BookieEntries(), 0u);
+}
+
+TEST(BacklogTrimTest, UnackedMessagesRetained) {
+  TrimFixture f;
+  for (int i = 0; i < 10; ++i) f.pulsar.Publish("t", "", "m");
+  f.sim.Run();
+  ASSERT_EQ(f.delivered.size(), 10u);
+  // Ack everything except the 4th message: the floor stops there.
+  for (size_t i = 0; i < f.delivered.size(); ++i) {
+    if (i != 3) ASSERT_TRUE(f.pulsar.Ack(f.consumer, f.delivered[i]).ok());
+  }
+  auto trimmed = f.pulsar.TrimConsumedBacklog("t");
+  ASSERT_TRUE(trimmed.ok());
+  EXPECT_EQ(*trimmed, 3u);  // entries 0..2 only
+  // The unacked message can still be read for redelivery.
+  EXPECT_TRUE(f.pulsar.bookkeeper()
+                  .Read(f.delivered[3].ledger_id, f.delivered[3].entry_id)
+                  .ok());
+}
+
+TEST(BacklogTrimTest, SlowestSubscriptionGovernsRetention) {
+  sim::Simulation sim;
+  pubsub::PulsarCluster pulsar{&sim, pubsub::PulsarConfig{}};
+  ASSERT_TRUE(pulsar.CreateTopic("t", {.partitions = 1}).ok());
+  std::vector<pubsub::MessageId> fast_ids;
+  auto fast = pulsar.Subscribe("t", "fast", pubsub::SubscriptionType::kShared,
+                               [&](const pubsub::Message& m) {
+                                 fast_ids.push_back(m.id);
+                               });
+  ASSERT_TRUE(fast.ok());
+  auto lagging = pulsar.Subscribe("t", "lagging",
+                                  pubsub::SubscriptionType::kShared,
+                                  [](const pubsub::Message&) {});
+  ASSERT_TRUE(lagging.ok());
+  for (int i = 0; i < 10; ++i) pulsar.Publish("t", "", "m");
+  sim.Run();
+  for (const auto& id : fast_ids) {
+    ASSERT_TRUE(pulsar.Ack(*fast, id).ok());
+  }
+  // "lagging" acked nothing: retention must keep everything for it.
+  auto trimmed = pulsar.TrimConsumedBacklog("t");
+  ASSERT_TRUE(trimmed.ok());
+  EXPECT_EQ(*trimmed, 0u);
+}
+
+TEST(BacklogTrimTest, NoSubscriptionsRetainsEverything) {
+  sim::Simulation sim;
+  pubsub::PulsarCluster pulsar{&sim, pubsub::PulsarConfig{}};
+  ASSERT_TRUE(pulsar.CreateTopic("t", {}).ok());
+  for (int i = 0; i < 5; ++i) pulsar.Publish("t", "", "m");
+  sim.Run();
+  auto trimmed = pulsar.TrimConsumedBacklog("t");
+  ASSERT_TRUE(trimmed.ok());
+  EXPECT_EQ(*trimmed, 0u);
+  EXPECT_TRUE(pulsar.TrimConsumedBacklog("ghost").status().IsNotFound());
+}
+
+TEST(BacklogTrimTest, TrimIsIdempotent) {
+  TrimFixture f;
+  for (int i = 0; i < 5; ++i) f.pulsar.Publish("t", "", "m");
+  f.sim.Run();
+  for (const auto& id : f.delivered) (void)f.pulsar.Ack(f.consumer, id);
+  EXPECT_EQ(*f.pulsar.TrimConsumedBacklog("t"), 5u);
+  EXPECT_EQ(*f.pulsar.TrimConsumedBacklog("t"), 0u);
+}
+
+// ----------------------------------------------------------- Bookie depth
+
+TEST(BookieDepthTest, ByteAccountingAndRecovery) {
+  pubsub::Bookie bookie(0);
+  ASSERT_TRUE(bookie.Write(1, 0, std::string(100, 'x'), 0).ok());
+  ASSERT_TRUE(bookie.Write(1, 1, std::string(50, 'y'), 0).ok());
+  EXPECT_EQ(bookie.bytes_stored(), 150u);
+  EXPECT_EQ(bookie.entries_stored(), 2u);
+  bookie.Crash();
+  EXPECT_TRUE(bookie.Write(1, 2, "z", 0).status().IsUnavailable());
+  EXPECT_TRUE(bookie.Read(1, 0).status().IsUnavailable());
+  bookie.Recover();
+  EXPECT_TRUE(bookie.Read(1, 0).ok());  // data survived the crash
+  ASSERT_TRUE(bookie.Erase(1).ok());
+  EXPECT_EQ(bookie.bytes_stored(), 0u);
+}
+
+TEST(BookieDepthTest, SerialDeviceQueueing) {
+  pubsub::Bookie bookie(0, /*write_base_us=*/1000, /*us_per_byte=*/0);
+  auto t1 = bookie.Write(1, 0, "a", /*now=*/0);
+  auto t2 = bookie.Write(1, 1, "b", /*now=*/0);
+  ASSERT_TRUE(t1.ok());
+  ASSERT_TRUE(t2.ok());
+  EXPECT_EQ(*t1, 1000);
+  EXPECT_EQ(*t2, 2000);  // queued behind the first
+}
+
+// ------------------------------------------------------------ Pulsar depth
+
+TEST(PulsarDepthTest, FunctionWithoutOutputTopicCannotPublish) {
+  sim::Simulation sim;
+  pubsub::PulsarCluster pulsar(&sim, pubsub::PulsarConfig{});
+  ASSERT_TRUE(pulsar.CreateTopic("in", {}).ok());
+  Status publish_status;
+  pubsub::FunctionWorker fn(
+      &pulsar, {.name = "sink", .input_topic = "in"},
+      [&](const pubsub::Message&, pubsub::FunctionContext& ctx) {
+        publish_status = ctx.Publish("out");
+        return Status::OK();  // function itself still succeeds
+      });
+  ASSERT_TRUE(fn.Deploy().ok());
+  pulsar.Publish("in", "", "x");
+  sim.Run();
+  EXPECT_TRUE(publish_status.IsFailedPrecondition());
+}
+
+TEST(PulsarDepthTest, RecoveredBrokerServesAgain) {
+  sim::Simulation sim;
+  pubsub::PulsarCluster pulsar(&sim, pubsub::PulsarConfig{});
+  ASSERT_TRUE(pulsar.CreateTopic("t", {.partitions = 3}).ok());
+  ASSERT_TRUE(pulsar.CrashBroker(0).ok());
+  ASSERT_TRUE(pulsar.RecoverBroker(0).ok());
+  int got = 0;
+  pulsar.Subscribe("t", "s", pubsub::SubscriptionType::kShared,
+                   [&](const pubsub::Message&) { ++got; });
+  for (int i = 0; i < 9; ++i) {
+    ASSERT_TRUE(pulsar.Publish("t", "", "m").ok());
+  }
+  sim.Run();
+  EXPECT_EQ(got, 9);
+}
+
+TEST(PulsarDepthTest, CrashingAllBrokersFailsPublish) {
+  sim::Simulation sim;
+  pubsub::PulsarConfig cfg;
+  cfg.num_brokers = 2;
+  pubsub::PulsarCluster pulsar(&sim, cfg);
+  ASSERT_TRUE(pulsar.CreateTopic("t", {}).ok());
+  ASSERT_TRUE(pulsar.CrashBroker(0).ok());
+  EXPECT_TRUE(pulsar.CrashBroker(1).IsUnavailable());  // last broker refuses
 }
 
 }  // namespace

@@ -414,7 +414,8 @@ TEST(ReusePlatformTest, SingleflightConservation) {
 
 TEST(ReusePlatformTest, FailedLeaderFansOutFailureAndSkipsCache) {
   faas::FaasConfig cfg;
-  cfg.max_retries = 0;  // One attempt, so conservation stays 1 execution.
+  // One attempt, so conservation stays 1 execution.
+  cfg.retry = chaos::RetryPolicy::Immediate(1);
   ReuseFixture f(cfg);
   auto spec = f.IdempotentSpec("fn");
   spec.handler = [](const std::string&, faas::InvocationContext&) {
