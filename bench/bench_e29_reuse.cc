@@ -349,9 +349,10 @@ struct ReuseWorld {
 void ReuseHop(ReuseWorld* w, psim::ShardId s, int remaining) {
   ReuseShard& st = w->state[s];
   reuse::ReuseLayer& layer = *st.layer;
-  const std::string key = reuse::ReuseLayer::Key(
-      "fn", "p" + std::to_string(st.rng.NextBounded(16)));
-  const std::string tenant = "t" + std::to_string(st.rng.NextBounded(3));
+  const reuse::ContentKey key =
+      layer.Key("fn", "p" + std::to_string(st.rng.NextBounded(16)));
+  reuse::ReuseLayer::TenantHandles* tenant =
+      layer.TenantMetrics("t" + std::to_string(st.rng.NextBounded(3)));
   const SimTime now = w->world.shard(s).Now();
   layer.NoteRequest(key);
   if (const reuse::CachedResult* e = layer.Lookup(key, now)) {
@@ -403,7 +404,7 @@ std::string RunReuseStorm(uint64_t seed, uint32_t shards, unsigned threads) {
   std::string counters;
   for (uint32_t s = 0; s < shards; ++s) {
     regs.push_back(&w.state[s].obs->registry);
-    const reuse::ResultCache& c = w.state[s].layer->cache();
+    const reuse::ReuseLayer::Cache& c = w.state[s].layer->cache();
     counters += "shard " + std::to_string(s) + ": h=" +
                 std::to_string(c.hits()) + " m=" + std::to_string(c.misses()) +
                 " ev=" + std::to_string(c.evictions()) + " ex=" +
@@ -537,18 +538,21 @@ void RunExperiment() {
 // --------------------------------------------------------- microbenchmarks
 
 void BM_ReuseKey64KiB(benchmark::State& state) {
+  reuse::ReuseLayer layer;
+  const uint32_t fn = layer.FunctionId("fn");
   const std::string payload(64 * 1024, 'p');
   for (auto _ : state) {
-    benchmark::DoNotOptimize(reuse::ReuseLayer::Key("fn", payload));
+    benchmark::DoNotOptimize(layer.Key(fn, payload));
   }
 }
 BENCHMARK(BM_ReuseKey64KiB);
 
 void BM_ResultCacheHit(benchmark::State& state) {
-  reuse::ResultCache cache({size_t(1) << 20, 0, 0, /*cost_aware=*/false});
-  std::vector<std::string> keys;
+  reuse::ReuseLayer layer;
+  reuse::ReuseLayer::Cache cache({size_t(1) << 20, 0, 0, /*cost_aware=*/false});
+  std::vector<reuse::ContentKey> keys;
   for (int i = 0; i < 256; ++i) {
-    keys.push_back(reuse::ReuseLayer::Key("fn", "p" + std::to_string(i)));
+    keys.push_back(layer.Key("fn", "p" + std::to_string(i)));
     cache.Put(keys.back(), {Status::OK(), "result", 1000, 1}, 0);
   }
   size_t i = 0;
@@ -562,11 +566,16 @@ BENCHMARK(BM_ResultCacheHit);
 void BM_ResultCacheOfferCostAware(benchmark::State& state) {
   // Steady-state churn through a full cost-aware cache: every Put runs the
   // admission fight against the LRU tail.
-  reuse::ResultCache cache({32 * 1024, 0, 0, /*cost_aware=*/true});
+  reuse::ReuseLayer layer;
+  std::vector<reuse::ContentKey> keys;
+  for (int i = 0; i < 4096; ++i) {
+    keys.push_back(layer.Key("fn", "p" + std::to_string(i)));
+  }
+  reuse::ReuseLayer::Cache cache({32 * 1024, 0, 0, /*cost_aware=*/true});
   uint64_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(cache.Put(
-        reuse::ReuseLayer::Key("fn", "p" + std::to_string(i % 4096)),
+        keys[i % keys.size()],
         {Status::OK(), "result-bytes-to-cache",
          SimDuration(1000 + (i % 7) * 500), 1 + (i % 5)},
         SimTime(i)));
@@ -576,14 +585,17 @@ void BM_ResultCacheOfferCostAware(benchmark::State& state) {
 BENCHMARK(BM_ResultCacheOfferCostAware);
 
 void BM_SingleflightLeadAttach(benchmark::State& state) {
+  reuse::ReuseLayer layer;
+  const reuse::ContentKey key = layer.Key("fn", "k");
   reuse::Singleflight flights;
   for (auto _ : state) {
-    flights.Lead("k", 1);
+    flights.Lead(key, 1);
     for (uint64_t f = 2; f <= 8; ++f) {
       benchmark::DoNotOptimize(flights.Attach(
-          "k", reuse::Follower{f, SimTime(f), [](const reuse::CachedResult&) {}}));
+          key,
+          reuse::Follower{f, SimTime(f), [](const reuse::CachedResult&) {}}));
     }
-    benchmark::DoNotOptimize(flights.Complete("k"));
+    benchmark::DoNotOptimize(flights.Complete(key));
   }
 }
 BENCHMARK(BM_SingleflightLeadAttach);

@@ -15,7 +15,9 @@
 // operators to size the cache against their redelivery window.
 //
 // Since E29 this is a thin policy over reuse::ResultCache — the one
-// LRU/TTL implementation shared with the content-addressed result cache.
+// LRU/TTL implementation shared with the content-addressed result cache,
+// instantiated here over std::string because these keys are arbitrary
+// strings that must match exactly.
 // This class pins the idempotency shape: entry-count bound, no TTL, no
 // byte budget, plain LRU (no cost-aware admission), first-writer-wins.
 // Where the result cache asks "is recomputing cheaper than caching?", this
@@ -54,7 +56,7 @@ class IdempotencyCache {
   /// least recently used entry is evicted to make room.
   bool Record(const std::string& key, Status status, std::string output) {
     return cache_.Put(key, Entry{std::move(status), std::move(output)},
-                      /*now_us=*/0) == reuse::ResultCache::PutOutcome::kInserted;
+                      /*now_us=*/0) == reuse::PutOutcome::kInserted;
   }
 
   /// Re-bounds the cache, evicting LRU entries if the new capacity is
@@ -72,7 +74,7 @@ class IdempotencyCache {
   void Clear() { cache_.Clear(); }
 
  private:
-  reuse::ResultCache cache_;
+  reuse::ResultCache<std::string> cache_;
 };
 
 }  // namespace taureau::chaos

@@ -160,14 +160,15 @@ Status FaasPlatform::RegisterFunction(FunctionSpec spec) {
   if (spec.timeout_us <= 0) {
     return Status::InvalidArgument("timeout must be positive");
   }
-  auto [it, inserted] = functions_.emplace(spec.name, std::move(spec));
+  auto [it, inserted] = functions_.try_emplace(spec.name);
   if (!inserted) {
     return Status::AlreadyExists("function '" + it->first +
                                  "' already registered");
   }
+  it->second.spec = std::move(spec);
   // Pre-resolve the tenant's labeled series now so the invoke hot path
   // never pays a registration lookup.
-  TenantMetrics(it->second.tenant);
+  it->second.tenant_metrics = TenantMetrics(it->second.spec.tenant);
   return Status::OK();
 }
 
@@ -176,7 +177,7 @@ Result<FunctionSpec> FaasPlatform::GetFunction(const std::string& name) const {
   if (it == functions_.end()) {
     return Status::NotFound("function '" + name + "' not registered");
   }
-  return it->second;
+  return it->second.spec;
 }
 
 Result<uint64_t> FaasPlatform::Invoke(const std::string& function,
@@ -197,15 +198,16 @@ Result<uint64_t> FaasPlatform::InvokeShared(
   }
   auto inv = std::make_shared<Invocation>();
   inv->id = next_invocation_id_++;
+  inv->fn = &fn_it->second;
   inv->function = function;
-  inv->tenant = fn_it->second.tenant;
+  inv->tenant = fn_it->second.spec.tenant;
   inv->payload = std::move(payload);
   inv->cb = std::move(cb);
   inv->submit_us = sim_->Now();
   inv->attempt_start_us = sim_->Now();
   inv->deadline = deadline;
   h_.invocations.Inc();
-  if (TenantHandles* th = TenantMetrics(inv->tenant)) th->invocations.Inc();
+  if (TenantHandles* th = inv->fn->tenant_metrics) th->invocations.Inc();
   if (obs_ != nullptr) {
     inv->root_ctx = obs_->tracer.StartSpan("invoke:" + function, "faas",
                                            parent);
@@ -219,7 +221,7 @@ Result<uint64_t> FaasPlatform::InvokeShared(
   // the result cache, a degraded-mode approximation, or an identical
   // in-flight execution — all before admission, because a reused answer
   // consumes no capacity and relieves the very pressure admission sheds.
-  if (reuse_ != nullptr && reuse_->enabled() && fn_it->second.idempotent &&
+  if (reuse_ != nullptr && reuse_->enabled() && fn_it->second.spec.idempotent &&
       TryServeReuse(inv)) {
     return inv->id;
   }
@@ -233,14 +235,14 @@ Result<uint64_t> FaasPlatform::InvokeShared(
     if (decision != guard::AdmissionDecision::kAdmit) {
       guard_->RecordShed("faas", decision, inv->root_ctx, sim_->Now(),
                          inv->tenant);
-      Status shed_status =
-          decision == guard::AdmissionDecision::kShedDeadline
-              ? Status::DeadlineExceeded(
-                    "shed on arrival: deadline cannot be met")
-              : Status::ResourceExhausted("shed on arrival: admission queue "
-                                          "full");
-      sim_->Schedule(0, [this, inv, shed_status = std::move(shed_status)] {
-        Complete(inv, /*cold=*/false, 0, 0, shed_status, "");
+      sim_->Schedule(0, [this, inv, decision] {
+        Complete(inv, /*cold=*/false, 0, 0,
+                 decision == guard::AdmissionDecision::kShedDeadline
+                     ? Status::DeadlineExceeded(
+                           "shed on arrival: deadline cannot be met")
+                     : Status::ResourceExhausted(
+                           "shed on arrival: admission queue full"),
+                 "");
       });
       return inv->id;
     }
@@ -257,37 +259,49 @@ SimDuration FaasPlatform::SampleDispatchDelay() {
          extra_dispatch_delay_us_;
 }
 
+void FaasPlatform::AttachReuse(reuse::ReuseLayer* r) {
+  reuse_ = r;
+  // Function ids belong to a layer: re-resolve on each function's next
+  // reuse lookup.
+  for (auto& [name, fn] : functions_) fn.reuse_resolved = false;
+}
+
 bool FaasPlatform::TryServeReuse(const std::shared_ptr<Invocation>& inv) {
-  inv->reuse_key = reuse::ReuseLayer::Key(inv->function, *inv->payload);
+  Function& fn = *inv->fn;
+  if (!fn.reuse_resolved) {
+    fn.reuse_resolved = true;
+    fn.reuse_id = reuse_->FunctionId(inv->function);
+    fn.reuse_tenant = reuse_->TenantMetrics(inv->tenant);
+  }
+  inv->reuse_key = reuse_->Key(fn.reuse_id, *inv->payload);
+  inv->has_reuse_key = true;
   reuse_->NoteRequest(inv->reuse_key);
 
   // 1. Memoized result: answer now (zero-delay event — the callback never
   //    fires inside the caller's Invoke), zero cost, no container touched.
   if (const reuse::CachedResult* hit =
           reuse_->Lookup(inv->reuse_key, sim_->Now())) {
-    reuse_->RecordHit(inv->tenant, hit->exec_us);
+    reuse_->RecordHit(fn.reuse_tenant, hit->exec_us);
     inv->served_via = ServedVia::kCacheHit;
-    sim_->Schedule(0, [this, inv, status = hit->status,
-                       output = hit->output]() mutable {
-      CompleteFromReuse(inv, status, std::move(output));
-    });
+    inv->reuse_status = hit->status;
+    inv->reuse_output = hit->output;
+    sim_->Schedule(0, [this, inv] { CompleteFromReuse(inv); });
     return true;
   }
-  reuse_->RecordMiss(inv->tenant);
+  reuse_->RecordMiss(fn.reuse_tenant);
 
   // 2. Approximation: while the SLO burn gate fires, a registered provider
   //    answers from sketch state instead of queueing exact work on a fleet
   //    that is already missing its objective. The error bound is exported
   //    on the result and the span.
-  if (reuse_->HasApprox(inv->function) &&
+  if (reuse_->HasApprox(fn.reuse_id) &&
       reuse_->ShouldApproximate(inv->tenant, sim_->Now())) {
-    reuse_->RecordApprox(inv->tenant);
+    reuse_->RecordApprox(fn.reuse_tenant);
     inv->served_via = ServedVia::kApproximation;
-    auto ans = reuse_->Approximate(inv->function, *inv->payload);
+    auto ans = reuse_->Approximate(fn.reuse_id, *inv->payload);
     inv->approx_error_bound = ans.error_bound;
-    sim_->Schedule(0, [this, inv, output = std::move(ans.output)]() mutable {
-      CompleteFromReuse(inv, Status::OK(), std::move(output));
-    });
+    inv->reuse_output = std::move(ans.output);
+    sim_->Schedule(0, [this, inv] { CompleteFromReuse(inv); });
     return true;
   }
 
@@ -299,8 +313,10 @@ bool FaasPlatform::TryServeReuse(const std::shared_ptr<Invocation>& inv) {
     f.submit_us = inv->submit_us;
     f.deliver = [this, inv](const reuse::CachedResult& r) {
       inv->served_via = ServedVia::kCoalesced;
-      reuse_->RecordCoalesce(inv->tenant, r.exec_us);
-      CompleteFromReuse(inv, r.status, r.output);
+      reuse_->RecordCoalesce(inv->fn->reuse_tenant, r.exec_us);
+      inv->reuse_status = r.status;
+      inv->reuse_output = r.output;
+      CompleteFromReuse(inv);
     };
     reuse_->flights().Attach(inv->reuse_key, std::move(f));
     return true;
@@ -309,16 +325,16 @@ bool FaasPlatform::TryServeReuse(const std::shared_ptr<Invocation>& inv) {
   return false;
 }
 
-void FaasPlatform::CompleteFromReuse(std::shared_ptr<Invocation> inv,
-                                     const Status& status,
-                                     std::string output) {
+void FaasPlatform::CompleteFromReuse(std::shared_ptr<Invocation> inv) {
   if (inv->abandoned) {
     Complete(std::move(inv), /*cold=*/false, 0, 0,
              Status::Cancelled("cancelled while awaiting reuse"), "");
     return;
   }
+  Status status = std::move(inv->reuse_status);
+  std::string output = std::move(inv->reuse_output);
   Complete(std::move(inv), /*cold=*/false, /*startup_us=*/0, /*exec_us=*/0,
-           status, std::move(output));
+           std::move(status), std::move(output));
 }
 
 Result<InvocationResult> FaasPlatform::InvokeSync(const std::string& function,
@@ -361,7 +377,7 @@ void FaasPlatform::Dispatch(std::shared_ptr<Invocation> inv) {
 }
 
 bool FaasPlatform::TryPlace(std::shared_ptr<Invocation> inv) {
-  const FunctionSpec& spec = functions_.at(inv->function);
+  const FunctionSpec& spec = inv->fn->spec;
 
   // Prefer a warm container (most recently used — best cache locality and
   // lets older ones age out). Containers on partitioned machines are
@@ -430,7 +446,7 @@ void FaasPlatform::CancelKeepAlive(Container* c) {
 void FaasPlatform::StartOnContainer(std::shared_ptr<Invocation> inv,
                                     Container* container, bool cold,
                                     SimDuration startup_us) {
-  const FunctionSpec& spec = functions_.at(inv->function);
+  const FunctionSpec& spec = inv->fn->spec;
   inv->unit_owner = container->owner;
   const SimDuration queue_us = sim_->Now() - inv->attempt_start_us;
   h_.queue_latency_us.Add(double(queue_us));
@@ -457,20 +473,22 @@ void FaasPlatform::StartOnContainer(std::shared_ptr<Invocation> inv,
   }
 
   const uint64_t cid = container->id;
-  container->inflight = inv;
+  container->inflight = std::move(inv);
   container->inflight_cold = cold;
   container->inflight_startup_us = startup_us;
   container->exec_began_us = sim_->Now() + startup_us;
-  container->inflight_event = sim_->Schedule(
-      startup_us + exec, [this, inv, cid, cold, startup_us, exec,
-                          attempt_status]() mutable {
+  container->inflight_exec_us = exec;
+  container->inflight_status = std::move(attempt_status);
+  container->inflight_event =
+      sim_->Schedule(startup_us + exec, [this, cid] {
         auto it = containers_.find(cid);
         assert(it != containers_.end() && "busy container destroyed");
         Container* c = it->second.get();
         c->inflight_event = 0;
-        c->inflight.reset();
-        FinishAttempt(std::move(inv), c, cold, startup_us, exec,
-                      attempt_status, "");
+        std::shared_ptr<Invocation> attempt = std::move(c->inflight);
+        FinishAttempt(std::move(attempt), c, c->inflight_cold,
+                      c->inflight_startup_us, c->inflight_exec_us,
+                      std::move(c->inflight_status), "");
       });
 }
 
@@ -478,7 +496,7 @@ void FaasPlatform::FinishAttempt(std::shared_ptr<Invocation> inv,
                                  Container* container, bool cold,
                                  SimDuration startup_us, SimDuration exec_us,
                                  Status attempt_status, std::string output) {
-  const FunctionSpec& spec = functions_.at(inv->function);
+  const FunctionSpec& spec = inv->fn->spec;
 
   // Run the real handler (if any) only for attempts that did not already
   // fail in the simulated-outcome stage.
@@ -581,7 +599,7 @@ void FaasPlatform::Complete(std::shared_ptr<Invocation> inv, bool cold,
   live_.erase(inv->id);
   h_.completions.Inc();
   h_.e2e_latency_us.Add(double(res.EndToEnd()));
-  if (TenantHandles* th = TenantMetrics(inv->tenant)) {
+  if (TenantHandles* th = inv->fn->tenant_metrics) {
     th->completions.Inc();
     th->e2e_latency_us.Add(double(res.EndToEnd()));
     if (!res.status.ok()) th->errors.Inc();
@@ -642,16 +660,15 @@ void FaasPlatform::Complete(std::shared_ptr<Invocation> inv, bool cold,
   // Singleflight leader: offer the (successful, executed) result to the
   // cache under cost-aware admission, then fan it out to every coalesced
   // follower in attach order — one execution, one bill, N callbacks.
-  if (reuse_ != nullptr && executed && !inv->reuse_key.empty()) {
-    if (res.status.ok()) {
-      reuse_->Offer(inv->reuse_key,
-                    reuse::CachedResult{res.status, res.output, res.exec_us},
-                    sim_->Now());
+  if (reuse_ != nullptr && executed && inv->has_reuse_key) {
+    // The callback has read `res`; its strings move rather than copy.
+    const reuse::CachedResult result{std::move(res.status),
+                                     std::move(res.output), res.exec_us};
+    if (result.status.ok()) {
+      reuse_->Offer(inv->reuse_key, result, sim_->Now());
     }
-    auto followers = reuse_->flights().Complete(inv->reuse_key);
-    if (!followers.empty()) {
-      const reuse::CachedResult shared{res.status, res.output, res.exec_us};
-      for (auto& f : followers) f.deliver(shared);
+    for (auto& f : reuse_->flights().Complete(inv->reuse_key)) {
+      f.deliver(result);
     }
   }
 }
@@ -727,7 +744,7 @@ Result<size_t> FaasPlatform::Prewarm(const std::string& function,
   if (spec_it == functions_.end()) {
     return Status::NotFound("function '" + function + "' not registered");
   }
-  const FunctionSpec& spec = spec_it->second;
+  const FunctionSpec& spec = spec_it->second.spec;
   size_t started = 0;
   for (; started < count; ++started) {
     auto launch = LaunchContainer(function, spec);
@@ -793,9 +810,8 @@ FaasPlatform::StoppedAttempt FaasPlatform::StopAttempt(Container* c,
   a.startup_us = std::min(c->inflight_startup_us,
                           std::max<SimDuration>(0, sim_->Now() - place_us));
   Invocation& inv = *a.inv;
-  inv.cost_so_far +=
-      ledger_.Charge(inv.id, inv.attempt, inv.function, a.exec_us,
-                     functions_.at(inv.function).demand.memory_mb);
+  inv.cost_so_far += ledger_.Charge(inv.id, inv.attempt, inv.function,
+                                    a.exec_us, inv.fn->spec.demand.memory_mb);
   h_.exec_latency_us.Add(double(a.exec_us));
   if (killed) {
     h_.failures.Inc();
@@ -871,6 +887,8 @@ Result<uint64_t> FaasPlatform::InvokeHedged(const std::string& function,
     return Status::NotFound("function '" + function + "' not registered");
   }
   auto hs = std::make_shared<HedgeState>();
+  hs->function = function;
+  hs->deadline = deadline;
   hs->cb = std::move(cb);
   hs->submit_us = sim_->Now();
   hs->key = std::move(hedge_key);
@@ -878,9 +896,9 @@ Result<uint64_t> FaasPlatform::InvokeHedged(const std::string& function,
     hs->root_ctx =
         obs_->tracer.StartSpan("hedged:" + function, "faas", parent);
     const auto fn_it = functions_.find(function);
-    if (fn_it != functions_.end() && !fn_it->second.tenant.empty()) {
+    if (fn_it != functions_.end() && !fn_it->second.spec.tenant.empty()) {
       obs_->tracer.SetAttr(hs->root_ctx, obs::kTenantAttr,
-                           fn_it->second.tenant);
+                           fn_it->second.spec.tenant);
     }
   }
   auto primary = InvokeShared(
@@ -896,28 +914,27 @@ Result<uint64_t> FaasPlatform::InvokeHedged(const std::string& function,
     return primary;
   }
   hs->primary_id = *primary;
+  hs->payload = std::move(shared_payload);
   if (hs->key.empty()) {
     hs->key = "hedge:" + function + ":" + std::to_string(hs->primary_id);
   }
   const SimDuration delay = guard_->hedge().Delay();
-  hs->hedge_timer = sim_->Schedule(
-      delay,
-      [this, hs, function, payload = std::move(shared_payload), deadline] {
-        hs->hedge_timer = 0;
-        if (hs->done) return;
-        guard_->RecordHedgeLaunched();
-        // The wait-before-duplicating window is guard policy time: charge
-        // it to the guard category wherever no deeper span covers it.
-        guard_->EmitGuardSpan("hedge-wait", "faas", hs->root_ctx,
-                              hs->submit_us, sim_->Now(), {});
-        auto hedge = InvokeShared(
-            function, payload,
-            [this, hs](const InvocationResult& res) {
-              OnHedgeResult(hs, res, /*from_hedge=*/true);
-            },
-            hs->root_ctx, deadline);
-        if (hedge.ok()) hs->hedge_id = *hedge;
-      });
+  hs->hedge_timer = sim_->Schedule(delay, [this, hs] {
+    hs->hedge_timer = 0;
+    if (hs->done) return;
+    guard_->RecordHedgeLaunched();
+    // The wait-before-duplicating window is guard policy time: charge it
+    // to the guard category wherever no deeper span covers it.
+    guard_->EmitGuardSpan("hedge-wait", "faas", hs->root_ctx, hs->submit_us,
+                          sim_->Now(), {});
+    auto hedge = InvokeShared(
+        hs->function, hs->payload,
+        [this, hs](const InvocationResult& res) {
+          OnHedgeResult(hs, res, /*from_hedge=*/true);
+        },
+        hs->root_ctx, hs->deadline);
+    if (hedge.ok()) hs->hedge_id = *hedge;
+  });
   return hs->primary_id;
 }
 

@@ -232,7 +232,7 @@ class FaasPlatform {
   /// executions are offered to the cache under cost-aware admission and
   /// fanned out to any coalesced followers. Attach observability to get
   /// "cat=reuse" spans itemized on the critical path.
-  void AttachReuse(reuse::ReuseLayer* r) { reuse_ = r; }
+  void AttachReuse(reuse::ReuseLayer* r);
   reuse::ReuseLayer* reuse() { return reuse_; }
 
   // ------------------------------------------------------------- ctrl
@@ -287,16 +287,46 @@ class FaasPlatform {
     std::string owner;
     sim::EventId keep_alive_event = 0;
     std::unordered_map<std::string, std::string> cache;
-    /// In-flight attempt state, so a chaos kill can cancel and fail it.
+    /// In-flight attempt state, so a chaos kill can cancel and fail it and
+    /// the completion event needs to capture only the container id.
     sim::EventId inflight_event = 0;
     std::shared_ptr<Invocation> inflight;
     bool inflight_cold = false;
     SimDuration inflight_startup_us = 0;
     SimTime exec_began_us = 0;
+    /// The attempt's pre-decided execution time and outcome.
+    SimDuration inflight_exec_us = 0;
+    Status inflight_status;
+  };
+
+  /// Pre-resolved tenant-labeled series ("faas.*{tenant=...}"), resolved
+  /// once per tenant at function registration and reached from each
+  /// Invocation through its Function, so the per-tenant record path costs
+  /// the same pointer deref as the aggregate one. Map storage: pointers
+  /// stay stable, and BindMetrics rebinds the handles in place.
+  struct TenantHandles {
+    obs::CounterHandle invocations;
+    obs::CounterHandle completions;
+    obs::CounterHandle errors;
+    obs::HistogramHandle e2e_latency_us;
+  };
+
+  /// A registered function, with what the invoke path needs of it
+  /// resolved once instead of looked up by name per request.
+  struct Function {
+    FunctionSpec spec;
+    TenantHandles* tenant_metrics = nullptr;  ///< nullptr when untenanted.
+    /// Its id and tenant series in the attached reuse layer, resolved on
+    /// its first reuse lookup after each AttachReuse.
+    bool reuse_resolved = false;
+    uint32_t reuse_id = 0;
+    reuse::ReuseLayer::TenantHandles* reuse_tenant = nullptr;
   };
 
   struct Invocation {
     uint64_t id = 0;
+    /// The registered function (`functions_` nodes never move or go away).
+    Function* fn = nullptr;
     std::string function;
     std::string tenant;      ///< FunctionSpec::tenant (may be empty).
     std::string unit_owner;  ///< Owner tag of the last container's unit.
@@ -312,17 +342,27 @@ class FaasPlatform {
     obs::TraceContext root_ctx;  ///< "invoke:<fn>" span (invalid: untraced).
     guard::Deadline deadline;    ///< Client deadline (absolute; may be none).
     bool abandoned = false;      ///< Cancelled while between events.
-    /// Content-addressed reuse key; non-empty only for idempotent
-    /// invocations tracked by an attached reuse layer. An invocation with
-    /// a key and served_via == kExecution is a singleflight *leader*: its
-    /// completion offers the result to the cache and fans out to followers.
-    std::string reuse_key;
+    /// Content-addressed reuse key, set (`has_reuse_key`) only for
+    /// idempotent invocations tracked by an attached reuse layer. An
+    /// invocation with a key and served_via == kExecution is a singleflight
+    /// *leader*: its completion offers the result to the cache and fans out
+    /// to followers.
+    reuse::ContentKey reuse_key;
+    bool has_reuse_key = false;
     ServedVia served_via = ServedVia::kExecution;
     double approx_error_bound = 0.0;
+    /// The answer a reuse path serves (cache hit, approximation or a
+    /// coalesced leader's result), held here until CompleteFromReuse.
+    Status reuse_status;
+    std::string reuse_output;
   };
 
   /// Shared state of one hedged request (primary + optional duplicate).
   struct HedgeState {
+    /// What the duplicate is launched with.
+    std::string function;
+    std::shared_ptr<const std::string> payload;
+    guard::Deadline deadline;
     bool done = false;
     uint64_t primary_id = 0;
     uint64_t hedge_id = 0;
@@ -354,27 +394,15 @@ class FaasPlatform {
     obs::HistogramHandle exec_latency_us;
   };
 
-  /// Pre-resolved tenant-labeled series ("faas.*{tenant=...}"), resolved
-  /// once per tenant at function registration and cached on each
-  /// Invocation, so the per-tenant record path costs the same pointer
-  /// deref as the aggregate one. Map storage: pointers stay stable.
-  struct TenantHandles {
-    obs::CounterHandle invocations;
-    obs::CounterHandle completions;
-    obs::CounterHandle errors;
-    obs::HistogramHandle e2e_latency_us;
-  };
-
   /// Consults the reuse layer for an idempotent invocation. True when the
   /// request was fully handled (cache hit / approximation scheduled, or
   /// attached as a singleflight follower) — the caller must not dispatch.
   /// False proceeds to dispatch; when reuse is active the invocation has
   /// become its key's singleflight leader.
   bool TryServeReuse(const std::shared_ptr<Invocation>& inv);
-  /// Terminal delivery of a reuse-served result (hit / coalesced /
-  /// approximation) through the normal Complete path.
-  void CompleteFromReuse(std::shared_ptr<Invocation> inv,
-                         const Status& status, std::string output);
+  /// Terminal delivery of the reuse-served answer held on the invocation
+  /// (hit / coalesced / approximation) through the normal Complete path.
+  void CompleteFromReuse(std::shared_ptr<Invocation> inv);
 
   void Dispatch(std::shared_ptr<Invocation> inv);
   /// Attempts to start the invocation now; false means no capacity and the
@@ -466,7 +494,7 @@ class FaasPlatform {
   long double container_mb_us_ = 0;
   mutable PlatformMetrics metrics_view_;
 
-  std::unordered_map<std::string, FunctionSpec> functions_;
+  std::unordered_map<std::string, Function> functions_;
   std::unordered_map<uint64_t, std::unique_ptr<Container>> containers_;
   /// Live container count per function (for per-function concurrency caps).
   std::unordered_map<std::string, size_t> containers_per_function_;

@@ -5,9 +5,9 @@
 // and repetitive. The cheapest capacity is the work you never redo: this
 // file holds the shared cache substrate — one LRU/TTL implementation that
 // backs both the content-addressed result cache (memoized idempotent
-// invocations, keyed by (function, payload hash)) and the chaos idempotency
-// cache (exactly-once replay under at-least-once delivery), which since E29
-// is a thin policy over it.
+// invocations, keyed by a 16-byte ContentKey) and the chaos idempotency
+// cache (exactly-once replay under at-least-once delivery, keyed by
+// arbitrary strings), which since E29 is a thin policy over it.
 //
 // Design points:
 //   - First-writer-wins: Put() of an existing key refreshes recency and
@@ -26,21 +26,43 @@
 //     One-hit wonders (recurrence 1, cheap exec) therefore never displace
 //     hot expensive results, while plain LRU (cost_aware = false) keeps
 //     the historical idempotency behaviour.
+//   - Allocation-free in steady state: entries live in a slab of fixed
+//     chunks, linked into the LRU list by index, and found through an
+//     open-addressed index. An erased slot goes on a free list and the next
+//     insert reuses it, strings and all, so a full cache allocates nothing.
 //
 // Deterministic by construction: no clocks, no randomness — the hit/miss/
 // eviction sequence is a pure function of the call sequence, which is what
-// the serial-vs-psim differential tests byte-compare.
+// the serial-vs-psim differential tests byte-compare. The index's hash only
+// decides where an entry sits in the index, never which entry is evicted.
 #pragma once
 
 #include <cstdint>
-#include <list>
+#include <memory>
 #include <string>
-#include <unordered_map>
+#include <vector>
 
+#include "common/hash.h"
 #include "common/status.h"
 #include "common/time_types.h"
 
 namespace taureau::reuse {
+
+/// A result cache key for one function's payload: the payload's Fnv1a64,
+/// the function's id in the reuse layer that made the key, and the length
+/// of the string key `function + 0x1f + 16 hex digits` this key replaces,
+/// which is what the byte budget charges for it. Built by ReuseLayer::Key.
+struct ContentKey {
+  uint64_t payload_hash = 0;
+  uint32_t function = 0;
+  uint32_t bytes = 0;
+
+  friend bool operator==(const ContentKey&, const ContentKey&) = default;
+  /// Position hash for the open-addressed tables keyed by it.
+  uint64_t Hash() const {
+    return MixU64(payload_hash ^ (uint64_t(function) << 32));
+  }
+};
 
 /// One memoized completion. `exec_us` and `recurrence` feed the cost-aware
 /// admission score; both are 0/1 and unused on plain-LRU caches.
@@ -69,7 +91,12 @@ struct ResultCacheConfig {
   bool cost_aware = false;
 };
 
-/// The shared LRU/TTL store. Single-threaded, like every per-shard module.
+enum class PutOutcome { kInserted, kDuplicate, kRejected };
+
+/// The shared LRU/TTL store, keyed by ContentKey (the reuse layer) or by
+/// std::string (chaos::IdempotencyCache); both are instantiated in
+/// result_cache.cc. Single-threaded, like every per-shard module.
+template <class Key>
 class ResultCache {
  public:
   /// Fixed bookkeeping cost charged per entry against `max_bytes`.
@@ -77,18 +104,17 @@ class ResultCache {
 
   explicit ResultCache(ResultCacheConfig config = {}) : config_(config) {}
 
-  enum class PutOutcome { kInserted, kDuplicate, kRejected };
-
   /// The live entry for `key`, or nullptr (absent or expired). A hit
-  /// refreshes recency; an expired entry is erased and counted. The
-  /// pointer is valid until the next mutating call.
-  const CachedResult* Lookup(const std::string& key, SimTime now_us);
+  /// refreshes recency; an expired entry is erased and counted. Entries
+  /// never move, so the pointer stays valid across later calls until this
+  /// entry is evicted, expires or the cache is cleared.
+  const CachedResult* Lookup(const Key& key, SimTime now_us);
 
-  /// Inserts `value` (stamping stored_at_us = now_us). First writer wins:
-  /// an existing live key counts a duplicate and keeps the original.
-  /// Cost-aware caches may reject the insert instead of evicting a more
-  /// valuable victim.
-  PutOutcome Put(const std::string& key, CachedResult value, SimTime now_us);
+  /// Stores a copy of `value` stamped with stored_at_us = now_us. First
+  /// writer wins: an existing live key counts a duplicate and keeps the
+  /// original. Cost-aware caches may reject the insert instead of evicting
+  /// a more valuable victim.
+  PutOutcome Put(const Key& key, const CachedResult& value, SimTime now_us);
 
   /// Re-bounds the cache (0 = unbounded), evicting LRU entries as needed.
   void SetLimits(size_t max_bytes, size_t max_entries);
@@ -96,7 +122,7 @@ class ResultCache {
   void Clear();
 
   const ResultCacheConfig& config() const { return config_; }
-  size_t size() const { return entries_.size(); }
+  size_t size() const { return size_; }
   size_t bytes() const { return bytes_; }
   uint64_t hits() const { return hits_; }
   uint64_t misses() const { return misses_; }
@@ -106,31 +132,60 @@ class ResultCache {
   uint64_t rejected_admissions() const { return rejected_admissions_; }
 
  private:
-  struct Slot {
+  static constexpr uint32_t kNone = UINT32_MAX;
+  static constexpr uint32_t kChunkNodes = 256;
+
+  /// One slab slot. Live slots form the LRU list; free ones are chained
+  /// through `next`.
+  struct Node {
+    Key key{};
     CachedResult entry;
     size_t bytes = 0;
-    std::list<std::string>::iterator lru_it;
+    uint32_t hash = 0;  ///< The key's index hash.
+    uint32_t prev = kNone;  ///< Toward the most recently used end.
+    uint32_t next = kNone;  ///< Toward the LRU tail (or the next free slot).
   };
-  using Map = std::unordered_map<std::string, Slot>;
+  /// An index slot: the node it points to (kNone = empty) and that node's
+  /// key hash, so probes rarely touch the slab.
+  struct IndexSlot {
+    uint32_t node = kNone;
+    uint32_t hash = 0;
+  };
 
-  static size_t EntryBytes(const std::string& key, const CachedResult& e) {
-    return key.size() + e.output.size() + kEntryOverheadBytes;
-  }
-  bool Expired(const Slot& slot, SimTime now_us) const {
+  Node& At(uint32_t n) { return chunks_[n / kChunkNodes][n % kChunkNodes]; }
+  bool Expired(const Node& node, SimTime now_us) const {
     return config_.ttl_us > 0 &&
-           now_us - slot.entry.stored_at_us >= config_.ttl_us;
+           now_us - node.entry.stored_at_us >= config_.ttl_us;
   }
-  void Touch(Slot& slot) { lru_.splice(lru_.begin(), lru_, slot.lru_it); }
-  void Erase(Map::iterator it);
+  /// The node holding `key`, or kNone.
+  uint32_t Find(const Key& key, uint32_t hash);
+  /// Stores a new entry (the key must be absent) at the LRU front.
+  void Insert(const Key& key, uint32_t hash, const CachedResult& value,
+              size_t bytes, SimTime now_us);
+  void Erase(uint32_t n);
+  void Unlink(uint32_t n);
+  void PushFront(uint32_t n);
+  void Touch(uint32_t n);
+  void IndexInsert(uint32_t n, uint32_t hash);
+  void IndexErase(uint32_t n, uint32_t hash);
+  void GrowIndex();
   /// Drops expired entries from the LRU tail (cheap pre-pass so stale
   /// entries never win an admission comparison).
   void SweepExpiredTail(SimTime now_us);
   bool OverBudget(size_t incoming_bytes) const;
 
   ResultCacheConfig config_;
-  Map entries_;
-  /// Front = most recently used; back = next eviction candidate.
-  std::list<std::string> lru_;
+  /// Fixed-size chunks, so a node never moves once created.
+  std::vector<std::unique_ptr<Node[]>> chunks_;
+  uint32_t nodes_created_ = 0;
+  uint32_t free_ = kNone;
+  /// Most recently used, and the next eviction candidate.
+  uint32_t head_ = kNone;
+  uint32_t tail_ = kNone;
+  /// Linear-probing table over the live nodes (power-of-two size, at most
+  /// half full; deletion shifts the probe run back, so no tombstones).
+  std::vector<IndexSlot> index_;
+  size_t size_ = 0;
   size_t bytes_ = 0;
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
@@ -139,5 +194,8 @@ class ResultCache {
   uint64_t expirations_ = 0;
   uint64_t rejected_admissions_ = 0;
 };
+
+extern template class ResultCache<ContentKey>;
+extern template class ResultCache<std::string>;
 
 }  // namespace taureau::reuse

@@ -8,16 +8,8 @@ namespace taureau::reuse {
 
 namespace {
 constexpr char kKeySeparator = '\x1f';  // ASCII unit separator.
-
-std::string Hex16(uint64_t v) {
-  static constexpr char kDigits[] = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    out[size_t(i)] = kDigits[v & 0xF];
-    v >>= 4;
-  }
-  return out;
-}
+/// Separator plus 16 hex digits of the payload hash.
+constexpr uint32_t kKeySuffixBytes = 17;
 }  // namespace
 
 ReuseLayer::ReuseLayer(ReuseConfig config)
@@ -26,40 +18,46 @@ ReuseLayer::ReuseLayer(ReuseConfig config)
       approx_burn_threshold_(config.approx_burn_threshold),
       cache_(config.cache),
       popularity_(config.countmin_depth, config.countmin_width,
-                  config.countmin_seed),
-      hot_keys_(config.hot_key_capacity) {
+                  config.countmin_seed) {
   BindMetrics();
 }
 
-std::string ReuseLayer::Key(const std::string& function,
-                            const std::string& payload) {
-  std::string key;
-  key.reserve(function.size() + 17);
-  key += function;
-  key += kKeySeparator;
-  key += Hex16(Fnv1a64(payload));
-  return key;
+uint32_t ReuseLayer::FunctionId(const std::string& function) {
+  auto [it, inserted] =
+      function_ids_.try_emplace(function, uint32_t(functions_.size()));
+  if (inserted) functions_.push_back({function, nullptr});
+  return it->second;
 }
 
-void ReuseLayer::NoteRequest(const std::string& key) {
-  popularity_.Add(key);
-  hot_keys_.Add(key);
+ContentKey ReuseLayer::Key(uint32_t function_id,
+                           std::string_view payload) const {
+  return {Fnv1a64(payload), function_id,
+          uint32_t(functions_[function_id].name.size()) + kKeySuffixBytes};
 }
 
-ResultCache::PutOutcome ReuseLayer::Offer(const std::string& key,
-                                          CachedResult result,
-                                          SimTime now_us) {
-  result.recurrence = std::max<uint64_t>(1, Recurrence(key));
-  const ResultCache::PutOutcome outcome =
-      cache_.Put(key, std::move(result), now_us);
+std::string_view ReuseLayer::SketchItem(const ContentKey& key) const {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  sketch_item_ = functions_[key.function].name;
+  sketch_item_ += kKeySeparator;
+  for (int shift = 60; shift >= 0; shift -= 4) {
+    sketch_item_ += kDigits[(key.payload_hash >> shift) & 0xF];
+  }
+  return sketch_item_;
+}
+
+PutOutcome ReuseLayer::Offer(const ContentKey& key,
+                             const CachedResult& result, SimTime now_us) {
+  offer_ = result;
+  offer_.recurrence = std::max<uint64_t>(1, Recurrence(key));
+  const PutOutcome outcome = cache_.Put(key, offer_, now_us);
   switch (outcome) {
-    case ResultCache::PutOutcome::kInserted:
+    case PutOutcome::kInserted:
       h_.cache_admitted.Inc();
       break;
-    case ResultCache::PutOutcome::kRejected:
+    case PutOutcome::kRejected:
       h_.cache_rejected.Inc();
       break;
-    case ResultCache::PutOutcome::kDuplicate:
+    case PutOutcome::kDuplicate:
       break;
   }
   SyncCacheGauges();
@@ -68,14 +66,13 @@ ResultCache::PutOutcome ReuseLayer::Offer(const std::string& key,
 
 void ReuseLayer::RegisterApprox(const std::string& function,
                                 ApproxProvider provider) {
-  approx_[function] = std::move(provider);
+  functions_[FunctionId(function)].approx = std::move(provider);
 }
 
 ReuseLayer::ApproxAnswer ReuseLayer::Approximate(
-    const std::string& function, const std::string& payload) const {
-  auto it = approx_.find(function);
-  if (it == approx_.end()) return {};
-  return it->second(payload);
+    uint32_t function_id, const std::string& payload) const {
+  if (!HasApprox(function_id)) return {};
+  return functions_[function_id].approx(payload);
 }
 
 void ReuseLayer::SetSloSource(const obs::SloEngine* slo,
@@ -100,32 +97,32 @@ bool ReuseLayer::ShouldApproximate(const std::string& tenant,
   return burn >= approx_burn_threshold_;
 }
 
-void ReuseLayer::RecordHit(const std::string& tenant,
+void ReuseLayer::RecordHit(TenantHandles* tenant,
                            SimDuration saved_exec_us) {
   h_.hits.Inc();
   h_.saved_exec_us.Inc(uint64_t(std::max<SimDuration>(0, saved_exec_us)));
-  if (!tenant.empty()) TenantMetrics(tenant).hits.Inc();
+  if (tenant != nullptr) tenant->hits.Inc();
   // Expirations are discovered lazily inside Lookup; fold them in here so
   // the counter tracks the cache without a sweeper.
   SyncCacheGauges();
 }
 
-void ReuseLayer::RecordMiss(const std::string& tenant) {
+void ReuseLayer::RecordMiss(TenantHandles* tenant) {
   h_.misses.Inc();
-  if (!tenant.empty()) TenantMetrics(tenant).misses.Inc();
+  if (tenant != nullptr) tenant->misses.Inc();
   SyncCacheGauges();
 }
 
-void ReuseLayer::RecordCoalesce(const std::string& tenant,
+void ReuseLayer::RecordCoalesce(TenantHandles* tenant,
                                 SimDuration saved_exec_us) {
   h_.coalesced.Inc();
   h_.saved_exec_us.Inc(uint64_t(std::max<SimDuration>(0, saved_exec_us)));
-  if (!tenant.empty()) TenantMetrics(tenant).coalesced.Inc();
+  if (tenant != nullptr) tenant->coalesced.Inc();
 }
 
-void ReuseLayer::RecordApprox(const std::string& tenant) {
+void ReuseLayer::RecordApprox(TenantHandles* tenant) {
   h_.approx_served.Inc();
-  if (!tenant.empty()) TenantMetrics(tenant).approx_served.Inc();
+  if (tenant != nullptr) tenant->approx_served.Inc();
 }
 
 void ReuseLayer::AttachObservability(obs::Observability* o) {
@@ -217,8 +214,9 @@ void ReuseLayer::BindMetrics() {
   SyncCacheGauges();
 }
 
-ReuseLayer::TenantHandles& ReuseLayer::TenantMetrics(
+ReuseLayer::TenantHandles* ReuseLayer::TenantMetrics(
     const std::string& tenant) {
+  if (tenant.empty()) return nullptr;
   auto [it, inserted] = tenant_handles_.try_emplace(tenant);
   if (inserted) {
     const obs::LabelSet labels{.tenant = tenant};
@@ -229,7 +227,7 @@ ReuseLayer::TenantHandles& ReuseLayer::TenantMetrics(
     it->second.approx_served =
         registry_->ResolveCounter("reuse.approx_served", labels);
   }
-  return it->second;
+  return &it->second;
 }
 
 void ReuseLayer::SyncCacheGauges() {

@@ -24,13 +24,21 @@
 // the platform (faas::FaasPlatform::AttachReuse). Everything is
 // deterministic and single-threaded per shard, so a sharded world stays
 // byte-identical at any psim worker-thread count.
+//
+// Keys belong to the layer that made them: a ContentKey names its function
+// by an id this layer interns, so it means nothing to another layer. That
+// is safe under psim because every shard has its own layer. The request
+// path works on ids and pre-resolved handles only; names are looked up once
+// per function or tenant (FunctionId, TenantMetrics).
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 #include <unordered_map>
+#include <vector>
 
 #include "common/time_types.h"
 #include "ctrl/config.h"
@@ -40,7 +48,6 @@
 #include "reuse/result_cache.h"
 #include "reuse/singleflight.h"
 #include "sketch/countmin.h"
-#include "sketch/spacesaving.h"
 
 namespace taureau::reuse {
 
@@ -54,8 +61,6 @@ struct ReuseConfig {
   uint32_t countmin_depth = 4;
   uint32_t countmin_width = 4096;
   uint64_t countmin_seed = 17;
-  /// SpaceSaving capacity for the hot-key report.
-  size_t hot_key_capacity = 16;
   /// Master switch (live: "reuse.enabled").
   bool enabled = true;
   /// Approximation fires when SLO burn >= this (0 disables; live:
@@ -86,45 +91,64 @@ struct ReuseStats {
 
 class ReuseLayer {
  public:
+  using Cache = ResultCache<ContentKey>;
+
+  /// Pre-resolved labeled "reuse.*" series of one tenant. Rebound in place
+  /// when the registry changes, so a caller may keep the pointer.
+  struct TenantHandles {
+    obs::CounterHandle hits;
+    obs::CounterHandle misses;
+    obs::CounterHandle coalesced;
+    obs::CounterHandle approx_served;
+  };
+
   explicit ReuseLayer(ReuseConfig config = {});
   ReuseLayer(const ReuseLayer&) = delete;
   ReuseLayer& operator=(const ReuseLayer&) = delete;
 
-  /// Content-addressed cache key: function + 0x1f + 16-hex payload hash.
-  /// Payload bytes are hashed, never stored, so key size is independent of
-  /// payload size.
-  static std::string Key(const std::string& function,
-                         const std::string& payload);
+  /// This layer's id for `function`, interned on first use.
+  uint32_t FunctionId(const std::string& function);
+
+  /// Content-addressed cache key of `payload` for function `function_id`.
+  /// Payload bytes are hashed, never stored, so a key is 16 bytes whatever
+  /// the payload size.
+  ContentKey Key(uint32_t function_id, std::string_view payload) const;
+  ContentKey Key(const std::string& function, std::string_view payload) {
+    return Key(FunctionId(function), payload);
+  }
 
   const ReuseConfig& config() const { return config_; }
   bool enabled() const { return enabled_; }
   double approx_burn_threshold() const { return approx_burn_threshold_; }
 
-  ResultCache& cache() { return cache_; }
-  const ResultCache& cache() const { return cache_; }
+  Cache& cache() { return cache_; }
+  const Cache& cache() const { return cache_; }
   Singleflight& flights() { return flights_; }
   const Singleflight& flights() const { return flights_; }
 
-  /// Feeds the recurrence sketches. Call once per arriving request,
-  /// before Lookup, so the estimate covers the full request stream.
-  void NoteRequest(const std::string& key);
+  /// Feeds the recurrence sketch. Call once per arriving request, before
+  /// Lookup, so the estimate covers the full request stream.
+  void NoteRequest(const ContentKey& key) {
+    popularity_.Add(SketchItem(key));
+  }
 
   /// CountMin recurrence estimate for a key (never undercounts).
-  uint64_t Recurrence(const std::string& key) const {
-    return popularity_.EstimateCount(key);
+  uint64_t Recurrence(const ContentKey& key) const {
+    return popularity_.EstimateCount(SketchItem(key));
   }
 
   /// Cache lookup at `now` (TTL-aware). Does not bump reuse.hit/miss
   /// metrics — the platform records those with tenant attribution.
-  const CachedResult* Lookup(const std::string& key, SimTime now_us) {
+  const CachedResult* Lookup(const ContentKey& key, SimTime now_us) {
     return cache_.Lookup(key, now_us);
   }
 
   /// Offers a finished execution's result to the cache under cost-aware
-  /// admission (recurrence is stamped from the sketch) and maintains the
-  /// admitted/rejected/eviction metrics.
-  ResultCache::PutOutcome Offer(const std::string& key, CachedResult result,
-                                SimTime now_us);
+  /// admission, stamped with the key's recurrence estimate in place of
+  /// `result.recurrence`, and maintains the admitted/rejected/eviction
+  /// metrics.
+  PutOutcome Offer(const ContentKey& key, const CachedResult& result,
+                   SimTime now_us);
 
   // ------------------------------------------------------ approximation
   /// A degraded-mode answer: `output` plus the guaranteed error bound the
@@ -137,11 +161,12 @@ class ReuseLayer {
 
   /// Registers the degraded-mode provider for `function`.
   void RegisterApprox(const std::string& function, ApproxProvider provider);
-  bool HasApprox(const std::string& function) const {
-    return approx_.count(function) != 0;
+  bool HasApprox(uint32_t function_id) const {
+    return function_id < functions_.size() &&
+           functions_[function_id].approx != nullptr;
   }
   /// Runs the provider (caller must check HasApprox / ShouldApproximate).
-  ApproxAnswer Approximate(const std::string& function,
+  ApproxAnswer Approximate(uint32_t function_id,
                            const std::string& payload) const;
 
   /// Reads burn rates from this engine's `objective` for the gate.
@@ -153,12 +178,16 @@ class ReuseLayer {
   bool ShouldApproximate(const std::string& tenant, SimTime now_us) const;
 
   // ---------------------------------------------------------- recording
-  // The platform attributes each served path; `saved_exec_us` is the
-  // execution time the hit/follower did not re-run.
-  void RecordHit(const std::string& tenant, SimDuration saved_exec_us);
-  void RecordMiss(const std::string& tenant);
-  void RecordCoalesce(const std::string& tenant, SimDuration saved_exec_us);
-  void RecordApprox(const std::string& tenant);
+  /// The tenant's labeled series, resolved on first use (nullptr for the
+  /// empty tenant: only the aggregate is recorded).
+  TenantHandles* TenantMetrics(const std::string& tenant);
+
+  // The platform attributes each served path to a tenant (nullptr: none);
+  // `saved_exec_us` is the execution time the hit/follower did not re-run.
+  void RecordHit(TenantHandles* tenant, SimDuration saved_exec_us);
+  void RecordMiss(TenantHandles* tenant);
+  void RecordCoalesce(TenantHandles* tenant, SimDuration saved_exec_us);
+  void RecordApprox(TenantHandles* tenant);
 
   // --------------------------------------------------------------- wiring
   /// Re-homes "reuse.*" metrics onto the shared registry.
@@ -172,31 +201,33 @@ class ReuseLayer {
                      const std::string& scope = std::string());
 
   ReuseStats stats() const;
-  /// Hot keys by estimated recurrence (SpaceSaving top-k), deterministic.
-  std::vector<sketch::SpaceSaving::Entry> HotKeys() const {
-    return hot_keys_.HeavyHitters(0);
-  }
 
  private:
-  struct TenantHandles {
-    obs::CounterHandle hits;
-    obs::CounterHandle misses;
-    obs::CounterHandle coalesced;
-    obs::CounterHandle approx_served;
+  /// One interned function.
+  struct Function {
+    std::string name;
+    ApproxProvider approx;
   };
 
   void BindMetrics();
-  TenantHandles& TenantMetrics(const std::string& tenant);
   void SyncCacheGauges();
+  /// The bytes the recurrence sketch hashes for `key`: the string key
+  /// `function + 0x1f + hex(payload hash)`, rendered into a reused buffer.
+  std::string_view SketchItem(const ContentKey& key) const;
 
   ReuseConfig config_;
   bool enabled_ = true;
   double approx_burn_threshold_ = 0.0;
-  ResultCache cache_;
+  Cache cache_;
   Singleflight flights_;
   sketch::CountMinSketch popularity_;
-  sketch::SpaceSaving hot_keys_;
-  std::map<std::string, ApproxProvider> approx_;
+  /// Interned functions by id, and the ids by name.
+  std::vector<Function> functions_;
+  std::unordered_map<std::string, uint32_t> function_ids_;
+  mutable std::string sketch_item_;
+  /// Offer's copy of the result with the recurrence stamped in; a member
+  /// so its string keeps its capacity.
+  CachedResult offer_;
   const obs::SloEngine* slo_ = nullptr;
   std::string objective_;
 
@@ -217,6 +248,7 @@ class ReuseLayer {
     obs::GaugeHandle cache_entries;
   };
   MetricHandles h_;
+  /// Map storage: handle pointers handed out by TenantMetrics stay valid.
   std::map<std::string, TenantHandles> tenant_handles_;
 };
 

@@ -3,19 +3,22 @@
 // one execution already in flight and fan its result out on completion —
 // one execution, one bill, N callbacks.
 //
-// The group is key-addressed with the same content-addressed keys as the
-// result cache. The platform registers the first request for a key as the
-// *leader* and attaches later arrivals as *followers*; when the leader
-// completes, Complete() returns the followers in attach order so the
-// caller can deliver deterministically. The group itself never invokes
-// callbacks — delivery stays with the module that owns the request
-// lifecycle (spans, metrics, billing).
+// The group is addressed by the same ContentKeys as the result cache. The
+// platform registers the first request for a key as the *leader* and
+// attaches later arrivals as *followers*; when the leader completes,
+// Complete() returns the followers in attach order so the caller can
+// deliver deterministically. The group itself never invokes callbacks —
+// delivery stays with the module that owns the request lifecycle (spans,
+// metrics, billing).
+//
+// Flights live in one flat open-addressed table (linear probing, at most
+// half full, backward-shift deletion), so leading and closing a flight
+// allocate nothing once the table has grown to the in-flight high-water
+// mark.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/time_types.h"
@@ -36,33 +39,40 @@ class Singleflight {
  public:
   /// Registers `leader_id` as the in-flight execution for `key`. False
   /// (and no change) when the key already has a leader.
-  bool Lead(const std::string& key, uint64_t leader_id);
+  bool Lead(const ContentKey& key, uint64_t leader_id);
 
   /// Attaches a follower to `key`'s in-flight execution. False when no
   /// execution is in flight (the caller should become the leader).
-  bool Attach(const std::string& key, Follower follower);
+  bool Attach(const ContentKey& key, Follower follower);
 
   /// True when `key` has an in-flight leader.
-  bool InFlight(const std::string& key) const {
-    return flights_.count(key) != 0;
-  }
+  bool InFlight(const ContentKey& key) const { return Find(key) != kAbsent; }
 
   /// Closes the flight and returns its followers in attach order (empty
   /// when the key was not led). The caller delivers to each.
-  std::vector<Follower> Complete(const std::string& key);
+  std::vector<Follower> Complete(const ContentKey& key);
 
-  size_t inflight() const { return flights_.size(); }
+  size_t inflight() const { return size_; }
   uint64_t leaders() const { return leaders_; }
   uint64_t followers_attached() const { return followers_attached_; }
   uint64_t max_fanout() const { return max_fanout_; }
 
  private:
+  static constexpr size_t kAbsent = SIZE_MAX;
+
   struct Flight {
+    bool live = false;
+    ContentKey key;
     uint64_t leader_id = 0;
     std::vector<Follower> followers;
   };
 
-  std::unordered_map<std::string, Flight> flights_;
+  /// The table slot of `key`'s flight, or kAbsent.
+  size_t Find(const ContentKey& key) const;
+  void Grow();
+
+  std::vector<Flight> table_;
+  size_t size_ = 0;
   uint64_t leaders_ = 0;
   uint64_t followers_attached_ = 0;
   uint64_t max_fanout_ = 0;  ///< Largest follower count of any one flight.

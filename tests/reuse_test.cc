@@ -1,5 +1,7 @@
 // Tests for the computation-reuse layer (E29): the shared result cache
-// (LRU/TTL/byte-budget/cost-aware admission), singleflight coalescing,
+// (LRU/TTL/byte-budget/cost-aware admission, over both key types, and held
+// to the pre-slab implementation as a reference model), singleflight
+// coalescing,
 // the ReuseLayer policy bundle (recurrence sketches, approximation gate,
 // live knobs), the FaaS platform integration (cache hits, coalesced
 // fan-out, single billing, approximation under SLO burn), the chaos
@@ -8,10 +10,14 @@
 // differential determinism of the whole reuse path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <list>
 #include <map>
 #include <memory>
 #include <string>
+#include <type_traits>
+#include <unordered_map>
 #include <vector>
 
 #include "chaos/idempotency.h"
@@ -37,6 +43,8 @@ namespace taureau {
 namespace {
 
 using reuse::CachedResult;
+using reuse::ContentKey;
+using reuse::PutOutcome;
 using reuse::ResultCache;
 using reuse::ResultCacheConfig;
 using reuse::ReuseConfig;
@@ -44,106 +52,175 @@ using reuse::ReuseLayer;
 using reuse::Singleflight;
 
 // ------------------------------------------------------------ ResultCache
+//
+// Every case runs over both instantiations: ContentKey (the reuse layer)
+// and std::string (chaos::IdempotencyCache).
+
+template <class Key>
+struct KeyTag {
+  using type = Key;
+};
+
+/// Runs `body(KeyTag<Key>{})` for both cache key types.
+template <class Body>
+void ForBothKeys(Body body) {
+  {
+    SCOPED_TRACE("ContentKey");
+    body(KeyTag<ContentKey>{});
+  }
+  {
+    SCOPED_TRACE("std::string");
+    body(KeyTag<std::string>{});
+  }
+}
+
+/// Names test keys: a reuse layer's ContentKey for function "fn" and
+/// payload `name`, or `name` itself.
+template <class Key>
+struct KeyMaker {
+  ReuseLayer layer;
+  Key operator()(const std::string& name) {
+    if constexpr (std::is_same_v<Key, std::string>) {
+      return name;
+    } else {
+      return layer.Key("fn", name);
+    }
+  }
+};
 
 TEST(ResultCacheTest, MissThenHit) {
-  ResultCache cache;
-  EXPECT_EQ(cache.Lookup("k", 0), nullptr);
-  EXPECT_EQ(cache.Put("k", {Status::OK(), "v"}, 0),
-            ResultCache::PutOutcome::kInserted);
-  const CachedResult* e = cache.Lookup("k", 1);
-  ASSERT_NE(e, nullptr);
-  EXPECT_EQ(e->output, "v");
-  EXPECT_TRUE(e->status.ok());
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.misses(), 1u);
+  ForBothKeys([](auto tag) {
+    using Key = typename decltype(tag)::type;
+    KeyMaker<Key> k;
+    ResultCache<Key> cache;
+    EXPECT_EQ(cache.Lookup(k("k"), 0), nullptr);
+    EXPECT_EQ(cache.Put(k("k"), {Status::OK(), "v"}, 0),
+              PutOutcome::kInserted);
+    const CachedResult* e = cache.Lookup(k("k"), 1);
+    ASSERT_NE(e, nullptr);
+    EXPECT_EQ(e->output, "v");
+    EXPECT_TRUE(e->status.ok());
+    EXPECT_EQ(cache.hits(), 1u);
+    EXPECT_EQ(cache.misses(), 1u);
+  });
 }
 
 TEST(ResultCacheTest, FirstWriterWins) {
-  ResultCache cache;
-  EXPECT_EQ(cache.Put("k", {Status::OK(), "first"}, 0),
-            ResultCache::PutOutcome::kInserted);
-  EXPECT_EQ(cache.Put("k", {Status::Internal("late"), "second"}, 1),
-            ResultCache::PutOutcome::kDuplicate);
-  const CachedResult* e = cache.Lookup("k", 2);
-  ASSERT_NE(e, nullptr);
-  EXPECT_EQ(e->output, "first");
-  EXPECT_TRUE(e->status.ok());
-  EXPECT_EQ(cache.duplicate_puts(), 1u);
+  ForBothKeys([](auto tag) {
+    using Key = typename decltype(tag)::type;
+    KeyMaker<Key> k;
+    ResultCache<Key> cache;
+    EXPECT_EQ(cache.Put(k("k"), {Status::OK(), "first"}, 0),
+              PutOutcome::kInserted);
+    EXPECT_EQ(cache.Put(k("k"), {Status::Internal("late"), "second"}, 1),
+              PutOutcome::kDuplicate);
+    const CachedResult* e = cache.Lookup(k("k"), 2);
+    ASSERT_NE(e, nullptr);
+    EXPECT_EQ(e->output, "first");
+    EXPECT_TRUE(e->status.ok());
+    EXPECT_EQ(cache.duplicate_puts(), 1u);
+  });
 }
 
 TEST(ResultCacheTest, TtlExpiresEntries) {
-  ResultCache cache({/*max_bytes=*/0, /*max_entries=*/0, /*ttl_us=*/10,
-                     /*cost_aware=*/false});
-  cache.Put("k", {Status::OK(), "v"}, 0);
-  EXPECT_NE(cache.Lookup("k", 9), nullptr);
-  EXPECT_EQ(cache.Lookup("k", 10), nullptr);  // Dead exactly at the TTL.
-  EXPECT_EQ(cache.expirations(), 1u);
-  EXPECT_EQ(cache.size(), 0u);
-  // A fresh Put after expiry is an insert, not a duplicate.
-  EXPECT_EQ(cache.Put("k", {Status::OK(), "v2"}, 11),
-            ResultCache::PutOutcome::kInserted);
+  ForBothKeys([](auto tag) {
+    using Key = typename decltype(tag)::type;
+    KeyMaker<Key> k;
+    ResultCache<Key> cache({/*max_bytes=*/0, /*max_entries=*/0, /*ttl_us=*/10,
+                            /*cost_aware=*/false});
+    cache.Put(k("k"), {Status::OK(), "v"}, 0);
+    EXPECT_NE(cache.Lookup(k("k"), 9), nullptr);
+    EXPECT_EQ(cache.Lookup(k("k"), 10), nullptr);  // Dead exactly at the TTL.
+    EXPECT_EQ(cache.expirations(), 1u);
+    EXPECT_EQ(cache.size(), 0u);
+    // A fresh Put after expiry is an insert, not a duplicate.
+    EXPECT_EQ(cache.Put(k("k"), {Status::OK(), "v2"}, 11),
+              PutOutcome::kInserted);
+  });
 }
 
 TEST(ResultCacheTest, PlainLruEvictsOldest) {
-  ResultCache cache({0, /*max_entries=*/2, 0, false});
-  cache.Put("a", {Status::OK(), "1"}, 0);
-  cache.Put("b", {Status::OK(), "2"}, 1);
-  cache.Lookup("a", 2);  // Refresh "a"; "b" is now the LRU tail.
-  cache.Put("c", {Status::OK(), "3"}, 3);
-  EXPECT_EQ(cache.evictions(), 1u);
-  EXPECT_NE(cache.Lookup("a", 4), nullptr);
-  EXPECT_EQ(cache.Lookup("b", 4), nullptr);
-  EXPECT_NE(cache.Lookup("c", 4), nullptr);
+  ForBothKeys([](auto tag) {
+    using Key = typename decltype(tag)::type;
+    KeyMaker<Key> k;
+    ResultCache<Key> cache({0, /*max_entries=*/2, 0, false});
+    cache.Put(k("a"), {Status::OK(), "1"}, 0);
+    cache.Put(k("b"), {Status::OK(), "2"}, 1);
+    cache.Lookup(k("a"), 2);  // Refresh "a"; "b" is now the LRU tail.
+    cache.Put(k("c"), {Status::OK(), "3"}, 3);
+    EXPECT_EQ(cache.evictions(), 1u);
+    EXPECT_NE(cache.Lookup(k("a"), 4), nullptr);
+    EXPECT_EQ(cache.Lookup(k("b"), 4), nullptr);
+    EXPECT_NE(cache.Lookup(k("c"), 4), nullptr);
+  });
 }
 
 TEST(ResultCacheTest, CostAwareRejectsOneHitWonders) {
-  // Two entries fit; every output is 36 bytes so an entry costs exactly
-  // 1 (key) + 36 + 64 = 101 bytes.
-  ResultCache cache({/*max_bytes=*/202, 0, 0, /*cost_aware=*/true});
-  const std::string out(36, 'x');
-  cache.Put("a", {Status::OK(), out, /*exec_us=*/1000, /*recurrence=*/10}, 0);
-  cache.Put("b", {Status::OK(), out, /*exec_us=*/1000, /*recurrence=*/10}, 1);
-  // A cheap one-hit wonder must not displace the hot expensive entries.
-  EXPECT_EQ(cache.Put("c", {Status::OK(), out, /*exec_us=*/1, /*recurrence=*/1},
-                      2),
-            ResultCache::PutOutcome::kRejected);
-  EXPECT_EQ(cache.rejected_admissions(), 1u);
-  EXPECT_EQ(cache.evictions(), 0u);
-  EXPECT_NE(cache.Lookup("a", 3), nullptr);
-  EXPECT_NE(cache.Lookup("b", 3), nullptr);
-  // A more valuable newcomer does evict the (cheaper-scored) LRU victim.
-  EXPECT_EQ(cache.Put("d", {Status::OK(), out, /*exec_us=*/5000,
-                            /*recurrence=*/10},
-                      4),
-            ResultCache::PutOutcome::kInserted);
-  EXPECT_EQ(cache.evictions(), 1u);
-  EXPECT_NE(cache.Lookup("d", 5), nullptr);
+  ForBothKeys([](auto tag) {
+    using Key = typename decltype(tag)::type;
+    KeyMaker<Key> k;
+    // Every output is 36 bytes and every key is one name byte, so all
+    // entries cost the same (101 bytes with a string key, 119 with a
+    // ContentKey, charged as "fn" + 0x1f + 16 hex digits); two fit.
+    const std::string out(36, 'x');
+    ResultCache<Key> probe;
+    probe.Put(k("a"), {Status::OK(), out}, 0);
+    ResultCache<Key> cache({/*max_bytes=*/2 * probe.bytes(), 0, 0,
+                            /*cost_aware=*/true});
+    cache.Put(k("a"), {Status::OK(), out, /*exec_us=*/1000, /*recurrence=*/10},
+              0);
+    cache.Put(k("b"), {Status::OK(), out, /*exec_us=*/1000, /*recurrence=*/10},
+              1);
+    // A cheap one-hit wonder must not displace the hot expensive entries.
+    EXPECT_EQ(cache.Put(k("c"),
+                        {Status::OK(), out, /*exec_us=*/1, /*recurrence=*/1},
+                        2),
+              PutOutcome::kRejected);
+    EXPECT_EQ(cache.rejected_admissions(), 1u);
+    EXPECT_EQ(cache.evictions(), 0u);
+    EXPECT_NE(cache.Lookup(k("a"), 3), nullptr);
+    EXPECT_NE(cache.Lookup(k("b"), 3), nullptr);
+    // A more valuable newcomer does evict the (cheaper-scored) LRU victim.
+    EXPECT_EQ(cache.Put(k("d"),
+                        {Status::OK(), out, /*exec_us=*/5000,
+                         /*recurrence=*/10},
+                        4),
+              PutOutcome::kInserted);
+    EXPECT_EQ(cache.evictions(), 1u);
+    EXPECT_NE(cache.Lookup(k("d"), 5), nullptr);
+  });
 }
 
 TEST(ResultCacheTest, SetLimitsShrinksLive) {
-  ResultCache cache({0, 0, 0, false});
-  for (int i = 0; i < 8; ++i)
-    cache.Put("k" + std::to_string(i), {Status::OK(), "v"}, i);
-  EXPECT_EQ(cache.size(), 8u);
-  cache.SetLimits(/*max_bytes=*/0, /*max_entries=*/3);
-  EXPECT_EQ(cache.size(), 3u);
-  EXPECT_EQ(cache.evictions(), 5u);
-  // The survivors are the most recently used.
-  EXPECT_NE(cache.Lookup("k7", 9), nullptr);
-  EXPECT_EQ(cache.Lookup("k0", 9), nullptr);
+  ForBothKeys([](auto tag) {
+    using Key = typename decltype(tag)::type;
+    KeyMaker<Key> k;
+    ResultCache<Key> cache({0, 0, 0, false});
+    for (int i = 0; i < 8; ++i)
+      cache.Put(k("k" + std::to_string(i)), {Status::OK(), "v"}, i);
+    EXPECT_EQ(cache.size(), 8u);
+    cache.SetLimits(/*max_bytes=*/0, /*max_entries=*/3);
+    EXPECT_EQ(cache.size(), 3u);
+    EXPECT_EQ(cache.evictions(), 5u);
+    // The survivors are the most recently used.
+    EXPECT_NE(cache.Lookup(k("k7"), 9), nullptr);
+    EXPECT_EQ(cache.Lookup(k("k0"), 9), nullptr);
+  });
 }
 
 /// The cache's hit/miss/eviction sequence is a pure function of the call
 /// sequence: replaying the same seeded op stream yields the same trace.
+template <class Key>
 std::string ReplayTrace(uint64_t seed) {
-  ResultCache cache({/*max_bytes=*/4096, 0, /*ttl_us=*/5000,
-                     /*cost_aware=*/true});
+  KeyMaker<Key> k;
+  ResultCache<Key> cache({/*max_bytes=*/4096, 0, /*ttl_us=*/5000,
+                          /*cost_aware=*/true});
   Rng rng(seed);
   std::string trace;
   SimTime now = 0;
   for (int op = 0; op < 600; ++op) {
     now += SimDuration(rng.NextInt(0, 50));
-    const std::string key = "k" + std::to_string(rng.NextBounded(24));
+    const Key key = k("k" + std::to_string(rng.NextBounded(24)));
     if (cache.Lookup(key, now) != nullptr) {
       trace += 'H';
     } else {
@@ -153,9 +230,9 @@ std::string ReplayTrace(uint64_t seed) {
                                SimDuration(rng.NextInt(1, 2000)),
                                uint64_t(rng.NextInt(1, 8))};
       switch (cache.Put(key, value, now)) {
-        case ResultCache::PutOutcome::kInserted: trace += 'I'; break;
-        case ResultCache::PutOutcome::kDuplicate: trace += 'D'; break;
-        case ResultCache::PutOutcome::kRejected: trace += 'R'; break;
+        case PutOutcome::kInserted: trace += 'I'; break;
+        case PutOutcome::kDuplicate: trace += 'D'; break;
+        case PutOutcome::kRejected: trace += 'R'; break;
       }
     }
   }
@@ -168,53 +245,418 @@ std::string ReplayTrace(uint64_t seed) {
 }
 
 TEST(ResultCacheTest, ReplayIsDeterministic) {
-  for (uint64_t seed = 1; seed <= 5; ++seed) {
-    ASSERT_EQ(ReplayTrace(seed), ReplayTrace(seed)) << "seed=" << seed;
+  ForBothKeys([](auto tag) {
+    using Key = typename decltype(tag)::type;
+    for (uint64_t seed = 1; seed <= 5; ++seed) {
+      ASSERT_EQ(ReplayTrace<Key>(seed), ReplayTrace<Key>(seed))
+          << "seed=" << seed;
+    }
+    EXPECT_NE(ReplayTrace<Key>(1), ReplayTrace<Key>(2));
+  });
+}
+
+TEST(ResultCacheTest, LookupPointerSurvivesLaterPuts) {
+  ForBothKeys([](auto tag) {
+    using Key = typename decltype(tag)::type;
+    KeyMaker<Key> k;
+    ResultCache<Key> cache;
+    cache.Put(k("anchor"), {Status::OK(), "anchored-output", 7}, 0);
+    const CachedResult* anchor = cache.Lookup(k("anchor"), 0);
+    ASSERT_NE(anchor, nullptr);
+    // Enough inserts to grow the slab and rehash the index many times.
+    for (int i = 0; i < 10000; ++i) {
+      ASSERT_EQ(cache.Put(k("other" + std::to_string(i)),
+                          {Status::OK(), std::string(size_t(i % 40), 'o')}, i),
+                PutOutcome::kInserted);
+    }
+    EXPECT_EQ(anchor->output, "anchored-output");
+    EXPECT_EQ(anchor->exec_us, 7);
+    EXPECT_EQ(cache.Lookup(k("anchor"), 10000), anchor);
+  });
+}
+
+/// The result cache before the slab rewrite: a std::list LRU of key copies
+/// beside an unordered_map. The differential test below holds the slab
+/// cache to it, result for result and counter for counter.
+class ReferenceCache {
+ public:
+  explicit ReferenceCache(ResultCacheConfig config) : config_(config) {}
+
+  const CachedResult* Lookup(const std::string& key, SimTime now_us) {
+    auto it = entries_.find(key);
+    if (it == entries_.end()) {
+      ++misses_;
+      return nullptr;
+    }
+    if (Expired(it->second, now_us)) {
+      ++expirations_;
+      ++misses_;
+      Erase(it);
+      return nullptr;
+    }
+    ++hits_;
+    Touch(it->second);
+    return &it->second.entry;
   }
-  EXPECT_NE(ReplayTrace(1), ReplayTrace(2));
+
+  PutOutcome Put(const std::string& key, CachedResult value, SimTime now_us) {
+    value.stored_at_us = now_us;
+    auto it = entries_.find(key);
+    if (it != entries_.end()) {
+      if (!Expired(it->second, now_us)) {
+        ++duplicate_puts_;
+        Touch(it->second);
+        return PutOutcome::kDuplicate;
+      }
+      ++expirations_;
+      Erase(it);
+    }
+    const size_t incoming = key.size() + value.output.size() +
+                            ResultCache<std::string>::kEntryOverheadBytes;
+    SweepExpiredTail(now_us);
+    if (config_.cost_aware) {
+      const double score = value.Score();
+      while (OverBudget(incoming) && !lru_.empty()) {
+        auto victim = entries_.find(lru_.back());
+        if (victim->second.entry.Score() > score) {
+          ++rejected_admissions_;
+          return PutOutcome::kRejected;
+        }
+        ++evictions_;
+        Erase(victim);
+      }
+    } else {
+      while (OverBudget(incoming) && !lru_.empty()) {
+        ++evictions_;
+        Erase(entries_.find(lru_.back()));
+      }
+    }
+    if (OverBudget(incoming)) {
+      ++rejected_admissions_;
+      return PutOutcome::kRejected;
+    }
+    lru_.push_front(key);
+    bytes_ += incoming;
+    entries_.emplace(key, Slot{std::move(value), incoming, lru_.begin()});
+    return PutOutcome::kInserted;
+  }
+
+  void SetLimits(size_t max_bytes, size_t max_entries) {
+    config_.max_bytes = max_bytes;
+    config_.max_entries = max_entries;
+    while (OverBudget(0) && !lru_.empty()) {
+      ++evictions_;
+      Erase(entries_.find(lru_.back()));
+    }
+  }
+
+  size_t size() const { return entries_.size(); }
+  size_t bytes() const { return bytes_; }
+  uint64_t hits() const { return hits_; }
+  uint64_t misses() const { return misses_; }
+  uint64_t duplicate_puts() const { return duplicate_puts_; }
+  uint64_t evictions() const { return evictions_; }
+  uint64_t expirations() const { return expirations_; }
+  uint64_t rejected_admissions() const { return rejected_admissions_; }
+
+ private:
+  struct Slot {
+    CachedResult entry;
+    size_t bytes = 0;
+    std::list<std::string>::iterator lru_it;
+  };
+  using Map = std::unordered_map<std::string, Slot>;
+
+  bool Expired(const Slot& slot, SimTime now_us) const {
+    return config_.ttl_us > 0 &&
+           now_us - slot.entry.stored_at_us >= config_.ttl_us;
+  }
+  void Touch(Slot& slot) { lru_.splice(lru_.begin(), lru_, slot.lru_it); }
+  void Erase(Map::iterator it) {
+    bytes_ -= it->second.bytes;
+    lru_.erase(it->second.lru_it);
+    entries_.erase(it);
+  }
+  void SweepExpiredTail(SimTime now_us) {
+    while (!lru_.empty()) {
+      auto it = entries_.find(lru_.back());
+      if (!Expired(it->second, now_us)) return;
+      ++expirations_;
+      Erase(it);
+    }
+  }
+  bool OverBudget(size_t incoming_bytes) const {
+    if (config_.max_entries > 0 &&
+        entries_.size() + (incoming_bytes > 0 ? 1 : 0) > config_.max_entries) {
+      return true;
+    }
+    return config_.max_bytes > 0 &&
+           bytes_ + incoming_bytes > config_.max_bytes;
+  }
+
+  ResultCacheConfig config_;
+  Map entries_;
+  std::list<std::string> lru_;
+  size_t bytes_ = 0;
+  uint64_t hits_ = 0;
+  uint64_t misses_ = 0;
+  uint64_t duplicate_puts_ = 0;
+  uint64_t evictions_ = 0;
+  uint64_t expirations_ = 0;
+  uint64_t rejected_admissions_ = 0;
+};
+
+/// Counters and occupancy of a cache, in a form gtest prints on mismatch.
+template <class Cache>
+std::string CacheCounters(const Cache& c) {
+  return "size=" + std::to_string(c.size()) +
+         " bytes=" + std::to_string(c.bytes()) +
+         " h=" + std::to_string(c.hits()) + " m=" + std::to_string(c.misses()) +
+         " dup=" + std::to_string(c.duplicate_puts()) +
+         " ev=" + std::to_string(c.evictions()) +
+         " ex=" + std::to_string(c.expirations()) +
+         " rj=" + std::to_string(c.rejected_admissions());
+}
+
+/// Both null, or equal in every field.
+void ExpectSameEntry(const CachedResult* want, const CachedResult* got,
+                     const char* which) {
+  ASSERT_EQ(want == nullptr, got == nullptr) << which;
+  if (want == nullptr) return;
+  EXPECT_EQ(want->status.code(), got->status.code()) << which;
+  EXPECT_EQ(want->status.message(), got->status.message()) << which;
+  EXPECT_EQ(want->output, got->output) << which;
+  EXPECT_EQ(want->exec_us, got->exec_us) << which;
+  EXPECT_EQ(want->recurrence, got->recurrence) << which;
+  EXPECT_EQ(want->stored_at_us, got->stored_at_us) << which;
+}
+
+/// One seeded Lookup/Put/SetLimits stream through both instantiations and
+/// the reference. The reference and the string cache use the string key
+/// `function + 0x1f + hex(Fnv1a64(payload))`, the ContentKey cache the
+/// layer's key for the same request, which is charged the same bytes.
+void RunCacheDifferential(const ResultCacheConfig& config, uint64_t seed,
+                          int ops) {
+  static const std::string kFunctions[] = {"f", "func", "function-name"};
+  constexpr uint64_t kPayloads = 300;
+  ReuseLayer layer;
+  ReferenceCache want(config);
+  ResultCache<ContentKey> by_content(config);
+  ResultCache<std::string> by_string(config);
+  Rng rng(seed);
+  SimTime now = 0;
+  auto string_key = [](const std::string& fn, const std::string& payload) {
+    static constexpr char kDigits[] = "0123456789abcdef";
+    std::string key = fn + '\x1f';
+    const uint64_t h = Fnv1a64(payload);
+    for (int shift = 60; shift >= 0; shift -= 4) {
+      key += kDigits[(h >> shift) & 0xF];
+    }
+    return key;
+  };
+  auto check_counters = [&](int op) {
+    const std::string expected = CacheCounters(want);
+    ASSERT_EQ(CacheCounters(by_content), expected) << "op " << op;
+    ASSERT_EQ(CacheCounters(by_string), expected) << "op " << op;
+  };
+  for (int op = 0; op < ops; ++op) {
+    now += SimDuration(rng.NextInt(0, 20));
+    const std::string& fn = kFunctions[rng.NextBounded(3)];
+    const std::string payload =
+        "p" + std::to_string(rng.NextBounded(kPayloads));
+    const std::string skey = string_key(fn, payload);
+    const ContentKey ckey = layer.Key(fn, payload);
+    ASSERT_EQ(ckey.bytes, skey.size());
+    const uint64_t dice = rng.NextBounded(100);
+    if (dice < 45) {
+      const CachedResult* w = want.Lookup(skey, now);
+      ExpectSameEntry(w, by_content.Lookup(ckey, now), "content");
+      ExpectSameEntry(w, by_string.Lookup(skey, now), "string");
+    } else if (dice < 98) {
+      const uint64_t code = rng.NextBounded(4);
+      const CachedResult value{
+          code == 0 ? Status::Internal("failed " + payload) : Status::OK(),
+          std::string(size_t(rng.NextBounded(90)), char('a' + op % 26)),
+          SimDuration(rng.NextInt(1, 3000)), uint64_t(rng.NextInt(1, 9))};
+      const PutOutcome w = want.Put(skey, value, now);
+      ASSERT_EQ(by_content.Put(ckey, value, now), w) << "op " << op;
+      ASSERT_EQ(by_string.Put(skey, value, now), w) << "op " << op;
+    } else {
+      // Re-bound live: back to the stream's bounds, far tighter (mass
+      // eviction) or unbounded (the index grows past every earlier size).
+      size_t bytes = config.max_bytes;
+      size_t entries = config.max_entries;
+      switch (rng.NextBounded(3)) {
+        case 0: bytes /= 8; entries /= 8; break;
+        case 1: bytes = 0; entries = 0; break;
+        default: break;
+      }
+      want.SetLimits(bytes, entries);
+      by_content.SetLimits(bytes, entries);
+      by_string.SetLimits(bytes, entries);
+    }
+    check_counters(op);
+    if (::testing::Test::HasFailure()) return;
+  }
+  // Every entry, read back at the end.
+  for (const std::string& fn : kFunctions) {
+    for (uint64_t p = 0; p < kPayloads; ++p) {
+      const std::string payload = "p" + std::to_string(p);
+      const std::string skey = string_key(fn, payload);
+      const CachedResult* w = want.Lookup(skey, now);
+      ExpectSameEntry(w, by_content.Lookup(layer.Key(fn, payload), now),
+                      "content");
+      ExpectSameEntry(w, by_string.Lookup(skey, now), "string");
+    }
+  }
+  check_counters(ops);
+}
+
+TEST(ResultCacheTest, MatchesReferenceModel) {
+  struct Bounds {
+    size_t max_bytes;
+    size_t max_entries;
+  };
+  const Bounds bounds[] = {{6000, 0}, {0, 60}, {9000, 80}};
+  uint64_t seed = 1;
+  for (const SimDuration ttl : {SimDuration(0), SimDuration(900)}) {
+    for (const bool cost_aware : {false, true}) {
+      for (const Bounds& b : bounds) {
+        SCOPED_TRACE("ttl=" + std::to_string(ttl) + " cost_aware=" +
+                     std::to_string(cost_aware) + " max_bytes=" +
+                     std::to_string(b.max_bytes) + " max_entries=" +
+                     std::to_string(b.max_entries));
+        RunCacheDifferential({b.max_bytes, b.max_entries, ttl, cost_aware},
+                             seed++, /*ops=*/20000);
+        if (HasFailure()) return;
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------------ Singleflight
 
 TEST(SingleflightTest, LeadAttachCompleteInOrder) {
+  ReuseLayer layer;
+  const ContentKey k = layer.Key("fn", "k");
   Singleflight sf;
-  EXPECT_TRUE(sf.Lead("k", 1));
-  EXPECT_FALSE(sf.Lead("k", 2));  // One leader per key.
-  EXPECT_TRUE(sf.InFlight("k"));
+  EXPECT_TRUE(sf.Lead(k, 1));
+  EXPECT_FALSE(sf.Lead(k, 2));  // One leader per key.
+  EXPECT_TRUE(sf.InFlight(k));
   std::vector<uint64_t> delivered;
   for (uint64_t id = 10; id < 13; ++id) {
     EXPECT_TRUE(sf.Attach(
-        "k", {id, SimTime(id), [&delivered, id](const CachedResult&) {
-                delivered.push_back(id);
-              }}));
+        k, {id, SimTime(id), [&delivered, id](const CachedResult&) {
+              delivered.push_back(id);
+            }}));
   }
-  auto followers = sf.Complete("k");
+  auto followers = sf.Complete(k);
   ASSERT_EQ(followers.size(), 3u);
   const CachedResult result{Status::OK(), "out"};
   for (auto& f : followers) f.deliver(result);
   EXPECT_EQ(delivered, (std::vector<uint64_t>{10, 11, 12}));
-  EXPECT_FALSE(sf.InFlight("k"));
-  EXPECT_TRUE(sf.Complete("k").empty());   // Closed flights stay closed.
-  EXPECT_FALSE(sf.Attach("k", {99, 0, nullptr}));  // No leader, no attach.
+  EXPECT_FALSE(sf.InFlight(k));
+  EXPECT_TRUE(sf.Complete(k).empty());   // Closed flights stay closed.
+  EXPECT_FALSE(sf.Attach(k, {99, 0, nullptr}));  // No leader, no attach.
   EXPECT_EQ(sf.leaders(), 1u);
   EXPECT_EQ(sf.followers_attached(), 3u);
   EXPECT_EQ(sf.max_fanout(), 3u);
 }
 
+/// Seeded churn against a std::map of flights. With `wrap` the 7 keys all
+/// have home slot 14, 15 or 0 in the table's first size of 16, which 7
+/// flights never outgrow, so probe runs cross the table's end and closes
+/// shift them back across it; otherwise 400 keys make the table grow.
+void RunSingleflightChurn(bool wrap, uint64_t seed) {
+  ReuseLayer layer;
+  std::vector<ContentKey> keys;
+  for (int i = 0; keys.size() < (wrap ? 7u : 400u); ++i) {
+    const ContentKey key =
+        layer.Key(i % 2 ? "a" : "bb", "p" + std::to_string(i));
+    const uint64_t home = key.Hash() & 15;
+    if (!wrap || home >= 14 || home == 0) keys.push_back(key);
+  }
+  struct Flight {
+    uint64_t leader = 0;
+    std::vector<uint64_t> followers;
+  };
+  std::map<size_t, Flight> want;
+  uint64_t want_leaders = 0, want_attached = 0, want_fanout = 0;
+  Singleflight sf;
+  Rng rng(seed);
+  uint64_t next_id = 1;
+  for (int op = 0; op < 100000; ++op) {
+    const size_t k = size_t(rng.NextBounded(keys.size()));
+    const uint64_t dice = rng.NextBounded(100);
+    auto it = want.find(k);
+    if (dice < 35) {
+      const uint64_t id = next_id++;
+      ASSERT_EQ(sf.Lead(keys[k], id), it == want.end()) << "op " << op;
+      if (it == want.end()) {
+        want[k].leader = id;
+        ++want_leaders;
+      }
+    } else if (dice < 65) {
+      const uint64_t id = next_id++;
+      ASSERT_EQ(sf.Attach(keys[k], {id, SimTime(op), nullptr}),
+                it != want.end())
+          << "op " << op;
+      if (it != want.end()) {
+        it->second.followers.push_back(id);
+        ++want_attached;
+        want_fanout =
+            std::max<uint64_t>(want_fanout, it->second.followers.size());
+      }
+    } else if (dice < 80) {
+      ASSERT_EQ(sf.InFlight(keys[k]), it != want.end()) << "op " << op;
+    } else {
+      std::vector<uint64_t> got;
+      for (const reuse::Follower& f : sf.Complete(keys[k])) got.push_back(f.id);
+      const std::vector<uint64_t> expected =
+          it == want.end() ? std::vector<uint64_t>{} : it->second.followers;
+      ASSERT_EQ(got, expected) << "op " << op;
+      if (it != want.end()) want.erase(it);
+    }
+    ASSERT_EQ(sf.inflight(), want.size()) << "op " << op;
+  }
+  for (size_t k = 0; k < keys.size(); ++k) {
+    EXPECT_EQ(sf.InFlight(keys[k]), want.count(k) != 0) << "key " << k;
+  }
+  EXPECT_EQ(sf.leaders(), want_leaders);
+  EXPECT_EQ(sf.followers_attached(), want_attached);
+  EXPECT_EQ(sf.max_fanout(), want_fanout);
+}
+
+TEST(SingleflightTest, ChurnMatchesMapReference) {
+  for (const bool wrap : {true, false}) {
+    SCOPED_TRACE(wrap ? "wrapping runs" : "growing table");
+    RunSingleflightChurn(wrap, /*seed=*/23);
+    if (HasFailure()) return;
+  }
+}
+
 // -------------------------------------------------------------- ReuseLayer
 
 TEST(ReuseLayerTest, KeyIsContentAddressedAndBounded) {
-  const std::string small = ReuseLayer::Key("fn", "p");
-  const std::string large = ReuseLayer::Key("fn", std::string(1 << 20, 'p'));
-  EXPECT_EQ(ReuseLayer::Key("fn", "p"), small);       // Same content, same key.
-  EXPECT_NE(ReuseLayer::Key("fn", "q"), small);       // Content-addressed.
-  EXPECT_NE(ReuseLayer::Key("fn2", "p"), small);      // Function-scoped.
-  EXPECT_EQ(small.size(), large.size());              // Hash, not payload.
+  static_assert(sizeof(ContentKey) == 16);
+  ReuseLayer layer;
+  const ContentKey small = layer.Key("fn", "p");
+  const ContentKey large = layer.Key("fn", std::string(1 << 20, 'p'));
+  EXPECT_EQ(layer.Key("fn", "p"), small);       // Same content, same key.
+  EXPECT_NE(layer.Key("fn", "q"), small);       // Content-addressed.
+  EXPECT_NE(layer.Key("fn2", "p"), small);      // Function-scoped.
+  EXPECT_EQ(layer.Key(layer.FunctionId("fn"), "p"), small);
+  EXPECT_EQ(small.payload_hash, Fnv1a64("p"));
+  // Charged as the string key "fn" + 0x1f + 16 hex digits, whatever the
+  // payload size.
+  EXPECT_EQ(small.bytes, 2u + 17u);
+  EXPECT_EQ(large.bytes, small.bytes);
+  EXPECT_EQ(layer.Key("function", "p").bytes, 8u + 17u);
 }
 
 TEST(ReuseLayerTest, RecurrenceNeverUndercounts) {
   ReuseLayer layer;
-  const std::string key = ReuseLayer::Key("fn", "hot");
+  const ContentKey key = layer.Key("fn", "hot");
   for (int i = 0; i < 7; ++i) layer.NoteRequest(key);
   EXPECT_GE(layer.Recurrence(key), 7u);  // CountMin one-sided error.
   // Offer stamps the sketch's recurrence estimate onto the entry.
@@ -222,9 +664,6 @@ TEST(ReuseLayerTest, RecurrenceNeverUndercounts) {
   const CachedResult* e = layer.Lookup(key, 1);
   ASSERT_NE(e, nullptr);
   EXPECT_GE(e->recurrence, 7u);
-  auto hot = layer.HotKeys();
-  ASSERT_FALSE(hot.empty());
-  EXPECT_EQ(hot[0].item, key);
 }
 
 TEST(ReuseLayerTest, ApproxGateFollowsBurnRate) {
@@ -271,9 +710,10 @@ TEST(ReuseLayerTest, ApproxErrorNeverExceedsExportedBound) {
     return ReuseLayer::ApproxAnswer{
         std::to_string(counts.EstimateCount(payload)), counts.ErrorBound()};
   });
-  ASSERT_TRUE(layer.HasApprox("top"));
+  const uint32_t top = layer.FunctionId("top");
+  ASSERT_TRUE(layer.HasApprox(top));
   for (const auto& [item, exact] : truth) {
-    const auto ans = layer.Approximate("top", item);
+    const auto ans = layer.Approximate(top, item);
     const uint64_t estimate = std::stoull(ans.output);
     ASSERT_GE(estimate, exact);  // CountMin never undercounts...
     ASSERT_LE(double(estimate - exact), ans.error_bound)
@@ -288,7 +728,7 @@ TEST(ReuseLayerTest, LiveKnobsApplyThroughCtrl) {
   layer.AttachControl(&svc);
   // Fill the cache, then shrink the byte budget live: entries evict.
   for (int i = 0; i < 64; ++i) {
-    layer.Offer(ReuseLayer::Key("fn", std::to_string(i)),
+    layer.Offer(layer.Key("fn", std::to_string(i)),
                 {Status::OK(), std::string(1024, 'v'), 100}, 0);
   }
   ASSERT_EQ(layer.cache().size(), 64u);
@@ -614,9 +1054,10 @@ struct ReuseWorld {
 void ReuseHop(ReuseWorld* w, psim::ShardId s, int remaining) {
   ReuseShard& st = w->state[s];
   ReuseLayer& layer = *st.layer;
-  const std::string key =
-      ReuseLayer::Key("fn", "p" + std::to_string(st.rng.NextBounded(12)));
-  const std::string tenant = "t" + std::to_string(st.rng.NextBounded(3));
+  const ContentKey key =
+      layer.Key("fn", "p" + std::to_string(st.rng.NextBounded(12)));
+  ReuseLayer::TenantHandles* tenant =
+      layer.TenantMetrics("t" + std::to_string(st.rng.NextBounded(3)));
   const SimTime now = w->world.shard(s).Now();
   layer.NoteRequest(key);
   if (const CachedResult* e = layer.Lookup(key, now)) {
@@ -669,7 +1110,7 @@ std::string RunReuseStorm(uint64_t seed, uint32_t shards, unsigned threads) {
   std::string counters;
   for (uint32_t s = 0; s < shards; ++s) {
     regs.push_back(&w.state[s].obs->registry);
-    const ResultCache& c = w.state[s].layer->cache();
+    const ReuseLayer::Cache& c = w.state[s].layer->cache();
     counters += "shard " + std::to_string(s) + ": h=" +
                 std::to_string(c.hits()) + " m=" + std::to_string(c.misses()) +
                 " ev=" + std::to_string(c.evictions()) + " ex=" +
