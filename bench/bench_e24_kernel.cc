@@ -650,47 +650,6 @@ void BM_CounterMapLookupInc(benchmark::State& state) {
 }
 BENCHMARK(BM_CounterMapLookupInc);
 
-// E29 satellite: the platform retry/hedge path hands every attempt a
-// shared immutable payload (FaasPlatform::InvokeShared) instead of
-// re-copying the bytes per attempt. This pair pins the per-attempt delta
-// for a 64 KiB payload with the same allocation probe E24b uses: the copy
-// shape pays an allocation plus a 64 KiB memcpy per attempt, the shared
-// shape a refcount bump and zero allocations.
-void BM_RetryPayload_CopyPerAttempt(benchmark::State& state) {
-  const std::string payload(64 * 1024, 'p');
-  uint64_t allocs = 0;
-  for (auto _ : state) {
-    const uint64_t before = AllocCount();
-    for (int attempt = 0; attempt < 3; ++attempt) {
-      std::string copy = payload;
-      benchmark::DoNotOptimize(copy.data());
-    }
-    allocs += AllocCount() - before;
-  }
-  state.SetBytesProcessed(int64_t(state.iterations()) * 3 * 64 * 1024);
-  state.counters["allocs/attempt"] =
-      benchmark::Counter(double(allocs) / 3.0, benchmark::Counter::kAvgIterations);
-}
-BENCHMARK(BM_RetryPayload_CopyPerAttempt);
-
-void BM_RetryPayload_SharedRef(benchmark::State& state) {
-  const auto payload =
-      std::make_shared<const std::string>(std::string(64 * 1024, 'p'));
-  uint64_t allocs = 0;
-  for (auto _ : state) {
-    const uint64_t before = AllocCount();
-    for (int attempt = 0; attempt < 3; ++attempt) {
-      std::shared_ptr<const std::string> ref = payload;
-      benchmark::DoNotOptimize(ref->data());
-    }
-    allocs += AllocCount() - before;
-  }
-  state.SetBytesProcessed(int64_t(state.iterations()) * 3 * 64 * 1024);
-  state.counters["allocs/attempt"] =
-      benchmark::Counter(double(allocs) / 3.0, benchmark::Counter::kAvgIterations);
-}
-BENCHMARK(BM_RetryPayload_SharedRef);
-
 void BM_StreamSpanInterned(benchmark::State& state) {
   struct NullSink : obs::SpanSink {
     void OnSpanStart(const obs::Span&) override {}

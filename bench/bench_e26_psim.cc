@@ -207,7 +207,6 @@ std::string RunE20Replay(unsigned threads) {
 
     faas::FunctionSpec spec;
     spec.name = "serve";
-    spec.shard_affinity = s;
     spec.exec = {faas::ExecTimeModel::Kind::kFixed, 20 * kMillisecond, 0, 0};
     spec.init_us = 40 * kMillisecond;
     cell.platform->RegisterFunction(spec);
@@ -321,7 +320,6 @@ std::string RunE23Replay(unsigned threads) {
 
     faas::FunctionSpec spec;
     spec.name = "serve";
-    spec.shard_affinity = s;
     spec.exec = {faas::ExecTimeModel::Kind::kFixed, kExecUs, 0, 0};
     spec.init_us = 1 * kMillisecond;
     cell.platform->RegisterFunction(spec);

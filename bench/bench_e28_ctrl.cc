@@ -132,7 +132,7 @@ FleetResult RunFleet(Cell cell) {
   std::vector<std::string> names;
   for (size_t i = 0; i < kFleet; ++i) {
     names.push_back("m" + std::to_string(i));
-    fleet[i].knob = service.SubscribeScoped(kKnob, names[i]);
+    fleet[i].knob = service.Subscribe(kKnob, nullptr, names[i]);
   }
 
   FleetResult out;

@@ -592,8 +592,7 @@ void BM_SingleflightLeadAttach(benchmark::State& state) {
     flights.Lead(key, 1);
     for (uint64_t f = 2; f <= 8; ++f) {
       benchmark::DoNotOptimize(flights.Attach(
-          key,
-          reuse::Follower{f, SimTime(f), [](const reuse::CachedResult&) {}}));
+          key, reuse::Follower{f, [](const reuse::CachedResult&) {}}));
     }
     benchmark::DoNotOptimize(flights.Complete(key));
   }

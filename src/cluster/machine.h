@@ -51,14 +51,6 @@ class Machine {
 
   bool usable() const { return healthy_ && reachable_; }
 
-  /// Shard affinity: which logical process of a sharded world (src/psim)
-  /// hosts this machine. Every hot-path interaction with the machine
-  /// (placement, invocation dispatch, chaos kills) must run on that
-  /// shard's private loop; other shards reach it only via psim::Post.
-  /// Annotation only — single-world code ignores it (default shard 0).
-  uint32_t shard_affinity() const { return shard_affinity_; }
-  void set_shard_affinity(uint32_t shard) { shard_affinity_ = shard; }
-
   /// Fraction of the dominant resource in use, in [0,1].
   double Utilization() const { return allocated_.DominantShare(capacity_); }
   double CpuUtilization() const {
@@ -95,7 +87,6 @@ class Machine {
   ResourceVector allocated_;
   bool healthy_ = true;
   bool reachable_ = true;
-  uint32_t shard_affinity_ = 0;
   std::unordered_map<UnitId, ExecutionUnit> units_;
 };
 

@@ -417,17 +417,12 @@ std::vector<std::string> ConfigService::OverrideTargets(
 }
 
 Subscription ConfigService::Subscribe(const std::string& key,
-                                      Watcher on_change) {
+                                      Watcher on_change,
+                                      const std::string& target) {
   if (!store_.Has(key)) return Subscription();
-  if (on_change) (void)store_.Watch(key, std::move(on_change));
-  return Subscription(this, key, "");
-}
-
-Subscription ConfigService::SubscribeScoped(const std::string& key,
-                                            const std::string& target,
-                                            Watcher on_change) {
-  if (!store_.Has(key)) return Subscription();
-  if (on_change) {
+  if (on_change && target.empty()) {
+    (void)store_.Watch(key, std::move(on_change));
+  } else if (on_change) {
     scoped_watchers_[key].push_back(ScopedWatch{target, std::move(on_change)});
   }
   return Subscription(this, key, target);

@@ -258,16 +258,15 @@ class ConfigService {
   /// Targets currently overriding `key`, sorted (deterministic).
   std::vector<std::string> OverrideTargets(const std::string& key) const;
 
-  /// Base-entry subscription: `on_change` (optional) fires at every base
-  /// apply, in registration order. The returned handle reads live values.
-  Subscription Subscribe(const std::string& key, Watcher on_change = nullptr);
-
-  /// Target-scoped subscription: fires whenever the value *as seen by
-  /// target* changes — scoped overrides covering it, base applies while it
-  /// holds no override, and retracts (which deliver the base value).
-  Subscription SubscribeScoped(const std::string& key,
-                               const std::string& target,
-                               Watcher on_change = nullptr);
+  /// Subscribes to `key` as seen by `target`; the returned handle reads
+  /// live values. With the empty (base) target, `on_change` (optional)
+  /// fires at every base apply, in registration order. Any other target
+  /// subscribes target-scoped: `on_change` fires whenever the value *as
+  /// seen by target* changes — scoped overrides covering it, base applies
+  /// while it holds no override, and retracts (which deliver the base
+  /// value).
+  Subscription Subscribe(const std::string& key, Watcher on_change = nullptr,
+                         const std::string& target = "");
 
   /// Registers kConfigPushDelay / kConfigPushCorrupt hooks under "ctrl".
   void AttachChaos(chaos::InjectorRegistry* registry);

@@ -13,15 +13,12 @@ void AttachSamplerControl(ConfigService* service, obs::SamplingPipeline* pipe,
        .description =
            "fraction of healthy traces kept by head sampling; tail "
            "retention (errors/faults/slow) is unaffected"});
-  Watcher watcher = [pipe](const ConfigUpdate& u) {
-    pipe->set_head_rate(u.value.AsNumber());
-  };
-  if (scope.empty()) {
-    service->Subscribe("obs.sampler.head_rate", std::move(watcher));
-  } else {
-    service->SubscribeScoped("obs.sampler.head_rate", scope,
-                             std::move(watcher));
-  }
+  service->Subscribe(
+      "obs.sampler.head_rate",
+      [pipe](const ConfigUpdate& u) {
+        pipe->set_head_rate(u.value.AsNumber());
+      },
+      scope);
 }
 
 }  // namespace taureau::ctrl

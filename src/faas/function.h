@@ -83,12 +83,6 @@ struct FunctionSpec {
   bool idempotent = false;
   /// Optional real computation.
   Handler handler;
-  /// Shard affinity: which logical process of a sharded world (src/psim)
-  /// owns this function's platform. Cross-shard invokes must travel as
-  /// psim::Post events; intra-shard invokes stay on the private loop. By
-  /// convention psim::ShardForKey(name, shards); annotation only — the
-  /// platform itself never reads it.
-  uint32_t shard_affinity = 0;
 };
 
 inline SimDuration ExecTimeModel::Sample(Rng* rng,

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <optional>
+#include <utility>
 
 #include "cluster/virtualization.h"
 
@@ -25,8 +26,8 @@ FaasPlatform::~FaasPlatform() {
   // the native integral only: an attached shared registry is allowed to be
   // destroyed before the platform, so the gauge must not be touched here.
   for (auto& [id, c] : containers_) {
-    container_mb_us_ += static_cast<long double>(sim_->Now() - c->created_us) *
-                        static_cast<long double>(c->memory_mb);
+    container_mb_us_ += static_cast<long double>(sim_->Now() - c.created_us) *
+                        static_cast<long double>(c.memory_mb);
   }
 }
 
@@ -122,6 +123,7 @@ const PlatformMetrics& FaasPlatform::metrics() const {
 }
 
 void FaasPlatform::EmitAttemptSpans(const Invocation& inv,
+                                    const Container& c,
                                     SimTime attempt_end_us,
                                     SimDuration startup_us,
                                     SimDuration exec_us, bool cold,
@@ -143,10 +145,10 @@ void FaasPlatform::EmitAttemptSpans(const Invocation& inv,
       {obs::kCategoryAttr, "exec"},
       {"attempt", attempt},
       {"status", StatusCodeName(attempt_status.code())}};
-  if (!inv.unit_owner.empty()) {
+  if (!c.owner.empty()) {
     // ExecutionUnit::owner of the hosting container — the tenant tag the
     // scheduler actually placed under (flame profiles group by it).
-    exec_attrs.Add("owner", inv.unit_owner);
+    exec_attrs.Add("owner", c.owner);
   }
   if (killed) exec_attrs.Add("killed", "1");
   obs_->tracer.EmitSpan("exec", "faas", inv.root_ctx, exec_start,
@@ -184,46 +186,37 @@ Result<uint64_t> FaasPlatform::Invoke(const std::string& function,
                                       std::string payload, InvokeCallback cb,
                                       obs::TraceContext parent,
                                       guard::Deadline deadline) {
-  return InvokeShared(function,
-                      std::make_shared<const std::string>(std::move(payload)),
-                      std::move(cb), parent, deadline);
-}
-
-Result<uint64_t> FaasPlatform::InvokeShared(
-    const std::string& function, std::shared_ptr<const std::string> payload,
-    InvokeCallback cb, obs::TraceContext parent, guard::Deadline deadline) {
   auto fn_it = functions_.find(function);
   if (fn_it == functions_.end()) {
     return Status::NotFound("function '" + function + "' not registered");
   }
-  auto inv = std::make_shared<Invocation>();
-  inv->id = next_invocation_id_++;
-  inv->fn = &fn_it->second;
-  inv->function = function;
-  inv->tenant = fn_it->second.spec.tenant;
+  Function& fn = fn_it->second;
+  const uint64_t id = next_invocation_id_++;
+  Invocation* inv = &live_.try_emplace(id).first->second;
+  inv->id = id;
+  inv->fn = &fn;
   inv->payload = std::move(payload);
   inv->cb = std::move(cb);
   inv->submit_us = sim_->Now();
   inv->attempt_start_us = sim_->Now();
   inv->deadline = deadline;
   h_.invocations.Inc();
-  if (TenantHandles* th = inv->fn->tenant_metrics) th->invocations.Inc();
+  if (TenantHandles* th = fn.tenant_metrics) th->invocations.Inc();
   if (obs_ != nullptr) {
     inv->root_ctx = obs_->tracer.StartSpan("invoke:" + function, "faas",
                                            parent);
-    if (!inv->tenant.empty()) {
-      obs_->tracer.SetAttr(inv->root_ctx, obs::kTenantAttr, inv->tenant);
+    if (!fn.spec.tenant.empty()) {
+      obs_->tracer.SetAttr(inv->root_ctx, obs::kTenantAttr, fn.spec.tenant);
     }
   }
-  live_[inv->id] = inv;
 
   // Computation reuse (E29): idempotent invocations may be answered from
   // the result cache, a degraded-mode approximation, or an identical
   // in-flight execution — all before admission, because a reused answer
   // consumes no capacity and relieves the very pressure admission sheds.
-  if (reuse_ != nullptr && reuse_->enabled() && fn_it->second.spec.idempotent &&
+  if (reuse_ != nullptr && reuse_->enabled() && fn.spec.idempotent &&
       TryServeReuse(inv)) {
-    return inv->id;
+    return id;
   }
 
   // Reject-on-arrival: when the pending backlog is over its bound or the
@@ -234,7 +227,7 @@ Result<uint64_t> FaasPlatform::InvokeShared(
         pending_.size(), AdmissionParallelism(), deadline, sim_->Now());
     if (decision != guard::AdmissionDecision::kAdmit) {
       guard_->RecordShed("faas", decision, inv->root_ctx, sim_->Now(),
-                         inv->tenant);
+                         fn.spec.tenant);
       sim_->Schedule(0, [this, inv, decision] {
         Complete(inv, /*cold=*/false, 0, 0,
                  decision == guard::AdmissionDecision::kShedDeadline
@@ -244,12 +237,12 @@ Result<uint64_t> FaasPlatform::InvokeShared(
                            "shed on arrival: admission queue full"),
                  "");
       });
-      return inv->id;
+      return id;
     }
   }
 
   sim_->Schedule(SampleDispatchDelay(), [this, inv] { Dispatch(inv); });
-  return inv->id;
+  return id;
 }
 
 SimDuration FaasPlatform::SampleDispatchDelay() {
@@ -266,14 +259,14 @@ void FaasPlatform::AttachReuse(reuse::ReuseLayer* r) {
   for (auto& [name, fn] : functions_) fn.reuse_resolved = false;
 }
 
-bool FaasPlatform::TryServeReuse(const std::shared_ptr<Invocation>& inv) {
+bool FaasPlatform::TryServeReuse(Invocation* inv) {
   Function& fn = *inv->fn;
   if (!fn.reuse_resolved) {
     fn.reuse_resolved = true;
-    fn.reuse_id = reuse_->FunctionId(inv->function);
-    fn.reuse_tenant = reuse_->TenantMetrics(inv->tenant);
+    fn.reuse_id = reuse_->FunctionId(fn.spec.name);
+    fn.reuse_tenant = reuse_->TenantMetrics(fn.spec.tenant);
   }
-  inv->reuse_key = reuse_->Key(fn.reuse_id, *inv->payload);
+  inv->reuse_key = reuse_->Key(fn.reuse_id, inv->payload);
   inv->has_reuse_key = true;
   reuse_->NoteRequest(inv->reuse_key);
 
@@ -295,10 +288,10 @@ bool FaasPlatform::TryServeReuse(const std::shared_ptr<Invocation>& inv) {
   //    that is already missing its objective. The error bound is exported
   //    on the result and the span.
   if (reuse_->HasApprox(fn.reuse_id) &&
-      reuse_->ShouldApproximate(inv->tenant, sim_->Now())) {
+      reuse_->ShouldApproximate(fn.spec.tenant, sim_->Now())) {
     reuse_->RecordApprox(fn.reuse_tenant);
     inv->served_via = ServedVia::kApproximation;
-    auto ans = reuse_->Approximate(fn.reuse_id, *inv->payload);
+    auto ans = reuse_->Approximate(fn.reuse_id, inv->payload);
     inv->approx_error_bound = ans.error_bound;
     inv->reuse_output = std::move(ans.output);
     sim_->Schedule(0, [this, inv] { CompleteFromReuse(inv); });
@@ -310,7 +303,6 @@ bool FaasPlatform::TryServeReuse(const std::shared_ptr<Invocation>& inv) {
   if (reuse_->flights().InFlight(inv->reuse_key)) {
     reuse::Follower f;
     f.id = inv->id;
-    f.submit_us = inv->submit_us;
     f.deliver = [this, inv](const reuse::CachedResult& r) {
       inv->served_via = ServedVia::kCoalesced;
       reuse_->RecordCoalesce(inv->fn->reuse_tenant, r.exec_us);
@@ -325,16 +317,14 @@ bool FaasPlatform::TryServeReuse(const std::shared_ptr<Invocation>& inv) {
   return false;
 }
 
-void FaasPlatform::CompleteFromReuse(std::shared_ptr<Invocation> inv) {
+void FaasPlatform::CompleteFromReuse(Invocation* inv) {
   if (inv->abandoned) {
-    Complete(std::move(inv), /*cold=*/false, 0, 0,
+    Complete(inv, /*cold=*/false, 0, 0,
              Status::Cancelled("cancelled while awaiting reuse"), "");
     return;
   }
-  Status status = std::move(inv->reuse_status);
-  std::string output = std::move(inv->reuse_output);
-  Complete(std::move(inv), /*cold=*/false, /*startup_us=*/0, /*exec_us=*/0,
-           std::move(status), std::move(output));
+  Complete(inv, /*cold=*/false, /*startup_us=*/0, /*exec_us=*/0,
+           std::move(inv->reuse_status), std::move(inv->reuse_output));
 }
 
 Result<InvocationResult> FaasPlatform::InvokeSync(const std::string& function,
@@ -351,90 +341,82 @@ Result<InvocationResult> FaasPlatform::InvokeSync(const std::string& function,
   return *out;
 }
 
-void FaasPlatform::Dispatch(std::shared_ptr<Invocation> inv) {
+void FaasPlatform::Dispatch(Invocation* inv) {
   if (inv->abandoned) {
-    Complete(std::move(inv), /*cold=*/false, 0, 0,
+    Complete(inv, /*cold=*/false, 0, 0,
              Status::Cancelled("cancelled before dispatch"), "");
     return;
   }
   if (GuardActive() && inv->deadline.Expired(sim_->Now())) {
     guard_->RecordDeadlineExceeded("faas", inv->root_ctx,
                                    inv->attempt_start_us, sim_->Now(),
-                                   inv->tenant);
-    Complete(std::move(inv), /*cold=*/false, 0, 0,
+                                   inv->fn->spec.tenant);
+    Complete(inv, /*cold=*/false, 0, 0,
              Status::DeadlineExceeded("deadline expired before dispatch"), "");
     return;
   }
   if (TryPlace(inv)) return;
   if (config_.queue_on_throttle) {
-    pending_.push_back(std::move(inv));
+    pending_.push_back(inv);
     return;
   }
   h_.throttled.Inc();
-  Complete(std::move(inv), /*cold=*/false, 0, 0,
+  Complete(inv, /*cold=*/false, 0, 0,
            Status::ResourceExhausted("throttled: concurrency limit reached"),
            "");
 }
 
-bool FaasPlatform::TryPlace(std::shared_ptr<Invocation> inv) {
-  const FunctionSpec& spec = inv->fn->spec;
-
+bool FaasPlatform::TryPlace(Invocation* inv) {
   // Prefer a warm container (most recently used — best cache locality and
   // lets older ones age out). Containers on partitioned machines are
   // unreachable and stay parked until the partition heals.
-  auto pool_it = warm_pools_.find(inv->function);
-  if (pool_it != warm_pools_.end()) {
-    auto& dq = pool_it->second;
-    for (auto it = dq.rbegin(); it != dq.rend(); ++it) {
-      Container* c = containers_.at(*it).get();
-      if (!cluster_->MachineUsable(c->machine)) continue;
-      dq.erase(std::next(it).base());
-      CancelKeepAlive(c);
-      c->busy = true;
-      StartOnContainer(std::move(inv), c, /*cold=*/false, /*startup_us=*/0);
-      return true;
-    }
+  auto& warm = inv->fn->warm;
+  for (auto it = warm.rbegin(); it != warm.rend(); ++it) {
+    Container* c = &containers_.at(*it);
+    if (!cluster_->MachineUsable(c->machine)) continue;
+    warm.erase(std::next(it).base());
+    CancelKeepAlive(c);
+    c->busy = true;
+    StartOnContainer(inv, c, /*cold=*/false, /*startup_us=*/0);
+    return true;
   }
 
-  auto launch = LaunchContainer(inv->function, spec);
+  auto launch = LaunchContainer(inv->fn);
   if (!launch.ok()) {
     if (launch.status().IsResourceExhausted()) return false;
-    Complete(std::move(inv), false, 0, 0, launch.status(), "");
+    Complete(inv, false, 0, 0, launch.status(), "");
     return true;  // terminal: do not queue
   }
-  StartOnContainer(std::move(inv), launch->container, /*cold=*/true,
-                   launch->startup_us);
+  StartOnContainer(inv, launch->container, /*cold=*/true, launch->startup_us);
   return true;
 }
 
-Result<FaasPlatform::ColdStart> FaasPlatform::LaunchContainer(
-    const std::string& function, const FunctionSpec& spec) {
+Result<FaasPlatform::ColdStart> FaasPlatform::LaunchContainer(Function* fn) {
+  const FunctionSpec& spec = fn->spec;
   if (containers_.size() >= config_.max_concurrency ||
-      (spec.max_concurrency > 0 &&
-       containers_per_function_[function] >= spec.max_concurrency)) {
+      (spec.max_concurrency > 0 && fn->containers >= spec.max_concurrency)) {
     return Status::ResourceExhausted("concurrency cap");
   }
   auto unit = cluster_->Allocate(
       cluster::IsolationLevel::kLambda, spec.demand, config_.placement,
-      spec.tenant.empty() ? function : spec.tenant);
+      spec.tenant.empty() ? spec.name : spec.tenant);
   if (!unit.ok()) return unit.status();
 
   const cluster::StartupModel model =
       cluster::DefaultStartupModel(cluster::IsolationLevel::kLambda);
-  auto c = std::make_unique<Container>();
-  c->id = next_container_id_++;
-  c->function = function;
+  const uint64_t cid = next_container_id_++;
+  Container* c = &containers_.try_emplace(cid).first->second;
+  c->id = cid;
+  c->fn = fn;
   c->unit = *unit;
   c->machine = cluster_->MachineOf(*unit).value_or(0);
   c->owner = cluster_->OwnerOf(*unit).value_or("");
   c->created_us = sim_->Now();
   c->memory_mb = spec.demand.memory_mb + model.overhead_mb;
   c->busy = true;
-  Container* raw = c.get();
-  containers_.emplace(raw->id, std::move(c));
-  containers_per_function_[function] += 1;
+  fn->containers += 1;
   h_.peak_containers.SetMax(double(containers_.size()));
-  return ColdStart{raw, model.SampleStartup(&rng_) + spec.init_us};
+  return ColdStart{c, model.SampleStartup(&rng_) + spec.init_us};
 }
 
 void FaasPlatform::CancelKeepAlive(Container* c) {
@@ -443,11 +425,9 @@ void FaasPlatform::CancelKeepAlive(Container* c) {
   c->keep_alive_event = 0;
 }
 
-void FaasPlatform::StartOnContainer(std::shared_ptr<Invocation> inv,
-                                    Container* container, bool cold,
-                                    SimDuration startup_us) {
+void FaasPlatform::StartOnContainer(Invocation* inv, Container* container,
+                                    bool cold, SimDuration startup_us) {
   const FunctionSpec& spec = inv->fn->spec;
-  inv->unit_owner = container->owner;
   const SimDuration queue_us = sim_->Now() - inv->attempt_start_us;
   h_.queue_latency_us.Add(double(queue_us));
   h_.startup_latency_us.Add(double(startup_us));
@@ -458,7 +438,7 @@ void FaasPlatform::StartOnContainer(std::shared_ptr<Invocation> inv,
   }
 
   // Determine how this attempt ends, ahead of time (simulated outcome).
-  SimDuration exec = spec.exec.Sample(&rng_, inv->payload->size());
+  SimDuration exec = spec.exec.Sample(&rng_, inv->payload.size());
   Status attempt_status = Status::OK();
   if (spec.failure_prob > 0 && rng_.NextBool(spec.failure_prob)) {
     // Crash partway through the run.
@@ -473,7 +453,7 @@ void FaasPlatform::StartOnContainer(std::shared_ptr<Invocation> inv,
   }
 
   const uint64_t cid = container->id;
-  container->inflight = std::move(inv);
+  container->inflight = inv;
   container->inflight_cold = cold;
   container->inflight_startup_us = startup_us;
   container->exec_began_us = sim_->Now() + startup_us;
@@ -483,19 +463,18 @@ void FaasPlatform::StartOnContainer(std::shared_ptr<Invocation> inv,
       sim_->Schedule(startup_us + exec, [this, cid] {
         auto it = containers_.find(cid);
         assert(it != containers_.end() && "busy container destroyed");
-        Container* c = it->second.get();
+        Container* c = &it->second;
         c->inflight_event = 0;
-        std::shared_ptr<Invocation> attempt = std::move(c->inflight);
-        FinishAttempt(std::move(attempt), c, c->inflight_cold,
+        FinishAttempt(std::exchange(c->inflight, nullptr), c, c->inflight_cold,
                       c->inflight_startup_us, c->inflight_exec_us,
                       std::move(c->inflight_status), "");
       });
 }
 
-void FaasPlatform::FinishAttempt(std::shared_ptr<Invocation> inv,
-                                 Container* container, bool cold,
-                                 SimDuration startup_us, SimDuration exec_us,
-                                 Status attempt_status, std::string output) {
+void FaasPlatform::FinishAttempt(Invocation* inv, Container* container,
+                                 bool cold, SimDuration startup_us,
+                                 SimDuration exec_us, Status attempt_status,
+                                 std::string output) {
   const FunctionSpec& spec = inv->fn->spec;
 
   // Run the real handler (if any) only for attempts that did not already
@@ -506,7 +485,7 @@ void FaasPlatform::FinishAttempt(std::shared_ptr<Invocation> inv,
     ctx.attempt = inv->attempt;
     ctx.cold_start = cold;
     ctx.container_cache = &container->cache;
-    auto r = spec.handler(*inv->payload, ctx);
+    auto r = spec.handler(inv->payload, ctx);
     if (r.ok()) {
       output = std::move(r).value();
     } else {
@@ -516,7 +495,7 @@ void FaasPlatform::FinishAttempt(std::shared_ptr<Invocation> inv,
 
   // Every attempt is billed for its execution time — including failed and
   // timed-out attempts, as on production FaaS platforms.
-  inv->cost_so_far += ledger_.Charge(inv->id, inv->attempt, inv->function,
+  inv->cost_so_far += ledger_.Charge(inv->id, inv->attempt, spec.name,
                                      exec_us, spec.demand.memory_mb);
   h_.exec_latency_us.Add(double(exec_us));
   admission_.RecordService(startup_us + exec_us);
@@ -524,14 +503,14 @@ void FaasPlatform::FinishAttempt(std::shared_ptr<Invocation> inv,
   if (attempt_status.IsTimeout()) h_.timeouts.Inc();
   if (!attempt_status.ok()) h_.failures.Inc();
 
-  EmitAttemptSpans(*inv, sim_->Now(), startup_us, exec_us, cold,
+  EmitAttemptSpans(*inv, *container, sim_->Now(), startup_us, exec_us, cold,
                    attempt_status, /*killed=*/false);
   ReleaseToWarmPool(container);
-  RetryOrComplete(std::move(inv), cold, startup_us, exec_us,
-                  std::move(attempt_status), std::move(output));
+  RetryOrComplete(inv, cold, startup_us, exec_us, std::move(attempt_status),
+                  std::move(output));
 }
 
-void FaasPlatform::RetryOrComplete(std::shared_ptr<Invocation> inv, bool cold,
+void FaasPlatform::RetryOrComplete(Invocation* inv, bool cold,
                                    SimDuration startup_us, SimDuration exec_us,
                                    Status attempt_status, std::string output) {
   bool want_retry =
@@ -540,7 +519,7 @@ void FaasPlatform::RetryOrComplete(std::shared_ptr<Invocation> inv, bool cold,
   if (want_retry && GuardActive() &&
       inv->deadline.Expired(sim_->Now())) {
     guard_->RecordDeadlineExceeded("faas", inv->root_ctx, sim_->Now(),
-                                   sim_->Now(), inv->tenant);
+                                   sim_->Now(), inv->fn->spec.tenant);
     attempt_status = Status::DeadlineExceeded(
         "deadline expired; not retrying: " + attempt_status.ToString());
     want_retry = false;
@@ -551,7 +530,7 @@ void FaasPlatform::RetryOrComplete(std::shared_ptr<Invocation> inv, bool cold,
     // matter how hard the backends fail (the anti-retry-storm valve).
     const bool granted = guard_->retry_budget().TryAcquire();
     guard_->RecordRetryDecision("faas", granted, inv->root_ctx, sim_->Now(),
-                                inv->tenant);
+                                inv->fn->spec.tenant);
     want_retry = granted;
   }
   if (want_retry) {
@@ -570,18 +549,18 @@ void FaasPlatform::RetryOrComplete(std::shared_ptr<Invocation> inv, bool cold,
           {{obs::kCategoryAttr, "retry"},
            {"after_attempt", std::to_string(failed_attempt)}});
     }
-    sim_->Schedule(delay, [this, inv = std::move(inv)] { Dispatch(inv); });
+    sim_->Schedule(delay, [this, inv] { Dispatch(inv); });
     return;
   }
 
   if (!attempt_status.ok()) h_.exhausted.Inc();
-  Complete(std::move(inv), cold, startup_us, exec_us, std::move(attempt_status),
+  Complete(inv, cold, startup_us, exec_us, std::move(attempt_status),
            std::move(output));
 }
 
-void FaasPlatform::Complete(std::shared_ptr<Invocation> inv, bool cold,
-                            SimDuration startup_us, SimDuration exec_us,
-                            Status status, std::string output) {
+void FaasPlatform::Complete(Invocation* inv, bool cold, SimDuration startup_us,
+                            SimDuration exec_us, Status status,
+                            std::string output) {
   InvocationResult res;
   res.id = inv->id;
   res.status = std::move(status);
@@ -596,7 +575,8 @@ void FaasPlatform::Complete(std::shared_ptr<Invocation> inv, bool cold,
   res.cost = inv->cost_so_far;
   res.served_via = inv->served_via;
   res.approx_error_bound = inv->approx_error_bound;
-  live_.erase(inv->id);
+  // Owns the invocation from here until Complete returns.
+  const auto node = live_.extract(inv->id);
   h_.completions.Inc();
   h_.e2e_latency_us.Add(double(res.EndToEnd()));
   if (TenantHandles* th = inv->fn->tenant_metrics) {
@@ -680,7 +660,7 @@ void FaasPlatform::ReleaseToWarmPool(Container* container) {
     DrainPending();
     return;
   }
-  warm_pools_[container->function].push_back(container->id);
+  container->fn->warm.push_back(container->id);
   const uint64_t cid = container->id;
   container->keep_alive_event = sim_->Schedule(
       config_.keep_alive_us, [this, cid] { DestroyContainer(cid); });
@@ -690,30 +670,24 @@ void FaasPlatform::ReleaseToWarmPool(Container* container) {
 void FaasPlatform::DestroyContainer(uint64_t container_id) {
   auto it = containers_.find(container_id);
   if (it == containers_.end()) return;
-  Container* c = it->second.get();
-  if (c->busy) return;  // raced with reuse; keep-alive was logically void
-  AccumulateMemoryTime(*c);
-  auto pool_it = warm_pools_.find(c->function);
-  if (pool_it != warm_pools_.end()) {
-    auto& dq = pool_it->second;
-    dq.erase(std::remove(dq.begin(), dq.end(), container_id), dq.end());
-  }
-  cluster_->Release(c->unit);  // ignore status: unit must exist by invariant
-  auto per_fn = containers_per_function_.find(c->function);
-  if (per_fn != containers_per_function_.end() && per_fn->second > 0) {
-    per_fn->second -= 1;
-  }
+  Container& c = it->second;
+  if (c.busy) return;  // raced with reuse; keep-alive was logically void
+  AccumulateMemoryTime(c);
+  auto& warm = c.fn->warm;
+  warm.erase(std::remove(warm.begin(), warm.end(), container_id), warm.end());
+  cluster_->Release(c.unit);  // ignore status: unit must exist by invariant
+  c.fn->containers -= 1;
   containers_.erase(it);
 }
 
 void FaasPlatform::DrainPending() {
   while (!pending_.empty()) {
-    auto inv = pending_.front();
+    Invocation* inv = pending_.front();
     // Queued work that was cancelled or whose deadline lapsed is doomed —
     // running it would burn a container on a result nobody will read.
     if (inv->abandoned) {
       pending_.pop_front();
-      Complete(std::move(inv), /*cold=*/false, 0, 0,
+      Complete(inv, /*cold=*/false, 0, 0,
                Status::Cancelled("cancelled while queued"), "");
       continue;
     }
@@ -721,8 +695,8 @@ void FaasPlatform::DrainPending() {
       pending_.pop_front();
       guard_->RecordDeadlineExceeded("faas", inv->root_ctx,
                                      inv->attempt_start_us, sim_->Now(),
-                                     inv->tenant);
-      Complete(std::move(inv), /*cold=*/false, 0, 0,
+                                     inv->fn->spec.tenant);
+      Complete(inv, /*cold=*/false, 0, 0,
                Status::DeadlineExceeded("deadline expired while queued"), "");
       continue;
     }
@@ -734,27 +708,26 @@ void FaasPlatform::DrainPending() {
 }
 
 size_t FaasPlatform::warm_container_count(const std::string& function) const {
-  auto it = warm_pools_.find(function);
-  return it == warm_pools_.end() ? 0 : it->second.size();
+  auto it = functions_.find(function);
+  return it == functions_.end() ? 0 : it->second.warm.size();
 }
 
 Result<size_t> FaasPlatform::Prewarm(const std::string& function,
                                      size_t count) {
-  auto spec_it = functions_.find(function);
-  if (spec_it == functions_.end()) {
+  auto fn_it = functions_.find(function);
+  if (fn_it == functions_.end()) {
     return Status::NotFound("function '" + function + "' not registered");
   }
-  const FunctionSpec& spec = spec_it->second.spec;
   size_t started = 0;
   for (; started < count; ++started) {
-    auto launch = LaunchContainer(function, spec);
+    auto launch = LaunchContainer(&fn_it->second);
     if (!launch.ok()) break;
     // Busy while initializing; parks warm when startup completes.
     const uint64_t cid = launch->container->id;
     sim_->Schedule(launch->startup_us, [this, cid] {
       auto it = containers_.find(cid);
       if (it == containers_.end()) return;
-      ReleaseToWarmPool(it->second.get());
+      ReleaseToWarmPool(&it->second);
     });
   }
   return started;
@@ -764,7 +737,7 @@ bool FaasPlatform::KillContainer(uint64_t container_id,
                                  const std::string& reason) {
   auto it = containers_.find(container_id);
   if (it == containers_.end()) return false;
-  Container* c = it->second.get();
+  Container* c = &it->second;
   h_.killed_containers.Inc();
 
   if (c->inflight != nullptr) {
@@ -774,8 +747,7 @@ bool FaasPlatform::KillContainer(uint64_t container_id,
         Status::Unavailable("container killed: " + reason);
     StoppedAttempt a = StopAttempt(c, kill_status, /*killed=*/true);
     ForceDestroyContainer(container_id);
-    RetryOrComplete(std::move(a.inv), a.cold, a.startup_us, a.exec_us,
-                    kill_status, "");
+    RetryOrComplete(a.inv, a.cold, a.startup_us, a.exec_us, kill_status, "");
   } else {
     ForceDestroyContainer(container_id);
   }
@@ -787,7 +759,7 @@ size_t FaasPlatform::KillContainersOnMachine(cluster::MachineId machine,
                                              const std::string& reason) {
   std::vector<uint64_t> victims;
   for (const auto& [id, c] : containers_) {
-    if (c->machine == machine) victims.push_back(id);
+    if (c.machine == machine) victims.push_back(id);
   }
   std::sort(victims.begin(), victims.end());
   for (uint64_t id : victims) KillContainer(id, reason);
@@ -800,8 +772,7 @@ FaasPlatform::StoppedAttempt FaasPlatform::StopAttempt(Container* c,
   sim_->Cancel(c->inflight_event);
   c->inflight_event = 0;
   StoppedAttempt a;
-  a.inv = std::move(c->inflight);
-  c->inflight.reset();
+  a.inv = std::exchange(c->inflight, nullptr);
   a.cold = c->inflight_cold;
   a.exec_us = std::max<SimDuration>(0, sim_->Now() - c->exec_began_us);
   // An attempt stopped mid-startup only burned part of its init; report
@@ -810,22 +781,22 @@ FaasPlatform::StoppedAttempt FaasPlatform::StopAttempt(Container* c,
   a.startup_us = std::min(c->inflight_startup_us,
                           std::max<SimDuration>(0, sim_->Now() - place_us));
   Invocation& inv = *a.inv;
-  inv.cost_so_far += ledger_.Charge(inv.id, inv.attempt, inv.function,
+  inv.cost_so_far += ledger_.Charge(inv.id, inv.attempt, inv.fn->spec.name,
                                     a.exec_us, inv.fn->spec.demand.memory_mb);
   h_.exec_latency_us.Add(double(a.exec_us));
   if (killed) {
     h_.failures.Inc();
     inv.chaos_killed = true;
   }
-  EmitAttemptSpans(inv, sim_->Now(), a.startup_us, a.exec_us, a.cold, status,
-                   killed);
+  EmitAttemptSpans(inv, *c, sim_->Now(), a.startup_us, a.exec_us, a.cold,
+                   status, killed);
   return a;
 }
 
 void FaasPlatform::ForceDestroyContainer(uint64_t container_id) {
   auto it = containers_.find(container_id);
   if (it == containers_.end()) return;
-  Container* c = it->second.get();
+  Container* c = &it->second;
   CancelKeepAlive(c);
   c->busy = false;  // let DestroyContainer proceed even mid-attempt
   DestroyContainer(container_id);
@@ -837,36 +808,30 @@ bool FaasPlatform::CancelInvocation(uint64_t id) {
 
 SimDuration FaasPlatform::CancelInvocationInternal(uint64_t id,
                                                    const std::string& why) {
+  auto live_it = live_.find(id);
+  if (live_it == live_.end()) return -1;  // unknown or already terminal
+  Invocation* inv = &live_it->second;
   // Waiting for capacity?
-  for (auto it = pending_.begin(); it != pending_.end(); ++it) {
-    if ((*it)->id != id) continue;
-    auto inv = *it;
-    pending_.erase(it);
-    Complete(std::move(inv), /*cold=*/false, 0, 0, Status::Cancelled(why),
-             "");
+  auto queued = std::find(pending_.begin(), pending_.end(), inv);
+  if (queued != pending_.end()) {
+    pending_.erase(queued);
+    Complete(inv, /*cold=*/false, 0, 0, Status::Cancelled(why), "");
     return 0;
   }
   // Running on a container? Stop the attempt and return the (healthy)
   // container to the warm pool.
   for (auto& [cid, c] : containers_) {
-    if (c->inflight == nullptr || c->inflight->id != id) continue;
+    if (c.inflight != inv) continue;
     const Status cancel_status = Status::Cancelled(why);
-    StoppedAttempt a = StopAttempt(c.get(), cancel_status, /*killed=*/false);
-    ReleaseToWarmPool(c.get());
-    Complete(std::move(a.inv), a.cold, a.startup_us, a.exec_us, cancel_status,
-             "");
+    StoppedAttempt a = StopAttempt(&c, cancel_status, /*killed=*/false);
+    ReleaseToWarmPool(&c);
+    Complete(inv, a.cold, a.startup_us, a.exec_us, cancel_status, "");
     return a.exec_us;
   }
-  // Between events (dispatch delay or retry backoff): flag it; the next
-  // Dispatch completes it Cancelled.
-  auto live_it = live_.find(id);
-  if (live_it != live_.end()) {
-    if (auto inv = live_it->second.lock()) {
-      inv->abandoned = true;
-      return 0;
-    }
-  }
-  return -1;
+  // Between events (dispatch delay, retry backoff or awaiting a reuse
+  // answer): flag it; the next continuation completes it Cancelled.
+  inv->abandoned = true;
+  return 0;
 }
 
 Result<uint64_t> FaasPlatform::InvokeHedged(const std::string& function,
@@ -875,15 +840,12 @@ Result<uint64_t> FaasPlatform::InvokeHedged(const std::string& function,
                                             obs::TraceContext parent,
                                             guard::Deadline deadline,
                                             std::string hedge_key) {
-  // One immutable allocation serves the primary, the hedge duplicate and
-  // every retry of either — the payload bytes are never copied again.
-  auto shared_payload =
-      std::make_shared<const std::string>(std::move(payload));
   if (guard_ == nullptr) {
-    return InvokeShared(function, std::move(shared_payload), std::move(cb),
-                        parent, deadline);
+    return Invoke(function, std::move(payload), std::move(cb), parent,
+                  deadline);
   }
-  if (!functions_.count(function)) {
+  const auto fn_it = functions_.find(function);
+  if (fn_it == functions_.end()) {
     return Status::NotFound("function '" + function + "' not registered");
   }
   auto hs = std::make_shared<HedgeState>();
@@ -895,14 +857,14 @@ Result<uint64_t> FaasPlatform::InvokeHedged(const std::string& function,
   if (obs_ != nullptr) {
     hs->root_ctx =
         obs_->tracer.StartSpan("hedged:" + function, "faas", parent);
-    const auto fn_it = functions_.find(function);
-    if (fn_it != functions_.end() && !fn_it->second.spec.tenant.empty()) {
+    if (!fn_it->second.spec.tenant.empty()) {
       obs_->tracer.SetAttr(hs->root_ctx, obs::kTenantAttr,
                            fn_it->second.spec.tenant);
     }
   }
-  auto primary = InvokeShared(
-      function, shared_payload,
+  // The primary gets a copy; the duplicate, if it launches, takes this one.
+  auto primary = Invoke(
+      function, payload,
       [this, hs](const InvocationResult& res) {
         OnHedgeResult(hs, res, /*from_hedge=*/false);
       },
@@ -914,7 +876,7 @@ Result<uint64_t> FaasPlatform::InvokeHedged(const std::string& function,
     return primary;
   }
   hs->primary_id = *primary;
-  hs->payload = std::move(shared_payload);
+  hs->payload = std::move(payload);
   if (hs->key.empty()) {
     hs->key = "hedge:" + function + ":" + std::to_string(hs->primary_id);
   }
@@ -927,8 +889,8 @@ Result<uint64_t> FaasPlatform::InvokeHedged(const std::string& function,
     // to the guard category wherever no deeper span covers it.
     guard_->EmitGuardSpan("hedge-wait", "faas", hs->root_ctx, hs->submit_us,
                           sim_->Now(), {});
-    auto hedge = InvokeShared(
-        hs->function, hs->payload,
+    auto hedge = Invoke(
+        hs->function, std::move(hs->payload),
         [this, hs](const InvocationResult& res) {
           OnHedgeResult(hs, res, /*from_hedge=*/true);
         },
@@ -1010,37 +972,40 @@ void FaasPlatform::AttachControl(ctrl::ConfigService* service,
        .min_value = 0.0,
        .max_value = 24.0 * 3600 * kSecond,
        .description = "platform admission estimated-wait bound (0 = unbounded)"});
-  auto subscribe = [service, &scope](const std::string& key,
-                                     ctrl::Watcher watcher) {
-    if (scope.empty()) {
-      service->Subscribe(key, std::move(watcher));
-    } else {
-      service->SubscribeScoped(key, scope, std::move(watcher));
-    }
-  };
   // Existing keep-alive timers keep their scheduled teardown; the new
   // retention governs containers going idle from now on (safe point:
   // between events, never mid-decision).
-  subscribe("faas.keep_alive_us", [this](const ctrl::ConfigUpdate& u) {
-    config_.keep_alive_us = u.value.as_int();
-  });
-  subscribe("faas.max_concurrency", [this](const ctrl::ConfigUpdate& u) {
-    const size_t next = size_t(u.value.as_int());
-    const bool raised = next > config_.max_concurrency;
-    config_.max_concurrency = next;
-    if (raised) DrainPending();  // new headroom may admit queued work
-  });
-  subscribe("faas.admission.max_queue_depth",
-            [this](const ctrl::ConfigUpdate& u) {
-              admission_.SetLimits(size_t(u.value.as_int()),
-                                   config_.admission.max_wait_us);
-              config_.admission.max_queue_depth = size_t(u.value.as_int());
-            });
-  subscribe("faas.admission.max_wait_us", [this](const ctrl::ConfigUpdate& u) {
-    config_.admission.max_wait_us = u.value.as_int();
-    admission_.SetLimits(config_.admission.max_queue_depth,
-                         u.value.as_int());
-  });
+  service->Subscribe(
+      "faas.keep_alive_us",
+      [this](const ctrl::ConfigUpdate& u) {
+        config_.keep_alive_us = u.value.as_int();
+      },
+      scope);
+  service->Subscribe(
+      "faas.max_concurrency",
+      [this](const ctrl::ConfigUpdate& u) {
+        const size_t next = size_t(u.value.as_int());
+        const bool raised = next > config_.max_concurrency;
+        config_.max_concurrency = next;
+        if (raised) DrainPending();  // new headroom may admit queued work
+      },
+      scope);
+  service->Subscribe(
+      "faas.admission.max_queue_depth",
+      [this](const ctrl::ConfigUpdate& u) {
+        admission_.SetLimits(size_t(u.value.as_int()),
+                             config_.admission.max_wait_us);
+        config_.admission.max_queue_depth = size_t(u.value.as_int());
+      },
+      scope);
+  service->Subscribe(
+      "faas.admission.max_wait_us",
+      [this](const ctrl::ConfigUpdate& u) {
+        config_.admission.max_wait_us = u.value.as_int();
+        admission_.SetLimits(config_.admission.max_queue_depth,
+                             u.value.as_int());
+      },
+      scope);
 }
 
 void FaasPlatform::AttachChaos(chaos::InjectorRegistry* registry) {
@@ -1077,10 +1042,13 @@ void FaasPlatform::AttachChaos(chaos::InjectorRegistry* registry) {
 
 void FaasPlatform::FlushWarmPool() {
   std::vector<uint64_t> ids;
-  for (auto& [fn, dq] : warm_pools_) {
-    ids.insert(ids.end(), dq.begin(), dq.end());
+  for (const auto& [name, fn] : functions_) {
+    ids.insert(ids.end(), fn.warm.begin(), fn.warm.end());
   }
-  // Pooled containers are idle, so forcing only cancels their keep-alive.
+  // Id order, so the memory-time sum and the cluster releases do not
+  // depend on hash-map iteration. Pooled containers are idle, so forcing
+  // only cancels their keep-alive.
+  std::sort(ids.begin(), ids.end());
   for (uint64_t id : ids) ForceDestroyContainer(id);
 }
 

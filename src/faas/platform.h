@@ -151,16 +151,6 @@ class FaasPlatform {
                           InvokeCallback cb, obs::TraceContext parent = {},
                           guard::Deadline deadline = {});
 
-  /// Invoke with a caller-shared immutable payload. The platform never
-  /// copies the payload bytes again: retries, hedges and the reuse layer
-  /// all reference the same allocation. Invoke()/InvokeHedged() wrap their
-  /// string argument once and delegate here.
-  Result<uint64_t> InvokeShared(const std::string& function,
-                                std::shared_ptr<const std::string> payload,
-                                InvokeCallback cb,
-                                obs::TraceContext parent = {},
-                                guard::Deadline deadline = {});
-
   /// Invoke with a deterministic hedge (taureau::guard, "The Tail at
   /// Scale"): if the primary attempt is still running after the tracked
   /// hedge delay (~p95 of observed latencies), a duplicate launches; the
@@ -271,11 +261,12 @@ class FaasPlatform {
   }
 
  private:
+  struct Function;
   struct Invocation;
 
   struct Container {
     uint64_t id = 0;
-    std::string function;
+    Function* fn = nullptr;  ///< The function it runs.
     cluster::UnitId unit = 0;
     cluster::MachineId machine = 0;
     SimTime created_us = 0;
@@ -290,7 +281,7 @@ class FaasPlatform {
     /// In-flight attempt state, so a chaos kill can cancel and fail it and
     /// the completion event needs to capture only the container id.
     sim::EventId inflight_event = 0;
-    std::shared_ptr<Invocation> inflight;
+    Invocation* inflight = nullptr;
     bool inflight_cold = false;
     SimDuration inflight_startup_us = 0;
     SimTime exec_began_us = 0;
@@ -311,8 +302,8 @@ class FaasPlatform {
     obs::HistogramHandle e2e_latency_us;
   };
 
-  /// A registered function, with what the invoke path needs of it
-  /// resolved once instead of looked up by name per request.
+  /// A registered function: its spec, what the invoke path needs of it
+  /// resolved once, and its containers' bookkeeping.
   struct Function {
     FunctionSpec spec;
     TenantHandles* tenant_metrics = nullptr;  ///< nullptr when untenanted.
@@ -321,18 +312,18 @@ class FaasPlatform {
     bool reuse_resolved = false;
     uint32_t reuse_id = 0;
     reuse::ReuseLayer::TenantHandles* reuse_tenant = nullptr;
+    /// Live containers (for the per-function concurrency cap).
+    size_t containers = 0;
+    /// Idle warm container ids (most recently used at the back).
+    std::deque<uint64_t> warm;
   };
 
   struct Invocation {
     uint64_t id = 0;
     /// The registered function (`functions_` nodes never move or go away).
     Function* fn = nullptr;
-    std::string function;
-    std::string tenant;      ///< FunctionSpec::tenant (may be empty).
-    std::string unit_owner;  ///< Owner tag of the last container's unit.
-    /// Immutable payload shared across attempts, hedges and the reuse
-    /// layer — one allocation per request no matter how often it re-runs.
-    std::shared_ptr<const std::string> payload;
+    /// Read in place by every attempt and the reuse layer.
+    std::string payload;
     InvokeCallback cb;
     int attempt = 0;
     SimTime submit_us = 0;
@@ -361,7 +352,7 @@ class FaasPlatform {
   struct HedgeState {
     /// What the duplicate is launched with.
     std::string function;
-    std::shared_ptr<const std::string> payload;
+    std::string payload;
     guard::Deadline deadline;
     bool done = false;
     uint64_t primary_id = 0;
@@ -399,49 +390,49 @@ class FaasPlatform {
   /// attached as a singleflight follower) — the caller must not dispatch.
   /// False proceeds to dispatch; when reuse is active the invocation has
   /// become its key's singleflight leader.
-  bool TryServeReuse(const std::shared_ptr<Invocation>& inv);
+  bool TryServeReuse(Invocation* inv);
   /// Terminal delivery of the reuse-served answer held on the invocation
   /// (hit / coalesced / approximation) through the normal Complete path.
-  void CompleteFromReuse(std::shared_ptr<Invocation> inv);
+  void CompleteFromReuse(Invocation* inv);
 
-  void Dispatch(std::shared_ptr<Invocation> inv);
+  void Dispatch(Invocation* inv);
   /// Attempts to start the invocation now; false means no capacity and the
   /// caller should queue it.
-  bool TryPlace(std::shared_ptr<Invocation> inv);
+  bool TryPlace(Invocation* inv);
   /// A new container, busy until its first attempt ends (or, prewarmed,
   /// until `startup_us` of runtime and function init has passed).
   struct ColdStart {
     Container* container;
     SimDuration startup_us;
   };
-  /// Cold-starts a container for `function` within the account and
-  /// per-function concurrency caps: allocates its cluster unit, records it
-  /// and samples its start-up time. ResourceExhausted when a cap or the
-  /// cluster has no room; any other error comes from the cluster.
-  Result<ColdStart> LaunchContainer(const std::string& function,
-                                    const FunctionSpec& spec);
+  /// Cold-starts a container for `fn` within the account and per-function
+  /// concurrency caps: allocates its cluster unit, records it and samples
+  /// its start-up time. ResourceExhausted when a cap or the cluster has no
+  /// room; any other error comes from the cluster.
+  Result<ColdStart> LaunchContainer(Function* fn);
   /// Cancels the container's pending keep-alive teardown, if any.
   void CancelKeepAlive(Container* c);
-  void StartOnContainer(std::shared_ptr<Invocation> inv, Container* container,
-                        bool cold, SimDuration startup_us);
-  void FinishAttempt(std::shared_ptr<Invocation> inv, Container* container,
-                     bool cold, SimDuration startup_us, SimDuration exec_us,
+  void StartOnContainer(Invocation* inv, Container* container, bool cold,
+                        SimDuration startup_us);
+  void FinishAttempt(Invocation* inv, Container* container, bool cold,
+                     SimDuration startup_us, SimDuration exec_us,
                      Status attempt_status, std::string output);
   /// Retries the failed attempt (with the policy's backoff) when budget
   /// remains, else completes the invocation.
-  void RetryOrComplete(std::shared_ptr<Invocation> inv, bool cold,
-                       SimDuration startup_us, SimDuration exec_us,
-                       Status attempt_status, std::string output);
-  void Complete(std::shared_ptr<Invocation> inv, bool cold,
-                SimDuration startup_us, SimDuration exec_us, Status status,
-                std::string output);
+  void RetryOrComplete(Invocation* inv, bool cold, SimDuration startup_us,
+                       SimDuration exec_us, Status attempt_status,
+                       std::string output);
+  /// Delivers the terminal result and takes the invocation out of `live_`;
+  /// it is destroyed when Complete returns.
+  void Complete(Invocation* inv, bool cold, SimDuration startup_us,
+                SimDuration exec_us, Status status, std::string output);
   void ReleaseToWarmPool(Container* container);
   void DestroyContainer(uint64_t container_id);
   /// DestroyContainer that also works on busy containers (chaos kill).
   void ForceDestroyContainer(uint64_t container_id);
   /// The attempt StopAttempt took off its container.
   struct StoppedAttempt {
-    std::shared_ptr<Invocation> inv;
+    Invocation* inv = nullptr;
     bool cold = false;
     SimDuration startup_us = 0;  ///< Start-up elapsed before the stop.
     SimDuration exec_us = 0;     ///< Execution burned (and billed).
@@ -473,10 +464,11 @@ class FaasPlatform {
   TenantHandles* TenantMetrics(const std::string& tenant);
   /// Adds memory-time to the native integral and mirrors it to the gauge.
   void AccumulateMemoryTime(const Container& c);
-  /// Emits the queue/cold/exec spans of one finished (or killed) attempt,
-  /// all parented under the invocation's root span.
-  void EmitAttemptSpans(const Invocation& inv, SimTime attempt_end_us,
-                        SimDuration startup_us, SimDuration exec_us, bool cold,
+  /// Emits the queue/cold/exec spans of one finished (or killed) attempt
+  /// on container `c`, all parented under the invocation's root span.
+  void EmitAttemptSpans(const Invocation& inv, const Container& c,
+                        SimTime attempt_end_us, SimDuration startup_us,
+                        SimDuration exec_us, bool cold,
                         const Status& attempt_status, bool killed);
 
   sim::Simulation* sim_;
@@ -495,15 +487,20 @@ class FaasPlatform {
   mutable PlatformMetrics metrics_view_;
 
   std::unordered_map<std::string, Function> functions_;
-  std::unordered_map<uint64_t, std::unique_ptr<Container>> containers_;
-  /// Live container count per function (for per-function concurrency caps).
-  std::unordered_map<std::string, size_t> containers_per_function_;
-  /// Idle warm containers per function (most recently used at the back).
-  std::unordered_map<std::string, std::deque<uint64_t>> warm_pools_;
+  std::unordered_map<uint64_t, Container> containers_;
   /// Invocations waiting for capacity.
-  std::deque<std::shared_ptr<Invocation>> pending_;
-  /// Non-terminal invocations by id (cancellation lookup).
-  std::unordered_map<uint64_t, std::weak_ptr<Invocation>> live_;
+  std::deque<Invocation*> pending_;
+  /// Every non-terminal invocation by id, and its only owner: map nodes
+  /// never move, so everything else holds a plain Invocation*. At any
+  /// moment exactly one continuation refers to a live invocation — one
+  /// scheduled event (dispatch, retry, shed or reuse answer), a pending_
+  /// slot, a busy container's `inflight` or a singleflight follower — and
+  /// that continuation is what completes it. Cancelling between events
+  /// only sets `abandoned`; the next continuation then completes it.
+  /// Complete() extracts the node, so terminal means gone from here, and
+  /// the invocation outlives its callback and fan-out. A re-entrant Invoke
+  /// from a callback inserts other nodes, which never moves existing ones.
+  std::unordered_map<uint64_t, Invocation> live_;
   guard::Guard* guard_ = nullptr;
   guard::AdmissionController admission_;
   reuse::ReuseLayer* reuse_ = nullptr;

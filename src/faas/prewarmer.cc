@@ -48,20 +48,18 @@ void Prewarmer::AttachControl(ctrl::ConfigService* service,
        .max_value = 100.0,
        .description =
            "warm-pool target multiplier over the forecast arrival rate"});
-  auto subscribe = [service, &scope](const std::string& key,
-                                     ctrl::Watcher watcher) {
-    if (scope.empty()) {
-      service->Subscribe(key, std::move(watcher));
-    } else {
-      service->SubscribeScoped(key, scope, std::move(watcher));
-    }
-  };
-  subscribe("faas.prewarm.max_prewarmed", [this](const ctrl::ConfigUpdate& u) {
-    config_.max_prewarmed = uint32_t(u.value.as_int());
-  });
-  subscribe("faas.prewarm.headroom", [this](const ctrl::ConfigUpdate& u) {
-    config_.headroom = u.value.AsNumber();
-  });
+  service->Subscribe(
+      "faas.prewarm.max_prewarmed",
+      [this](const ctrl::ConfigUpdate& u) {
+        config_.max_prewarmed = uint32_t(u.value.as_int());
+      },
+      scope);
+  service->Subscribe(
+      "faas.prewarm.headroom",
+      [this](const ctrl::ConfigUpdate& u) {
+        config_.headroom = u.value.AsNumber();
+      },
+      scope);
 }
 
 bool Prewarmer::Tick() {

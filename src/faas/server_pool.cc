@@ -24,24 +24,20 @@ void ServerPool::AttachControl(ctrl::ConfigService* service,
        .min_value = 1.0,
        .max_value = 1e6,
        .description = "consecutive failures that trip the breaker"});
-  auto subscribe = [service, &scope](const std::string& key,
-                                     ctrl::Watcher watcher) {
-    if (scope.empty()) {
-      service->Subscribe(key, std::move(watcher));
-    } else {
-      service->SubscribeScoped(key, scope, std::move(watcher));
-    }
-  };
-  subscribe("pool.breaker.half_open_probes",
-            [this](const ctrl::ConfigUpdate& u) {
-              config_.breaker.half_open_probes = int(u.value.as_int());
-              breaker_.SetHalfOpenProbes(int(u.value.as_int()));
-            });
-  subscribe("pool.breaker.failure_threshold",
-            [this](const ctrl::ConfigUpdate& u) {
-              config_.breaker.failure_threshold = int(u.value.as_int());
-              breaker_.SetFailureThreshold(int(u.value.as_int()));
-            });
+  service->Subscribe(
+      "pool.breaker.half_open_probes",
+      [this](const ctrl::ConfigUpdate& u) {
+        config_.breaker.half_open_probes = int(u.value.as_int());
+        breaker_.SetHalfOpenProbes(int(u.value.as_int()));
+      },
+      scope);
+  service->Subscribe(
+      "pool.breaker.failure_threshold",
+      [this](const ctrl::ConfigUpdate& u) {
+        config_.breaker.failure_threshold = int(u.value.as_int());
+        breaker_.SetFailureThreshold(int(u.value.as_int()));
+      },
+      scope);
 }
 
 void ServerPool::AttachObservability(obs::Observability* o) {

@@ -323,15 +323,12 @@ void JiffyController::AttachControl(ctrl::ConfigService* service,
        .min_value = 0.0,
        .max_value = 0.5,
        .description = "free-capacity fraction below which allocations shed"});
-  ctrl::Watcher watcher = [this](const ctrl::ConfigUpdate& u) {
-    config_.min_free_block_fraction = u.value.as_double();
-  };
-  if (scope.empty()) {
-    service->Subscribe("jiffy.min_free_block_fraction", std::move(watcher));
-  } else {
-    service->SubscribeScoped("jiffy.min_free_block_fraction", scope,
-                             std::move(watcher));
-  }
+  service->Subscribe(
+      "jiffy.min_free_block_fraction",
+      [this](const ctrl::ConfigUpdate& u) {
+        config_.min_free_block_fraction = u.value.as_double();
+      },
+      scope);
 }
 
 void JiffyController::AttachChaos(chaos::InjectorRegistry* registry) {

@@ -45,11 +45,6 @@ struct JiffyConfig {
   bool enable_admission = false;
   guard::AdmissionConfig admission;
   double min_free_block_fraction = 0.02;
-  /// Shard affinity: which logical process of a sharded world (src/psim)
-  /// owns this controller and its memory pool. Namespace operations from
-  /// other shards must travel as psim::Post events with at least the
-  /// store's base latency. Annotation only — the controller never reads it.
-  uint32_t shard_affinity = 0;
 };
 
 /// Notification callback: (event, namespace path).

@@ -43,15 +43,9 @@ Composition Composition::Named(std::string composition_name) {
   return Composition(std::move(node));
 }
 
-Composition Composition::Retry(Composition child, int attempts) {
-  return Retry(std::move(child),
-               chaos::RetryPolicy::Immediate(attempts < 1 ? 1 : attempts));
-}
-
 Composition Composition::Retry(Composition child, chaos::RetryPolicy policy) {
   auto node = std::make_shared<Node>();
   node->kind = Kind::kRetry;
-  node->retry_attempts = policy.max_attempts < 1 ? 1 : policy.max_attempts;
   node->retry_policy = policy;
   node->children = {child.root()};
   return Composition(std::move(node));

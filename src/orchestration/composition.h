@@ -59,14 +59,12 @@ class Composition {
   /// compose like functions).
   static Composition Named(std::string composition_name);
 
-  /// Re-run the child up to `attempts` times on failure (orchestration-
-  /// level retry, on top of the platform's own attempt retries).
-  /// Re-attempts are immediate (no backoff) — the legacy behaviour.
-  static Composition Retry(Composition child, int attempts);
-
-  /// Retry under a full policy: the orchestrator waits
-  /// `policy.BackoffFor(i)` between attempt i and i+1 (exponential backoff
-  /// with jitter, shared with the FaaS platform's chaos::RetryPolicy).
+  /// Re-run the child on failure, up to `policy.max_attempts` times in
+  /// all (orchestration-level retry, on top of the platform's own attempt
+  /// retries). The orchestrator waits `policy.BackoffFor(i)` between
+  /// attempt i and i+1 (exponential backoff with jitter, shared with the
+  /// FaaS platform's chaos::RetryPolicy); RetryPolicy::Immediate(n)
+  /// re-attempts with no wait.
   static Composition Retry(Composition child, chaos::RetryPolicy policy);
 
   /// Step-Functions-style Map state: splits the input on `delimiter`, runs
@@ -87,8 +85,7 @@ class Composition {
     std::vector<std::shared_ptr<const Node>> children;
     Aggregator aggregate;
     Predicate predicate;
-    int retry_attempts = 1;
-    /// Backoff schedule between retry attempts (zero for plain Retry).
+    /// kRetry: attempt budget and backoff schedule.
     chaos::RetryPolicy retry_policy = chaos::RetryPolicy::None();
     char map_delimiter = '\n';
     /// kDeadline: per-stage time budget applied when the node executes.

@@ -419,7 +419,7 @@ void Orchestrator::Exec(std::shared_ptr<const Composition::Node> node,
       struct RetryState {
         std::shared_ptr<const Composition::Node> node;
         std::string input;
-        int attempts_left;
+        int attempt = 0;  ///< 0-based index of the running attempt.
         Money cost;
         uint64_t invocations = 0;
         std::string key;
@@ -430,7 +430,6 @@ void Orchestrator::Exec(std::shared_ptr<const Composition::Node> node,
       auto state = std::make_shared<RetryState>();
       state->node = node;
       state->input = std::move(input);
-      state->attempts_left = node->retry_attempts;
       // All attempts share the subtree key: steps that succeeded on an
       // earlier attempt replay from the idempotency cache on the re-run.
       state->key = std::move(key);
@@ -441,7 +440,6 @@ void Orchestrator::Exec(std::shared_ptr<const Composition::Node> node,
       // Weak self-reference in the stored closure; each pending
       // continuation carries the strong one (see the kSequence note).
       *attempt = [this, state, weak = std::weak_ptr(attempt)] {
-        --state->attempts_left;
         auto self = weak.lock();
         Exec(state->node->children[0], state->input, state->key, state->ctx,
              state->deadline,
@@ -449,8 +447,10 @@ void Orchestrator::Exec(std::shared_ptr<const Composition::Node> node,
                                  uint64_t inv) {
                state->cost += cost;
                state->invocations += inv;
-               bool want_retry = !s.ok() && state->attempts_left > 0 &&
-                                 !s.IsCancelled();
+               const int failed = state->attempt;
+               const chaos::RetryPolicy& policy = state->node->retry_policy;
+               bool want_retry =
+                   !s.ok() && policy.ShouldRetry(failed) && !s.IsCancelled();
                if (want_retry && state->deadline.Expired(sim_->Now())) {
                  // No budget left to spend another attempt in.
                  if (guard_ != nullptr) {
@@ -469,12 +469,10 @@ void Orchestrator::Exec(std::shared_ptr<const Composition::Node> node,
                  want_retry = granted;
                }
                if (want_retry) {
-                 // Exponential backoff (zero for plain Retry) before the
-                 // next attempt; 0-based index of the attempt that failed.
-                 const int failed =
-                     state->node->retry_attempts - state->attempts_left - 1;
-                 const SimDuration backoff =
-                     state->node->retry_policy.BackoffFor(failed, &rng_);
+                 // Backoff (zero under RetryPolicy::Immediate) before the
+                 // next attempt.
+                 ++state->attempt;
+                 const SimDuration backoff = policy.BackoffFor(failed, &rng_);
                  if (backoff > 0) {
                    if (obs_ != nullptr && state->ctx.valid()) {
                      const SimTime now = sim_->Now();

@@ -3,7 +3,7 @@
 // A ParallelSimulation shards a single simulated world into `shards` logical
 // processes. Each shard owns a private sim::Simulation (its event loop, and
 // by convention its slice of the landscape: machines, topics, namespaces —
-// see the shard_affinity annotations in cluster/faas/pubsub/jiffy). Shards
+// the world that builds the shards decides, e.g. with ShardForKey). Shards
 // interact only through Post(): a timestamped cross-shard event that is
 // buffered in the source shard's outbox and exchanged at the next barrier.
 //
@@ -50,8 +50,7 @@ namespace taureau::psim {
 using ShardId = uint32_t;
 
 /// Stable hash partitioner: which shard owns `key` (a machine name, topic,
-/// namespace path, tenant id). The same rule the shard_affinity annotations
-/// across cluster/faas/pubsub/jiffy default to.
+/// namespace path, tenant id).
 inline ShardId ShardForKey(std::string_view key, uint32_t shards) {
   return shards <= 1 ? 0 : static_cast<ShardId>(Fnv1a64(key) % shards);
 }

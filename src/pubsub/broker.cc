@@ -317,26 +317,22 @@ void PulsarCluster::AttachControl(ctrl::ConfigService* service,
        .min_value = 0.0,
        .max_value = 24.0 * 3600 * kSecond,
        .description = "broker admission estimated-wait bound (0 = unbounded)"});
-  auto subscribe = [service, &scope](const std::string& key,
-                                     ctrl::Watcher watcher) {
-    if (scope.empty()) {
-      service->Subscribe(key, std::move(watcher));
-    } else {
-      service->SubscribeScoped(key, scope, std::move(watcher));
-    }
-  };
-  subscribe("pubsub.admission.max_queue_depth",
-            [this](const ctrl::ConfigUpdate& u) {
-              config_.admission.max_queue_depth = size_t(u.value.as_int());
-              admission_.SetLimits(config_.admission.max_queue_depth,
-                                   config_.admission.max_wait_us);
-            });
-  subscribe("pubsub.admission.max_wait_us",
-            [this](const ctrl::ConfigUpdate& u) {
-              config_.admission.max_wait_us = u.value.as_int();
-              admission_.SetLimits(config_.admission.max_queue_depth,
-                                   config_.admission.max_wait_us);
-            });
+  service->Subscribe(
+      "pubsub.admission.max_queue_depth",
+      [this](const ctrl::ConfigUpdate& u) {
+        config_.admission.max_queue_depth = size_t(u.value.as_int());
+        admission_.SetLimits(config_.admission.max_queue_depth,
+                             config_.admission.max_wait_us);
+      },
+      scope);
+  service->Subscribe(
+      "pubsub.admission.max_wait_us",
+      [this](const ctrl::ConfigUpdate& u) {
+        config_.admission.max_wait_us = u.value.as_int();
+        admission_.SetLimits(config_.admission.max_queue_depth,
+                             config_.admission.max_wait_us);
+      },
+      scope);
 }
 
 void PulsarCluster::AttachChaos(chaos::InjectorRegistry* registry) {

@@ -53,11 +53,6 @@ struct TopicConfig {
   uint32_t ensemble_size = 3;
   uint32_t write_quorum = 2;
   uint32_t ack_quorum = 2;
-  /// Shard affinity: which logical process of a sharded world (src/psim)
-  /// owns this topic's cluster. Publishes from other shards must arrive as
-  /// psim::Post events (geo-forward latency >= the mined lookahead). By
-  /// convention psim::ShardForKey(topic name, shards); annotation only.
-  uint32_t shard_affinity = 0;
 };
 
 struct PulsarConfig {

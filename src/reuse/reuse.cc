@@ -156,25 +156,24 @@ void ReuseLayer::AttachControl(ctrl::ConfigService* service,
        .max_value = 1e15,
        .description = "result-cache byte budget (0 = unbounded)"});
 
-  auto subscribe = [&](const std::string& key, ctrl::Watcher watcher) {
-    if (scope.empty()) {
-      service->Subscribe(key, std::move(watcher));
-    } else {
-      service->SubscribeScoped(key, scope, std::move(watcher));
-    }
-  };
-  subscribe("reuse.enabled", [this](const ctrl::ConfigUpdate& u) {
-    enabled_ = u.value.as_bool();
-  });
-  subscribe("reuse.approx.burn_threshold",
-            [this](const ctrl::ConfigUpdate& u) {
-              approx_burn_threshold_ = u.value.AsNumber();
-            });
-  subscribe("reuse.cache.max_bytes", [this](const ctrl::ConfigUpdate& u) {
-    cache_.SetLimits(size_t(std::max<int64_t>(0, u.value.as_int())),
-                     cache_.config().max_entries);
-    SyncCacheGauges();
-  });
+  service->Subscribe(
+      "reuse.enabled",
+      [this](const ctrl::ConfigUpdate& u) { enabled_ = u.value.as_bool(); },
+      scope);
+  service->Subscribe(
+      "reuse.approx.burn_threshold",
+      [this](const ctrl::ConfigUpdate& u) {
+        approx_burn_threshold_ = u.value.AsNumber();
+      },
+      scope);
+  service->Subscribe(
+      "reuse.cache.max_bytes",
+      [this](const ctrl::ConfigUpdate& u) {
+        cache_.SetLimits(size_t(std::max<int64_t>(0, u.value.as_int())),
+                         cache_.config().max_entries);
+        SyncCacheGauges();
+      },
+      scope);
 }
 
 ReuseStats ReuseLayer::stats() const {

@@ -21,7 +21,6 @@
 #include <functional>
 #include <vector>
 
-#include "common/time_types.h"
 #include "reuse/result_cache.h"
 
 namespace taureau::reuse {
@@ -31,7 +30,6 @@ namespace taureau::reuse {
 /// context, per-tenant metric handles).
 struct Follower {
   uint64_t id = 0;
-  SimTime submit_us = 0;
   std::function<void(const CachedResult&)> deliver;
 };
 

@@ -226,9 +226,12 @@ TEST(ConfigService, ScopedOverridesLayerOverBase) {
                   .EnsureDefined(Spec("k", ConfigValue::Int(1)))
                   .ok());
   std::vector<int64_t> m1_seen;
-  service.SubscribeScoped("k", "m1", [&m1_seen](const ConfigUpdate& u) {
-    m1_seen.push_back(u.value.as_int());
-  });
+  service.Subscribe(
+      "k",
+      [&m1_seen](const ConfigUpdate& u) {
+        m1_seen.push_back(u.value.as_int());
+      },
+      "m1");
 
   service.PushScoped("k", {"m1", "m2"}, ConfigValue::Int(100));
   sim.Run();

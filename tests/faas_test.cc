@@ -3,7 +3,9 @@
 // pre-warming and per-function reserved concurrency.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <optional>
+#include <vector>
 
 #include "cluster/cluster.h"
 #include "faas/billing.h"
@@ -266,6 +268,125 @@ TEST(FaasPlatformTest, QueueDrainsWhenCapacityFrees) {
   // Serialized through one container => 4 warm starts after the first cold.
   EXPECT_EQ(f.platform->metrics().cold_starts, 1u);
   EXPECT_EQ(f.platform->metrics().warm_starts, 4u);
+}
+
+// ------------------------------------------------------------ Cancellation
+
+/// Every callback, by invocation id.
+struct ResultLog {
+  std::map<uint64_t, std::vector<InvocationResult>> by_id;
+
+  InvokeCallback Callback() {
+    return [this](const InvocationResult& r) { by_id[r.id].push_back(r); };
+  }
+
+  /// Exactly one callback, with `code`; the invocation is then gone, so
+  /// cancelling it again finds nothing.
+  void ExpectDoneOnce(FaasPlatform& platform, uint64_t id, StatusCode code) {
+    ASSERT_EQ(by_id[id].size(), 1u) << "invocation " << id;
+    EXPECT_EQ(by_id[id][0].status.code(), code) << "invocation " << id;
+    EXPECT_FALSE(platform.CancelInvocation(id)) << "invocation " << id;
+  }
+};
+
+TEST(FaasPlatformTest, CancelInEveryLifecycleState) {
+  {
+    // Before dispatch: the dispatch event completes it, unbilled.
+    Fixture f;
+    ASSERT_TRUE(f.platform->RegisterFunction(f.SimpleSpec("fn")).ok());
+    ResultLog log;
+    const uint64_t id = *f.platform->Invoke("fn", "p", log.Callback());
+    EXPECT_TRUE(f.platform->CancelInvocation(id));
+    EXPECT_TRUE(log.by_id[id].empty());
+    f.sim.Run();
+    log.ExpectDoneOnce(*f.platform, id, StatusCode::kCancelled);
+    EXPECT_EQ(f.platform->ledger().record_count(), 0u);
+    EXPECT_EQ(f.platform->metrics().cold_starts, 0u);
+  }
+  {
+    // Queued behind the only container: leaves the queue at once.
+    FaasConfig cfg;
+    cfg.max_concurrency = 1;
+    Fixture f(cfg);
+    ASSERT_TRUE(
+        f.platform->RegisterFunction(f.SimpleSpec("fn", kSecond)).ok());
+    ResultLog log;
+    const uint64_t running = *f.platform->Invoke("fn", "a", log.Callback());
+    const uint64_t queued = *f.platform->Invoke("fn", "b", log.Callback());
+    f.sim.RunUntil(100 * kMillisecond);  // both dispatched
+    ASSERT_EQ(f.platform->pending_queue_depth(), 1u);
+    EXPECT_TRUE(f.platform->CancelInvocation(queued));
+    EXPECT_EQ(f.platform->pending_queue_depth(), 0u);
+    log.ExpectDoneOnce(*f.platform, queued, StatusCode::kCancelled);
+    f.sim.Run();
+    log.ExpectDoneOnce(*f.platform, running, StatusCode::kOk);
+    EXPECT_EQ(f.platform->ledger().record_count(), 1u);
+  }
+  {
+    // Running: stopped at once, billed once for the execution burned, and
+    // the healthy container goes back to the warm pool.
+    Fixture f;
+    ASSERT_TRUE(
+        f.platform->RegisterFunction(f.SimpleSpec("fn", 10 * kSecond)).ok());
+    ResultLog log;
+    const uint64_t id = *f.platform->Invoke("fn", "p", log.Callback());
+    f.sim.RunUntil(3 * kSecond);  // past the cold start, mid-execution
+    EXPECT_TRUE(f.platform->CancelInvocation(id));
+    log.ExpectDoneOnce(*f.platform, id, StatusCode::kCancelled);
+    const InvocationResult& r = log.by_id[id][0];
+    EXPECT_GT(r.exec_us, 0);
+    EXPECT_LT(r.exec_us, 3 * kSecond);
+    EXPECT_EQ(f.platform->ledger().record_count(), 1u);
+    EXPECT_EQ(r.cost, f.platform->ledger().Total());
+    EXPECT_EQ(f.platform->warm_container_count("fn"), 1u);
+    f.sim.Run();  // the stopped attempt's completion never fires
+    EXPECT_EQ(log.by_id[id].size(), 1u);
+    EXPECT_EQ(f.platform->ledger().record_count(), 1u);
+  }
+  {
+    // During a retry backoff: the retry's dispatch completes it.
+    FaasConfig cfg;
+    cfg.retry = chaos::RetryPolicy::ExponentialJitter(3, kSecond, 0.0);
+    Fixture f(cfg);
+    FunctionSpec spec = f.SimpleSpec("flaky");
+    spec.handler = [](const std::string&, InvocationContext&)
+        -> Result<std::string> { return Status::Aborted("transient"); };
+    ASSERT_TRUE(f.platform->RegisterFunction(spec).ok());
+    ResultLog log;
+    const uint64_t id = *f.platform->Invoke("flaky", "p", log.Callback());
+    while (f.platform->ledger().record_count() == 0) ASSERT_TRUE(f.sim.Step());
+    const SimTime cancelled_at = f.sim.Now();
+    EXPECT_TRUE(f.platform->CancelInvocation(id));
+    f.sim.Run();
+    log.ExpectDoneOnce(*f.platform, id, StatusCode::kCancelled);
+    EXPECT_EQ(log.by_id[id][0].attempts, 2);
+    EXPECT_GE(log.by_id[id][0].end_us, cancelled_at + kSecond);
+    EXPECT_EQ(f.platform->ledger().record_count(), 1u);
+  }
+  {
+    // From inside its own callback: already terminal.
+    Fixture f;
+    ASSERT_TRUE(f.platform->RegisterFunction(f.SimpleSpec("fn")).ok());
+    int calls = 0;
+    std::optional<bool> cancelled_inside;
+    const uint64_t id = *f.platform->Invoke(
+        "fn", "p", [&](const InvocationResult& r) {
+          ++calls;
+          EXPECT_TRUE(r.status.ok());
+          cancelled_inside = f.platform->CancelInvocation(r.id);
+        });
+    f.sim.Run();
+    EXPECT_EQ(calls, 1);
+    ASSERT_TRUE(cancelled_inside.has_value());
+    EXPECT_FALSE(*cancelled_inside);
+    EXPECT_FALSE(f.platform->CancelInvocation(id));
+  }
+  {
+    // Unknown ids.
+    Fixture f;
+    EXPECT_FALSE(f.platform->CancelInvocation(0));
+    EXPECT_FALSE(f.platform->CancelInvocation(12345));
+  }
 }
 
 // -------------------------------------------------------------- Handlers

@@ -817,7 +817,8 @@ TEST(OrchestratorGuardTest, RetryNodeDrawsFromGuardBudget) {
   Guard guard(gcfg);
   f.orch->AttachGuard(&guard);
 
-  auto res = f.Run(Composition::Retry(Composition::Task("flaky"), 5),
+  auto res = f.Run(Composition::Retry(Composition::Task("flaky"),
+                                     chaos::RetryPolicy::Immediate(5)),
                    Deadline::None());
   EXPECT_FALSE(res.status.ok());
   // 1 initial attempt + 1 budgeted re-attempt; 3 would-be retries denied.

@@ -46,8 +46,9 @@ TEST(CompositionTest, BuildersProduceExpectedShapes) {
   auto par = Composition::Parallel(
       {Composition::Task("a"), seq, Composition::Named("other")});
   EXPECT_EQ(par.LeafCount(), 4u);
-  auto retry = Composition::Retry(Composition::Task("a"), 3);
-  EXPECT_EQ(retry.root()->retry_attempts, 3);
+  auto retry = Composition::Retry(Composition::Task("a"),
+                                  chaos::RetryPolicy::Immediate(3));
+  EXPECT_EQ(retry.root()->retry_policy.max_attempts, 3);
 }
 
 TEST(OrchestratorTest, SequencePipesOutputs) {
@@ -214,7 +215,8 @@ TEST(OrchestratorTest, RetryRerunsFailedSubtree) {
   ASSERT_TRUE(f.platform.RegisterFunction(flaky).ok());
   // Platform retries (3 attempts) fail; orchestration retry launches a
   // second invocation whose first attempt succeeds.
-  auto comp = Composition::Retry(Composition::Task("flaky"), 2);
+  auto comp = Composition::Retry(Composition::Task("flaky"),
+                                 chaos::RetryPolicy::Immediate(2));
   auto res = f.orch.RunSync(comp, "x");
   ASSERT_TRUE(res.ok());
   EXPECT_TRUE(res->status.ok());

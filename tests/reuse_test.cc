@@ -546,7 +546,7 @@ TEST(SingleflightTest, LeadAttachCompleteInOrder) {
   std::vector<uint64_t> delivered;
   for (uint64_t id = 10; id < 13; ++id) {
     EXPECT_TRUE(sf.Attach(
-        k, {id, SimTime(id), [&delivered, id](const CachedResult&) {
+        k, {id, [&delivered, id](const CachedResult&) {
               delivered.push_back(id);
             }}));
   }
@@ -557,7 +557,7 @@ TEST(SingleflightTest, LeadAttachCompleteInOrder) {
   EXPECT_EQ(delivered, (std::vector<uint64_t>{10, 11, 12}));
   EXPECT_FALSE(sf.InFlight(k));
   EXPECT_TRUE(sf.Complete(k).empty());   // Closed flights stay closed.
-  EXPECT_FALSE(sf.Attach(k, {99, 0, nullptr}));  // No leader, no attach.
+  EXPECT_FALSE(sf.Attach(k, {99, nullptr}));  // No leader, no attach.
   EXPECT_EQ(sf.leaders(), 1u);
   EXPECT_EQ(sf.followers_attached(), 3u);
   EXPECT_EQ(sf.max_fanout(), 3u);
@@ -598,7 +598,7 @@ void RunSingleflightChurn(bool wrap, uint64_t seed) {
       }
     } else if (dice < 65) {
       const uint64_t id = next_id++;
-      ASSERT_EQ(sf.Attach(keys[k], {id, SimTime(op), nullptr}),
+      ASSERT_EQ(sf.Attach(keys[k], {id, nullptr}),
                 it != want.end())
           << "op " << op;
       if (it != want.end()) {
@@ -919,6 +919,75 @@ TEST(ReusePlatformTest, ApproximationServedOnlyWhileBurning) {
   EXPECT_EQ(exact->served_via, faas::ServedVia::kExecution);
   EXPECT_EQ(exact->output, "out:q");
   EXPECT_EQ(exact->approx_error_bound, 0.0);
+}
+
+TEST(ReusePlatformTest, CancelWhileAwaitingReuse) {
+  ReuseConfig rcfg;
+  rcfg.cache.ttl_us = 2 * kHour;  // outlives sim.Run()'s keep-alive drain
+  ReuseFixture f({}, rcfg);
+  ASSERT_TRUE(f.platform->RegisterFunction(f.IdempotentSpec("fn")).ok());
+  std::map<uint64_t, std::vector<faas::InvocationResult>> results;
+  const faas::InvokeCallback record = [&results](
+                                          const faas::InvocationResult& r) {
+    results[r.id].push_back(r);
+  };
+
+  // Coalesced followers, every other one cancelled while it waits. Each
+  // follower's callback re-enters Invoke with a fresh payload, so new
+  // invocations are created while the fan-out still holds the followers
+  // it has not delivered to yet.
+  constexpr int kFollowers = 32;
+  const uint64_t leader = *f.platform->Invoke("fn", "same", record);
+  std::vector<uint64_t> followers, reentered;
+  for (int i = 0; i < kFollowers; ++i) {
+    followers.push_back(*f.platform->Invoke(
+        "fn", "same", [&, i](const faas::InvocationResult& r) {
+          record(r);
+          reentered.push_back(
+              *f.platform->Invoke("fn", "fresh" + std::to_string(i), record));
+        }));
+  }
+  ASSERT_EQ(f.layer.flights().followers_attached(), uint64_t(kFollowers));
+  for (int i = 0; i < kFollowers; i += 2) {
+    EXPECT_TRUE(f.platform->CancelInvocation(followers[i]));
+  }
+  f.sim.Run();
+  ASSERT_EQ(results[leader].size(), 1u);
+  EXPECT_TRUE(results[leader][0].status.ok());
+  EXPECT_EQ(results[leader][0].served_via, faas::ServedVia::kExecution);
+  EXPECT_FALSE(f.platform->CancelInvocation(leader));
+  for (int i = 0; i < kFollowers; ++i) {
+    const auto& got = results[followers[i]];
+    ASSERT_EQ(got.size(), 1u) << i;
+    if (i % 2 == 0) {
+      EXPECT_TRUE(got[0].status.IsCancelled()) << i;
+    } else {
+      EXPECT_TRUE(got[0].status.ok()) << i;
+      EXPECT_EQ(got[0].served_via, faas::ServedVia::kCoalesced) << i;
+      EXPECT_EQ(got[0].output, "out:same") << i;
+    }
+    EXPECT_FALSE(f.platform->CancelInvocation(followers[i])) << i;
+  }
+  ASSERT_EQ(reentered.size(), size_t(kFollowers));
+  for (uint64_t id : reentered) {
+    ASSERT_EQ(results[id].size(), 1u) << id;
+    EXPECT_TRUE(results[id][0].status.ok()) << id;
+  }
+  // The leader is billed once; each re-entered payload ran once.
+  EXPECT_EQ(f.platform->ledger().record_count(), 1u + kFollowers);
+  EXPECT_EQ(f.layer.flights().inflight(), 0u);
+
+  // A cache hit is answered by a zero-delay event; cancelled before it
+  // fires, it completes Cancelled and is not billed.
+  const uint64_t hit = *f.platform->Invoke("fn", "same", record);
+  EXPECT_TRUE(f.platform->CancelInvocation(hit));
+  f.sim.Run();
+  ASSERT_EQ(results[hit].size(), 1u);
+  EXPECT_TRUE(results[hit][0].status.IsCancelled());
+  EXPECT_EQ(results[hit][0].served_via, faas::ServedVia::kCacheHit);
+  EXPECT_FALSE(f.platform->CancelInvocation(hit));
+  EXPECT_EQ(f.layer.stats().hits, 1u);
+  EXPECT_EQ(f.platform->ledger().record_count(), 1u + kFollowers);
 }
 
 TEST(ReusePlatformTest, DisabledLayerExecutesEverything) {
