@@ -393,7 +393,7 @@ SweepCell RunSweepCell(uint64_t seed) {
   chaos::FaultPlanConfig plan_cfg;
   plan_cfg.horizon_us = horizon - 5 * kSecond;  // leave room to re-converge
   plan_cfg.group_partition_per_s = 0.08;
-  plan_cfg.group_partition_heal_after_us = 4 * kSecond;
+  plan_cfg.group_heal_after_us = 4 * kSecond;
   plan_cfg.num_cluster_nodes = kNodes;
   plan_cfg.link_loss_per_s = 0.15;
   plan_cfg.link_restore_after_us = 2 * kSecond;

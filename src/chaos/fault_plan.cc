@@ -58,12 +58,13 @@ bool EventOrder(const FaultEvent& a, const FaultEvent& b) {
 }
 
 /// Emits Poisson arrivals of `kind` over [0, horizon). `targets` bounds the
-/// uniform victim draw (0 = keyless, target is a raw selection key).
-/// When `recovery_kind` is set, a paired recovery event lands
-/// `recover_after` later (possibly past the horizon — recovery completes).
+/// uniform victim draw (0 = keyless, target is a raw selection key). Each
+/// event carries `param`. When `has_recovery` is set, a paired
+/// `recovery_kind` event lands `param` later (possibly past the horizon —
+/// recovery completes).
 void EmitClass(std::vector<FaultEvent>* out, Rng* rng, SimTime horizon,
                double rate_per_s, FaultKind kind, size_t targets,
-               SimDuration recover_after, FaultKind recovery_kind,
+               SimDuration param, FaultKind recovery_kind,
                bool has_recovery) {
   if (rate_per_s <= 0.0 || horizon <= 0) return;
   double t_us = 0.0;
@@ -74,11 +75,11 @@ void EmitClass(std::vector<FaultEvent>* out, Rng* rng, SimTime horizon,
     ev.at_us = static_cast<SimTime>(t_us);
     ev.kind = kind;
     ev.target = targets > 0 ? rng->NextBounded(targets) : rng->NextU64();
-    ev.param = static_cast<uint64_t>(recover_after);
+    ev.param = static_cast<uint64_t>(param);
     out->push_back(ev);
-    if (has_recovery && recover_after > 0) {
+    if (has_recovery && param > 0) {
       FaultEvent rec;
-      rec.at_us = ev.at_us + recover_after;
+      rec.at_us = ev.at_us + param;
       rec.kind = recovery_kind;
       rec.target = ev.target;
       out->push_back(rec);
@@ -98,18 +99,19 @@ FaultPlan FaultPlan::Generate(const FaultPlanConfig& config, Rng* rng) {
   EmitClass(out, rng, h, config.container_kill_per_s,
             FaultKind::kContainerKill, 0, 0, FaultKind::kContainerKill,
             false);
+  // A network-delay event's param is the delay size; it has no recovery.
   EmitClass(out, rng, h, config.network_delay_per_s, FaultKind::kNetworkDelay,
-            config.num_machines, 0, FaultKind::kNetworkDelay, false);
+            config.num_machines, kNetworkDelayUs, FaultKind::kNetworkDelay,
+            false);
   EmitClass(out, rng, h, config.partition_per_s, FaultKind::kNetworkPartition,
-            config.num_machines, config.partition_heal_after_us,
+            config.num_machines, kPartitionHealAfterUs,
             FaultKind::kPartitionHeal, true);
   EmitClass(out, rng, h, config.bookie_crash_per_s, FaultKind::kBookieCrash,
-            config.num_bookies, config.bookie_recover_after_us,
+            config.num_bookies, kBookieRecoverAfterUs,
             FaultKind::kBookieRecover, true);
   EmitClass(out, rng, h, config.memory_node_fail_per_s,
             FaultKind::kMemoryNodeFail, config.num_memory_nodes,
-            config.memory_node_recover_after_us, FaultKind::kMemoryNodeRecover,
-            true);
+            kMemoryNodeRecoverAfterUs, FaultKind::kMemoryNodeRecover, true);
   EmitClass(out, rng, h, config.message_drop_per_s, FaultKind::kMessageDrop,
             0, 0, FaultKind::kMessageDrop, false);
   EmitClass(out, rng, h, config.message_duplicate_per_s,
@@ -141,10 +143,10 @@ FaultPlan FaultPlan::Generate(const FaultPlanConfig& config, Rng* rng) {
       ev.at_us = static_cast<SimTime>(t_us);
       ev.kind = FaultKind::kGroupPartition;
       ev.target = mask;
-      ev.param = static_cast<uint64_t>(config.group_partition_heal_after_us);
+      ev.param = static_cast<uint64_t>(config.group_heal_after_us);
       out->push_back(ev);
       FaultEvent heal;
-      heal.at_us = ev.at_us + config.group_partition_heal_after_us;
+      heal.at_us = ev.at_us + config.group_heal_after_us;
       heal.kind = FaultKind::kGroupHeal;
       heal.target = mask;
       out->push_back(heal);
@@ -171,20 +173,6 @@ FaultPlan FaultPlan::Generate(const FaultPlanConfig& config, Rng* rng) {
       restore.kind = FaultKind::kLinkRestore;
       restore.target = ev.target;
       out->push_back(restore);
-    }
-  }
-  EmitClass(out, rng, h, config.config_push_delay_per_s,
-            FaultKind::kConfigPushDelay, 0, 0, FaultKind::kConfigPushDelay,
-            false);
-  EmitClass(out, rng, h, config.config_corrupt_per_s,
-            FaultKind::kConfigCorrupt, 0, 0, FaultKind::kConfigCorrupt, false);
-  // Network-delay and config-push-delay events carry the delay size, not a
-  // recovery schedule.
-  for (auto& ev : *out) {
-    if (ev.kind == FaultKind::kNetworkDelay) {
-      ev.param = static_cast<uint64_t>(config.network_delay_us);
-    } else if (ev.kind == FaultKind::kConfigPushDelay) {
-      ev.param = static_cast<uint64_t>(config.config_push_delay_us);
     }
   }
   std::sort(out->begin(), out->end(), EventOrder);

@@ -71,10 +71,18 @@ struct FaultEvent {
   bool operator==(const FaultEvent&) const = default;
 };
 
+/// Size of every planned network-delay spike (a kNetworkDelay's param).
+constexpr SimDuration kNetworkDelayUs = 50 * kMillisecond;
+/// How long after its fault each paired recovery event lands.
+constexpr SimDuration kPartitionHealAfterUs = 1 * kSecond;
+constexpr SimDuration kBookieRecoverAfterUs = 2 * kSecond;
+constexpr SimDuration kMemoryNodeRecoverAfterUs = 2 * kSecond;
+
 /// Poisson rates (events per simulated second) for each fault class over
 /// the plan horizon. A rate of 0 disables the class. Recovery events
-/// (restart / recover / heal) are scheduled automatically `*_after_us`
-/// after each corresponding fault.
+/// (restart / recover / heal) are scheduled automatically after each
+/// corresponding fault: `*_after_us` later where the config has one, the
+/// constants above otherwise.
 struct FaultPlanConfig {
   SimTime horizon_us = 60 * kSecond;
 
@@ -83,19 +91,13 @@ struct FaultPlanConfig {
   size_t num_machines = 0;
 
   double container_kill_per_s = 0.0;
-
   double network_delay_per_s = 0.0;
-  SimDuration network_delay_us = 50 * kMillisecond;
-
   double partition_per_s = 0.0;
-  SimDuration partition_heal_after_us = 1 * kSecond;
 
   double bookie_crash_per_s = 0.0;
-  SimDuration bookie_recover_after_us = 2 * kSecond;
   size_t num_bookies = 0;
 
   double memory_node_fail_per_s = 0.0;
-  SimDuration memory_node_recover_after_us = 2 * kSecond;
   size_t num_memory_nodes = 0;
 
   double message_drop_per_s = 0.0;
@@ -106,10 +108,10 @@ struct FaultPlanConfig {
   /// Symmetric network partitions at the cluster transport (E25). Each
   /// event splits `num_cluster_nodes` into a seeded minority group of
   /// 1..num_cluster_nodes/2 nodes (encoded as the event's target bitmask)
-  /// and the rest; a paired kGroupHeal lands `group_partition_heal_after_us`
-  /// later. Requires num_cluster_nodes in [2, 64].
+  /// and the rest; a paired kGroupHeal lands `group_heal_after_us` later.
+  /// Requires num_cluster_nodes in [2, 64].
   double group_partition_per_s = 0.0;
-  SimDuration group_partition_heal_after_us = 2 * kSecond;
+  SimDuration group_heal_after_us = 2 * kSecond;
   size_t num_cluster_nodes = 0;
 
   /// Asymmetric link faults: a seeded ordered pair (from, to) of distinct
@@ -117,14 +119,6 @@ struct FaultPlanConfig {
   /// `link_restore_after_us` later.
   double link_loss_per_s = 0.0;
   SimDuration link_restore_after_us = 1 * kSecond;
-
-  /// Control-plane faults (E28): each kConfigPushDelay event arms an extra
-  /// `config_push_delay_us` of propagation delay for the next config push;
-  /// each kConfigCorrupt event arms a payload corruption for the next push
-  /// (the ctrl store's type/range validation must reject it).
-  double config_push_delay_per_s = 0.0;
-  SimDuration config_push_delay_us = 500 * kMillisecond;
-  double config_corrupt_per_s = 0.0;
 };
 
 /// A materialized, time-sorted fault schedule.

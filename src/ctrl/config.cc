@@ -154,34 +154,10 @@ std::string ConfigStore::ExportText() const {
 // ---------------------------------------------------------------------------
 // Subscription
 
-bool Subscription::AsBool() const {
-  if (!valid()) return false;
-  auto v = service_->ValueFor(key_, target_);
-  return v.ok() ? v.value().as_bool() : false;
-}
-
 int64_t Subscription::AsInt() const {
   if (!valid()) return 0;
   auto v = service_->ValueFor(key_, target_);
   return v.ok() ? v.value().as_int() : 0;
-}
-
-double Subscription::AsDouble() const {
-  if (!valid()) return 0.0;
-  auto v = service_->ValueFor(key_, target_);
-  return v.ok() ? v.value().as_double() : 0.0;
-}
-
-std::string Subscription::AsString() const {
-  if (!valid()) return "";
-  auto v = service_->ValueFor(key_, target_);
-  return v.ok() ? v.value().as_string() : "";
-}
-
-uint64_t Subscription::Version() const {
-  if (!valid()) return 0;
-  const ConfigEntry* e = service_->store().Find(key_);
-  return e != nullptr ? e->version : 0;
 }
 
 // ---------------------------------------------------------------------------

@@ -178,12 +178,7 @@ class Subscription {
   const std::string& key() const { return key_; }
   const std::string& target() const { return target_; }
 
-  bool AsBool() const;
   int64_t AsInt() const;
-  double AsDouble() const;
-  std::string AsString() const;
-  /// Applied publish version of the base entry (0 = default).
-  uint64_t Version() const;
 
  private:
   friend class ConfigService;

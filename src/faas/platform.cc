@@ -398,7 +398,8 @@ Result<FaasPlatform::ColdStart> FaasPlatform::LaunchContainer(Function* fn) {
     return Status::ResourceExhausted("concurrency cap");
   }
   auto unit = cluster_->Allocate(
-      cluster::IsolationLevel::kLambda, spec.demand, config_.placement,
+      cluster::IsolationLevel::kLambda, spec.demand,
+      cluster::PlacementPolicy::kFirstFit,
       spec.tenant.empty() ? spec.name : spec.tenant);
   if (!unit.ok()) return unit.status();
 

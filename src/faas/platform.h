@@ -32,7 +32,6 @@ namespace taureau::faas {
 
 /// Platform configuration.
 struct FaasConfig {
-  cluster::PlacementPolicy placement = cluster::PlacementPolicy::kFirstFit;
   /// How long an idle warm container is retained before teardown.
   SimDuration keep_alive_us = 10 * kMinute;
   /// Account-level cap on concurrently live containers (Lambda: 1000).

@@ -6,7 +6,7 @@ Guard::Guard(GuardConfig config)
     : config_(config),
       retry_budget_(config.retry_budget),
       hedge_(config.hedge),
-      dedupe_(config.dedupe_capacity) {
+      dedupe_(kDedupeCapacity) {
   BindMetrics();
 }
 

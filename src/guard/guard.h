@@ -38,8 +38,6 @@ namespace taureau::guard {
 struct GuardConfig {
   RetryBudgetConfig retry_budget;
   HedgeConfig hedge;
-  /// Capacity of the hedge-deduplication idempotency cache (0 = unbounded).
-  size_t dedupe_capacity = 4096;
 };
 
 /// Aggregate counters, materialized from the metric registry on demand.
@@ -57,6 +55,9 @@ struct GuardStats {
 
 class Guard {
  public:
+  /// Capacity of the hedge-deduplication idempotency cache.
+  static constexpr size_t kDedupeCapacity = 4096;
+
   Guard() : Guard(GuardConfig{}) {}
   explicit Guard(GuardConfig config);
 

@@ -79,16 +79,6 @@ GlobalAddressSpaceStore::Resize(uint32_t new_nodes) {
   return out;
 }
 
-uint64_t GlobalAddressSpaceStore::TenantBytes(const std::string& tenant) const {
-  uint64_t bytes = 0;
-  for (const Partition& part : partitions_) {
-    for (const auto& [fk, entry] : part) {
-      if (entry.tenant == tenant) bytes += fk.size() + entry.value.size();
-    }
-  }
-  return bytes;
-}
-
 ProducerCoupledStore::ProducerCoupledStore(uint64_t seed)
     : latency_(baas::MemoryStoreLatency()), rng_(seed) {}
 

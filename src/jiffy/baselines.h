@@ -48,7 +48,6 @@ class GlobalAddressSpaceStore {
     return static_cast<uint32_t>(partitions_.size());
   }
   uint64_t size() const { return item_count_; }
-  uint64_t TenantBytes(const std::string& tenant) const;
 
  private:
   struct Entry {

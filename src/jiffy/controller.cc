@@ -233,23 +233,6 @@ Result<JiffyQueue*> JiffyController::CreateQueue(const std::string& raw_path,
   return raw;
 }
 
-Result<JiffyFile*> JiffyController::CreateFile(const std::string& raw_path,
-                                               const std::string& name,
-                                               guard::Deadline deadline) {
-  TAU_RETURN_IF_ERROR(AdmitControlOp(deadline));
-  const std::string path = NormalizePath(raw_path);
-  Namespace* ns = Find(path);
-  if (!ns) return Status::NotFound("namespace '" + path + "'");
-  if (ns->structures.count(name)) {
-    return Status::AlreadyExists("structure '" + name + "' in " + path);
-  }
-  auto file = std::make_unique<JiffyFile>(&pool_, OwnerTag(path));
-  JiffyFile* raw = file.get();
-  raw->AttachObservability(obs_);
-  ns->structures.emplace(name, std::move(file));
-  return raw;
-}
-
 template <typename T>
 Result<T*> JiffyController::GetTyped(const std::string& raw_path,
                                      const std::string& name) {
@@ -276,11 +259,6 @@ Result<JiffyHashTable*> JiffyController::GetHashTable(const std::string& path,
 Result<JiffyQueue*> JiffyController::GetQueue(const std::string& path,
                                               const std::string& name) {
   return GetTyped<JiffyQueue>(path, name);
-}
-
-Result<JiffyFile*> JiffyController::GetFile(const std::string& path,
-                                            const std::string& name) {
-  return GetTyped<JiffyFile>(path, name);
 }
 
 Status JiffyController::Subscribe(const std::string& raw_path,

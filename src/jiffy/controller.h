@@ -101,15 +101,11 @@ class JiffyController {
   Result<JiffyQueue*> CreateQueue(const std::string& path,
                                   const std::string& name,
                                   guard::Deadline deadline = {});
-  Result<JiffyFile*> CreateFile(const std::string& path,
-                                const std::string& name,
-                                guard::Deadline deadline = {});
 
   Result<JiffyHashTable*> GetHashTable(const std::string& path,
                                        const std::string& name);
   Result<JiffyQueue*> GetQueue(const std::string& path,
                                const std::string& name);
-  Result<JiffyFile*> GetFile(const std::string& path, const std::string& name);
 
   /// Per-namespace notifications (paper cites Redis keyspace notifications
   /// / SNS as the analogue).

@@ -107,7 +107,7 @@ void ControlPlane::AttachObservability(obs::Observability* o) {
 void ControlPlane::Start() {
   if (lease_ticker_) return;
   lease_ticker_ = std::make_unique<sim::PeriodicProcess>(
-      sim_, config_.lease_period_us, [this] {
+      sim_, kLeasePeriodUs, [this] {
         LeaseTick();
         return true;
       });

@@ -93,13 +93,15 @@ struct RehomeAction {
   std::string detail;
 };
 
+/// How often a control plane renews the leases it holds.
+constexpr SimDuration kLeasePeriodUs = 200 * kMillisecond;
+
 struct ControlPlaneConfig {
   /// Cluster node this replica runs on (its membership observer).
   NodeId self = 0;
   /// Refuse ownership changes (and lease renewals) without a majority
   /// alive. Turning this off reproduces split-brain in bench_e25.
   bool require_quorum = true;
-  SimDuration lease_period_us = 200 * kMillisecond;
 };
 
 struct ControlPlaneStats {
@@ -181,7 +183,7 @@ class ControlPlane {
   };
 
   bool LeaseActive(const LeaseRecord& lease, SimTime now) const {
-    return now - lease.last_renewed_us <= 2 * config_.lease_period_us;
+    return now - lease.last_renewed_us <= 2 * kLeasePeriodUs;
   }
 
   struct MetricHandles {

@@ -5,15 +5,10 @@
 
 namespace taureau::membership {
 
-PhiAccrualDetector::PhiAccrualDetector(DetectorConfig config)
-    : config_(config) {
-  gaps_.reserve(config_.window);
-}
-
 void PhiAccrualDetector::Heartbeat(SimTime now) {
   if (heartbeats_ > 0) {
     const double gap = double(now - last_heartbeat_us_);
-    if (gaps_.size() < config_.window) {
+    if (gaps_.size() < kWindow) {
       gaps_.push_back(gap);
       gap_sum_ += gap;
       gap_sq_sum_ += gap * gap;
@@ -22,7 +17,7 @@ void PhiAccrualDetector::Heartbeat(SimTime now) {
       gap_sum_ += gap - old;
       gap_sq_sum_ += gap * gap - old * old;
       gaps_[next_gap_] = gap;
-      next_gap_ = (next_gap_ + 1) % config_.window;
+      next_gap_ = (next_gap_ + 1) % kWindow;
     }
   }
   last_heartbeat_us_ = now;
@@ -30,7 +25,7 @@ void PhiAccrualDetector::Heartbeat(SimTime now) {
 }
 
 double PhiAccrualDetector::mean_interval_us() const {
-  if (gaps_.empty()) return double(config_.first_estimate_us);
+  if (gaps_.empty()) return double(kFirstEstimateUs);
   return gap_sum_ / double(gaps_.size());
 }
 
@@ -40,7 +35,7 @@ double PhiAccrualDetector::StdDev(double mean) const {
     var = gap_sq_sum_ / double(gaps_.size()) - mean * mean;
     if (var < 0.0) var = 0.0;  // numeric guard
   }
-  return std::max(std::sqrt(var), double(config_.min_std_dev_us));
+  return std::max(std::sqrt(var), double(kMinStdDevUs));
 }
 
 double PhiAccrualDetector::Phi(SimTime now) const {

@@ -23,24 +23,21 @@
 
 namespace taureau::membership {
 
-struct DetectorConfig {
-  /// Sliding window of inter-arrival samples the estimator keeps.
-  size_t window = 32;
-  /// Suspicion thresholds: suspect at `phi_suspect`, declare dead at
-  /// `phi_dead` (suspect < dead).
-  double phi_suspect = 3.0;
-  double phi_dead = 8.0;
-  /// Lower bound on the modelled std-dev, so a perfectly regular
-  /// heartbeat stream does not make phi explode on the first late packet.
-  SimDuration min_std_dev_us = 5 * kMillisecond;
-  /// Inter-arrival mean assumed before the first two heartbeats arrive.
-  SimDuration first_estimate_us = 200 * kMillisecond;
-};
-
 class PhiAccrualDetector {
  public:
-  PhiAccrualDetector() : PhiAccrualDetector(DetectorConfig{}) {}
-  explicit PhiAccrualDetector(DetectorConfig config);
+  /// Sliding window of inter-arrival samples the estimator keeps.
+  static constexpr size_t kWindow = 32;
+  /// Suspicion thresholds: suspect at `kPhiSuspect`, declare dead at
+  /// `kPhiDead` (suspect < dead).
+  static constexpr double kPhiSuspect = 3.0;
+  static constexpr double kPhiDead = 8.0;
+  /// Lower bound on the modelled std-dev, so a perfectly regular
+  /// heartbeat stream does not make phi explode on the first late packet.
+  static constexpr SimDuration kMinStdDevUs = 5 * kMillisecond;
+  /// Inter-arrival mean assumed before the first two heartbeats arrive.
+  static constexpr SimDuration kFirstEstimateUs = 200 * kMillisecond;
+
+  PhiAccrualDetector() { gaps_.reserve(kWindow); }
 
   /// Records a heartbeat arrival at `now`.
   void Heartbeat(SimTime now);
@@ -50,21 +47,20 @@ class PhiAccrualDetector {
   /// heartbeat starts the clock).
   double Phi(SimTime now) const;
 
-  bool Suspect(SimTime now) const { return Phi(now) >= config_.phi_suspect; }
-  bool Dead(SimTime now) const { return Phi(now) >= config_.phi_dead; }
+  bool Suspect(SimTime now) const { return Phi(now) >= kPhiSuspect; }
+  bool Dead(SimTime now) const { return Phi(now) >= kPhiDead; }
 
   uint64_t heartbeats() const { return heartbeats_; }
   SimTime last_heartbeat_us() const { return last_heartbeat_us_; }
-  /// Modelled inter-arrival mean (the first_estimate before two samples).
+  /// Modelled inter-arrival mean (kFirstEstimateUs before two samples).
   double mean_interval_us() const;
 
  private:
   double StdDev(double mean) const;
 
-  DetectorConfig config_;
   uint64_t heartbeats_ = 0;
   SimTime last_heartbeat_us_ = 0;
-  /// Ring of the last `window` inter-arrival gaps plus running sums, so
+  /// Ring of the last kWindow inter-arrival gaps plus running sums, so
   /// Phi() is O(1).
   std::vector<double> gaps_;
   size_t next_gap_ = 0;

@@ -38,8 +38,7 @@ MembershipService::MembershipService(sim::Simulation* sim,
   nodes_.resize(config_.num_nodes);
   for (size_t n = 0; n < config_.num_nodes; ++n) {
     nodes_[n].view.assign(config_.num_nodes, MemberInfo{});
-    nodes_[n].detectors.assign(config_.num_nodes,
-                               PhiAccrualDetector(config_.detector));
+    nodes_[n].detectors.assign(config_.num_nodes, PhiAccrualDetector());
   }
   BindMetrics();
 }
@@ -74,7 +73,7 @@ void MembershipService::Start() {
   for (size_t n = 0; n < nodes_.size(); ++n) {
     const NodeId node = static_cast<NodeId>(n);
     nodes_[n].ticker = std::make_unique<sim::PeriodicProcess>(
-        sim_, config_.heartbeat_period_us, [this, node] { return Tick(node); });
+        sim_, kHeartbeatPeriodUs, [this, node] { return Tick(node); });
     nodes_[n].ticker->Start();
   }
 }
@@ -142,12 +141,9 @@ void MembershipService::SendHeartbeats(NodeId node) {
     msg.from = node;
     msg.view = self.view;  // snapshot at send time
     msg.clock = self.clock;
-    const SimDuration jitter =
-        config_.heartbeat_jitter_us > 0
-            ? static_cast<SimDuration>(rng_.NextBounded(
-                  static_cast<uint64_t>(config_.heartbeat_jitter_us) + 1))
-            : 0;
-    sim_->ScheduleAt(now + config_.heartbeat_latency_us + jitter,
+    const SimDuration jitter = static_cast<SimDuration>(
+        rng_.NextBounded(static_cast<uint64_t>(kHeartbeatJitterUs) + 1));
+    sim_->ScheduleAt(now + kHeartbeatLatencyUs + jitter,
                      [this, peer, msg = std::move(msg)]() mutable {
                        ReceiveHeartbeat(peer, std::move(msg));
                      });
@@ -253,10 +249,6 @@ size_t MembershipService::AliveCount(NodeId observer) const {
 
 bool MembershipService::HasQuorum(NodeId observer) const {
   return AliveCount(observer) * 2 > nodes_.size();
-}
-
-double MembershipService::PhiOf(NodeId observer, NodeId peer) const {
-  return nodes_[observer].detectors[peer].Phi(sim_->Now());
 }
 
 std::string MembershipService::ViewToString(NodeId observer) const {

@@ -57,14 +57,15 @@ struct MemberInfo {
   bool operator==(const MemberInfo&) const = default;
 };
 
+/// Every node gossips its view to each peer once per heartbeat period. A
+/// heartbeat takes the one-way latency plus seeded uniform jitter in
+/// [0, kHeartbeatJitterUs] to arrive.
+constexpr SimDuration kHeartbeatPeriodUs = 50 * kMillisecond;
+constexpr SimDuration kHeartbeatLatencyUs = 1 * kMillisecond;
+constexpr SimDuration kHeartbeatJitterUs = 2 * kMillisecond;
+
 struct MembershipConfig {
   size_t num_nodes = 0;
-  SimDuration heartbeat_period_us = 50 * kMillisecond;
-  /// One-way heartbeat delivery latency, plus seeded uniform jitter in
-  /// [0, heartbeat_jitter_us].
-  SimDuration heartbeat_latency_us = 1 * kMillisecond;
-  SimDuration heartbeat_jitter_us = 2 * kMillisecond;
-  DetectorConfig detector;
   uint64_t seed = 25;
 };
 
@@ -103,8 +104,6 @@ class MembershipService {
   size_t AliveCount(NodeId observer) const;
   /// Strict majority of the whole cluster currently alive.
   bool HasQuorum(NodeId observer) const;
-  /// Current suspicion level of `peer` at `observer` (tests, debugging).
-  double PhiOf(NodeId observer, NodeId peer) const;
 
   /// Deterministic "epoch=3 [alive/0 dead/1 ...] clock={..}" rendering —
   /// the determinism assertions byte-compare these.

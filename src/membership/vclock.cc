@@ -4,20 +4,6 @@
 
 namespace taureau::membership {
 
-std::string_view ClockOrderName(ClockOrder order) {
-  switch (order) {
-    case ClockOrder::kEqual:
-      return "equal";
-    case ClockOrder::kBefore:
-      return "before";
-    case ClockOrder::kAfter:
-      return "after";
-    case ClockOrder::kConcurrent:
-      return "concurrent";
-  }
-  return "unknown";
-}
-
 uint64_t VectorClock::Count(NodeId node) const {
   auto it = counts_.find(node);
   return it == counts_.end() ? 0 : it->second;

@@ -41,8 +41,6 @@ enum class ClockOrder {
   kConcurrent,  ///< neither dominates: a genuine conflict.
 };
 
-std::string_view ClockOrderName(ClockOrder order);
-
 /// A vector clock over NodeIds. Components absent from the map are zero,
 /// and zero components are never stored, so structural equality is value
 /// equality.

@@ -103,7 +103,7 @@ Result<TrainStats> TrainLogistic(const Dataset& data,
         SimDuration t = config.task_model.TaskDuration(
             double(end - begin), /*io_us=*/5 * kMillisecond);
         if (rng.NextBool(config.straggler_prob)) {
-          t = static_cast<SimDuration>(double(t) * config.straggler_factor);
+          t = static_cast<SimDuration>(double(t) * kStragglerFactor);
         }
         return t;
       };

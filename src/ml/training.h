@@ -18,6 +18,9 @@
 
 namespace taureau::ml {
 
+/// Slowdown multiplier of a straggling worker invocation.
+constexpr double kStragglerFactor = 8.0;
+
 /// How gradient work is protected against stragglers.
 enum class RedundancyScheme {
   kNone,         ///< Every shard on one worker; a round waits for all.
@@ -31,8 +34,6 @@ struct TrainConfig {
   double l2 = 1e-4;
   /// Probability a worker invocation straggles in a given round.
   double straggler_prob = 0.0;
-  /// Straggler slowdown multiplier.
-  double straggler_factor = 8.0;
   RedundancyScheme redundancy = RedundancyScheme::kNone;
   /// Replicas per shard under kReplication.
   uint32_t replication = 2;

@@ -38,8 +38,6 @@ std::string Registry::SeriesName(std::string_view base, const LabelSet& labels) 
   };
   // Fixed alphabetical key order: the canonical rendering is independent of
   // how the caller filled the LabelSet.
-  add("cell", labels.cell);
-  add("module", labels.module);
   add("shard", labels.shard);
   add("tenant", labels.tenant);
   out += '}';
@@ -58,8 +56,6 @@ void Registry::RegisterSeries(const std::string& key, std::string_view base,
     *slot = label_values_.Intern(value);
     label_index_[label].insert(std::string_view(**slot));
   };
-  record("cell", labels.cell, &meta.cell);
-  record("module", labels.module, &meta.module);
   record("shard", labels.shard, &meta.shard);
   record("tenant", labels.tenant, &meta.tenant);
 }
@@ -126,9 +122,7 @@ void Registry::MergeFrom(const Registry& other) {
   for (const auto& [key, meta] : other.series_meta_) {
     LabelSet labels;
     if (meta.tenant != nullptr) labels.tenant = *meta.tenant;
-    if (meta.cell != nullptr) labels.cell = *meta.cell;
     if (meta.shard != nullptr) labels.shard = *meta.shard;
-    if (meta.module != nullptr) labels.module = *meta.module;
     RegisterSeries(key, *meta.base, labels);
   }
 }

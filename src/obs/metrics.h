@@ -34,7 +34,7 @@ namespace taureau::obs {
 /// field is simply absent from the series key. The fixed vocabulary keeps
 /// the fast path trivial (no generic key/value vectors to sort or hash) and
 /// matches what the simulated landscape actually varies over: which tenant,
-/// which cell, which psim shard, which module.
+/// which psim shard.
 ///
 /// A labeled series is resolved once (slow path: builds the canonical key,
 /// interns the label values) into the same pre-resolved handles as unlabeled
@@ -42,13 +42,9 @@ namespace taureau::obs {
 /// what recording into `faas.invocations` costs — the E24 hot-path contract.
 struct LabelSet {
   std::string_view tenant = {};
-  std::string_view cell = {};
   std::string_view shard = {};
-  std::string_view module = {};
 
-  bool empty() const {
-    return tenant.empty() && cell.empty() && shard.empty() && module.empty();
-  }
+  bool empty() const { return tenant.empty() && shard.empty(); }
 };
 
 /// Monotonic event count.
@@ -175,11 +171,11 @@ class Registry {
   }
 
   /// Labeled-series resolution. The series key is the canonical rendering
-  /// `name{cell="..",module="..",shard="..",tenant=".."}` (label keys in
-  /// fixed alphabetical order, empty labels omitted), stored in the same
-  /// name tables as unlabeled metrics — so ExportText/MergeFrom/Reset and
-  /// the shard merge rule apply to labeled series with zero special cases,
-  /// and the record path through the returned handle is identical.
+  /// `name{shard="..",tenant=".."}` (label keys in fixed alphabetical
+  /// order, empty labels omitted), stored in the same name tables as
+  /// unlabeled metrics — so ExportText/MergeFrom/Reset and the shard merge
+  /// rule apply to labeled series with zero special cases, and the record
+  /// path through the returned handle is identical.
   CounterHandle ResolveCounter(const std::string& name, const LabelSet& labels) {
     return CounterHandle(GetCounter(name, labels));
   }
@@ -218,8 +214,8 @@ class Registry {
   }
   bool Has(const std::string& name) const;
 
-  /// Distinct values ever registered for one label key ("tenant", "cell",
-  /// "shard", "module"), sorted. Views into the registry's intern table —
+  /// Distinct values ever registered for one label key ("tenant" or
+  /// "shard"), sorted. Views into the registry's intern table —
   /// valid for the registry's lifetime. The cardinality a guard inspects.
   std::vector<std::string_view> LabelValues(std::string_view label) const;
 
@@ -257,9 +253,7 @@ class Registry {
   struct SeriesMeta {
     const std::string* base = nullptr;
     const std::string* tenant = nullptr;
-    const std::string* cell = nullptr;
     const std::string* shard = nullptr;
-    const std::string* module = nullptr;
   };
 
   /// Interns the labels of `key` (the canonical series name) and records

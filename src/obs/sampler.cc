@@ -29,10 +29,6 @@ SamplingPipeline::SamplingPipeline(SamplerConfig config, FlameProfile* flame,
                                    SloEngine* slo)
     : config_(config), flame_(flame), slo_(slo) {}
 
-void SamplingPipeline::set_head_rate(double rate) {
-  config_.head_rate = std::min(1.0, std::max(0.0, rate));
-}
-
 bool SamplingPipeline::HeadKeeps(uint64_t trace_id) const {
   if (config_.head_rate >= 1.0) return true;
   if (config_.head_rate <= 0.0) return false;

@@ -76,14 +76,6 @@ class SamplingPipeline : public SpanSink {
   /// once at end of run; incremental finalization handles the rest.
   void Flush();
 
-  /// Live-retunes the head-sampling rate (clamped to [0,1]); the E28 knob
-  /// "obs.sampler.head_rate" pushes through here. Applies to traces
-  /// finalized from now on. Flame/SLO aggregates are fed *before* the
-  /// retention decision, so they stay exact at any rate — only the
-  /// retained trace store changes.
-  void set_head_rate(double rate);
-  double head_rate() const { return config_.head_rate; }
-
   /// The deterministic head-sampling decision for a trace id.
   bool HeadKeeps(uint64_t trace_id) const;
   /// kPending when the trace has not finalized.

@@ -5,10 +5,10 @@
 // cross-shard edges are physical: a network hop into another machine group
 // (broker dispatch), a store round-trip (Jiffy/KV first-byte latency) or a
 // remote FaaS dispatch — all of which have hard minimum latencies in their
-// models (baas::LatencyModel::base_us, pubsub::BrokerConfig::
-// dispatch_latency_us, faas cold-start init floors). The lookahead is the
-// minimum over the edges a workload actually uses; MineLookahead() is the
-// helper call sites feed those model minimums into.
+// models (baas::LatencyModel::base_us, pubsub::kDispatchLatencyUs, faas
+// cold-start init floors). The lookahead is the minimum over the edges a
+// workload actually uses; MineLookahead() is the helper call sites feed
+// those model minimums into.
 //
 // Jittered models: a log-normal multiplier can dip below its median, so a
 // sampled latency is not bounded by `base_us` alone. Pass the model's hard
@@ -29,7 +29,7 @@ namespace taureau::psim {
 /// floor (the kernel tick). Typical use:
 ///
 ///   const SimDuration L = MineLookahead({
-///       2 * pubsub::BrokerConfig{}.dispatch_latency_us,  // geo RTT
+///       2 * pubsub::kDispatchLatencyUs,                  // geo RTT
 ///       baas::KvStoreLatency().base_us,                  // store hop
 ///       kRemoteInvokeNetUs,                              // faas forward
 ///   });

@@ -162,7 +162,6 @@ class BookKeeper {
   /// how a partitioned (not crashed) bookie is treated until it rejoins.
   void QuarantineBookie(BookieId id) { quarantined_.insert(id); }
   Status UnquarantineBookie(BookieId id);
-  bool Quarantined(BookieId id) const { return quarantined_.count(id) > 0; }
 
   /// Re-replicates every ledger away from `target`, quarantining it but
   /// preserving its data (partition repair, unlike CrashBookie). Returns

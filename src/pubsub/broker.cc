@@ -139,43 +139,26 @@ bool PulsarCluster::HasTopic(const std::string& topic) const {
 }
 
 std::string PulsarCluster::EncodeEntry(const std::string& key,
-                                       const std::string& origin,
                                        const std::string& payload) {
   std::string out;
-  out.resize(8 + key.size() + origin.size() + payload.size());
+  out.resize(4 + key.size() + payload.size());
   const uint32_t klen = static_cast<uint32_t>(key.size());
-  const uint32_t olen = static_cast<uint32_t>(origin.size());
-  size_t pos = 0;
-  std::memcpy(out.data() + pos, &klen, 4);
-  pos += 4;
-  std::memcpy(out.data() + pos, key.data(), key.size());
-  pos += key.size();
-  std::memcpy(out.data() + pos, &olen, 4);
-  pos += 4;
-  std::memcpy(out.data() + pos, origin.data(), origin.size());
-  pos += origin.size();
-  std::memcpy(out.data() + pos, payload.data(), payload.size());
+  std::memcpy(out.data(), &klen, 4);
+  std::memcpy(out.data() + 4, key.data(), key.size());
+  std::memcpy(out.data() + 4 + key.size(), payload.data(), payload.size());
   return out;
 }
 
 void PulsarCluster::DecodeEntry(const std::string& entry, std::string* key,
-                                std::string* origin, std::string* payload) {
-  uint32_t klen = 0, olen = 0;
-  size_t pos = 0;
-  std::memcpy(&klen, entry.data() + pos, 4);
-  pos += 4;
-  key->assign(entry.data() + pos, klen);
-  pos += klen;
-  std::memcpy(&olen, entry.data() + pos, 4);
-  pos += 4;
-  origin->assign(entry.data() + pos, olen);
-  pos += olen;
-  payload->assign(entry.data() + pos, entry.size() - pos);
+                                std::string* payload) {
+  uint32_t klen = 0;
+  std::memcpy(&klen, entry.data(), 4);
+  key->assign(entry.data() + 4, klen);
+  payload->assign(entry.data() + 4 + klen, entry.size() - 4 - klen);
 }
 
 Result<MessageId> PulsarCluster::Publish(const std::string& topic,
                                          std::string key, std::string payload,
-                                         std::string replicated_from,
                                          obs::TraceContext parent,
                                          guard::Deadline deadline) {
   auto tit = topics_.find(topic);
@@ -242,8 +225,7 @@ Result<MessageId> PulsarCluster::Publish(const std::string& topic,
 
   const SimDuration proc =
       config_.broker_proc_base_us +
-      static_cast<SimDuration>(config_.broker_proc_us_per_byte *
-                               double(payload.size()));
+      static_cast<SimDuration>(kBrokerProcUsPerByte * double(payload.size()));
   const SimTime start = std::max(now, broker.next_free_us);
   broker.next_free_us = start + proc;
 
@@ -252,9 +234,8 @@ Result<MessageId> PulsarCluster::Publish(const std::string& topic,
   if (transport_ != nullptr && part.owner < node_map_.broker_node.size()) {
     origin_node_ = node_map_.broker_node[part.owner];
   }
-  auto appended = bookkeeper_.Append(
-      part.ledger, EncodeEntry(key, replicated_from, payload),
-      broker.next_free_us);
+  auto appended = bookkeeper_.Append(part.ledger, EncodeEntry(key, payload),
+                                     broker.next_free_us);
   origin_node_ = node_map_.client_node;
   TAU_RETURN_IF_ERROR(appended.status());
 
@@ -297,7 +278,7 @@ Result<MessageId> PulsarCluster::Publish(const std::string& topic,
   if (duplicate) {
     // At-least-once duplication: the same message is appended and
     // dispatched a second time (consumers see it twice).
-    Publish(topic, key, payload, replicated_from, parent, deadline);
+    Publish(topic, key, payload, parent, deadline);
   }
   return id;
 }
@@ -413,11 +394,11 @@ void PulsarCluster::DispatchFrom(Topic* topic, Subscription* sub,
     sub->unacked.emplace(id, true);
     Message msg;
     msg.id = id;
-    DecodeEntry(*raw, &msg.key, &msg.replicated_from, &msg.payload);
+    DecodeEntry(*raw, &msg.key, &msg.payload);
     auto pt = publish_times_.find(id);
     msg.publish_time_us = pt != publish_times_.end() ? pt->second : not_before;
     const SimTime dispatch_us = std::max(not_before, sim_->Now());
-    const SimTime deliver_at = dispatch_us + config_.dispatch_latency_us;
+    const SimTime deliver_at = dispatch_us + kDispatchLatencyUs;
     msg.deliver_time_us = deliver_at;
     EmitDeliverSpan(id, dispatch_us, deliver_at, sub->name,
                     /*redelivery=*/false);
@@ -495,10 +476,10 @@ void PulsarCluster::Redeliver(Topic* /*topic*/, Subscription* sub) {
     if (!raw.ok()) continue;
     Message msg;
     msg.id = id;
-    DecodeEntry(*raw, &msg.key, &msg.replicated_from, &msg.payload);
+    DecodeEntry(*raw, &msg.key, &msg.payload);
     auto pt = publish_times_.find(id);
     msg.publish_time_us = pt != publish_times_.end() ? pt->second : 0;
-    const SimTime deliver_at = sim_->Now() + config_.dispatch_latency_us;
+    const SimTime deliver_at = sim_->Now() + kDispatchLatencyUs;
     msg.deliver_time_us = deliver_at;
     EmitDeliverSpan(id, sim_->Now(), deliver_at, sub->name,
                     /*redelivery=*/true);

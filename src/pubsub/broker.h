@@ -55,14 +55,17 @@ struct TopicConfig {
   uint32_t ack_quorum = 2;
 };
 
+/// Per-byte part of the broker's publish-path service time.
+constexpr double kBrokerProcUsPerByte = 0.002;
+/// Broker -> consumer dispatch latency.
+constexpr SimDuration kDispatchLatencyUs = 300;
+
 struct PulsarConfig {
   size_t num_brokers = 3;
   size_t num_bookies = 6;
-  /// Broker publish-path service time (per message).
+  /// Broker publish-path service time (per message, plus
+  /// kBrokerProcUsPerByte per payload byte).
   SimDuration broker_proc_base_us = 20;
-  double broker_proc_us_per_byte = 0.002;
-  /// Broker -> consumer dispatch latency.
-  SimDuration dispatch_latency_us = 300;
   uint64_t seed = 41;
   /// Overload protection on the publish path (taureau::guard): sheds a
   /// publish on arrival when the owning broker's backlog exceeds
@@ -116,7 +119,6 @@ class PulsarCluster {
   /// Publishes a message. Routing: hash of `key` when non-empty, else
   /// round-robin. The message becomes visible to subscriptions once its
   /// ledger append reaches the ack quorum (simulated time).
-  /// `replicated_from` tags a message copied in from another region.
   ///
   /// With observability attached, each accepted publish emits a
   /// "publish:<topic>" span covering submit -> durable ack (optionally
@@ -128,7 +130,6 @@ class PulsarCluster {
   /// (DeadlineExceeded) instead of queueing doomed work.
   Result<MessageId> Publish(const std::string& topic, std::string key,
                             std::string payload,
-                            std::string replicated_from = "",
                             obs::TraceContext parent = {},
                             guard::Deadline deadline = {});
 
@@ -257,12 +258,11 @@ class PulsarCluster {
     bool connected = true;
   };
 
-  /// Serializes key+origin+payload into a ledger entry and back.
+  /// Serializes key+payload into a ledger entry and back.
   static std::string EncodeEntry(const std::string& key,
-                                 const std::string& origin,
                                  const std::string& payload);
   static void DecodeEntry(const std::string& entry, std::string* key,
-                          std::string* origin, std::string* payload);
+                          std::string* payload);
 
   /// Dispatches all ready entries of a partition to a subscription.
   void DispatchFrom(Topic* topic, Subscription* sub, uint32_t partition,

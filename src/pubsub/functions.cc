@@ -4,18 +4,6 @@
 
 namespace taureau::pubsub {
 
-Result<std::string> FunctionContext::GetState(const std::string& key) const {
-  auto it = worker_->state_.find(key);
-  if (it == worker_->state_.end()) {
-    return Status::NotFound("state key '" + key + "'");
-  }
-  return it->second;
-}
-
-void FunctionContext::PutState(const std::string& key, std::string value) {
-  worker_->state_[key] = std::move(value);
-}
-
 int64_t FunctionContext::IncrCounter(const std::string& key, int64_t delta) {
   int64_t current = 0;
   auto it = worker_->state_.find(key);

@@ -20,10 +20,8 @@ class FunctionWorker;
 /// org.apache.pulsar.functions.api.Context).
 class FunctionContext {
  public:
-  /// Framework-managed durable state (Pulsar's putState/getState).
-  Result<std::string> GetState(const std::string& key) const;
-  void PutState(const std::string& key, std::string value);
-  /// Pulsar's incrCounter: returns the post-increment value.
+  /// Framework-managed per-function counter state (Pulsar's incrCounter):
+  /// returns the post-increment value.
   int64_t IncrCounter(const std::string& key, int64_t delta);
 
   /// Publishes to the function's configured output topic.

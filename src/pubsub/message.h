@@ -22,8 +22,6 @@ struct Message {
   MessageId id;
   std::string key;      ///< Optional routing/partitioning key.
   std::string payload;
-  /// Region that originally produced the message; empty for local messages.
-  std::string replicated_from;
   SimTime publish_time_us = 0;
   SimTime deliver_time_us = 0;
 };

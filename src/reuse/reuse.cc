@@ -16,9 +16,7 @@ ReuseLayer::ReuseLayer(ReuseConfig config)
     : config_(config),
       enabled_(config.enabled),
       approx_burn_threshold_(config.approx_burn_threshold),
-      cache_(config.cache),
-      popularity_(config.countmin_depth, config.countmin_width,
-                  config.countmin_seed) {
+      cache_(config.cache) {
   BindMetrics();
 }
 

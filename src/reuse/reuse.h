@@ -56,11 +56,6 @@ struct ReuseConfig {
   /// TTL is the freshness cost a hit pays (staleness <= ttl_us).
   ResultCacheConfig cache{/*max_bytes=*/size_t(64) << 20, /*max_entries=*/0,
                           /*ttl_us=*/60 * kSecond, /*cost_aware=*/true};
-  /// CountMin shape for the recurrence estimate (one-sided error: never
-  /// undercounts, so admission can only over-value, never starve).
-  uint32_t countmin_depth = 4;
-  uint32_t countmin_width = 4096;
-  uint64_t countmin_seed = 17;
   /// Master switch (live: "reuse.enabled").
   bool enabled = true;
   /// Approximation fires when SLO burn >= this (0 disables; live:
@@ -220,7 +215,10 @@ class ReuseLayer {
   double approx_burn_threshold_ = 0.0;
   Cache cache_;
   Singleflight flights_;
-  sketch::CountMinSketch popularity_;
+  /// Recurrence estimate, 4 x 4096 (one-sided error: never undercounts, so
+  /// admission can only over-value, never starve).
+  sketch::CountMinSketch popularity_{/*depth=*/4, /*width=*/4096,
+                                     /*seed=*/17};
   /// Interned functions by id, and the ids by name.
   std::vector<Function> functions_;
   std::unordered_map<std::string, uint32_t> function_ids_;

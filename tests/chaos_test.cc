@@ -3,8 +3,11 @@
 // jiffy, orchestration), retry policies, circuit breaking, idempotency.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "chaos/circuit_breaker.h"
 #include "chaos/fault_plan.h"
@@ -71,6 +74,23 @@ TEST(FaultPlanTest, EventsSortedAndPaired) {
             plan.CountKind(FaultKind::kPartitionHeal));
   EXPECT_EQ(plan.CountKind(FaultKind::kBookieCrash),
             plan.CountKind(FaultKind::kBookieRecover));
+  // Each heal lands kPartitionHealAfterUs after its partition, on the same
+  // machine; each delay spike adds kNetworkDelayUs.
+  std::vector<std::pair<SimTime, uint64_t>> due, healed;
+  for (const FaultEvent& e : plan.events()) {
+    if (e.kind == FaultKind::kNetworkPartition) {
+      due.emplace_back(e.at_us + kPartitionHealAfterUs, e.target);
+    } else if (e.kind == FaultKind::kPartitionHeal) {
+      healed.emplace_back(e.at_us, e.target);
+    } else if (e.kind == FaultKind::kNetworkDelay) {
+      EXPECT_EQ(e.param, uint64_t(kNetworkDelayUs));
+    }
+  }
+  std::sort(due.begin(), due.end());
+  std::sort(healed.begin(), healed.end());
+  EXPECT_FALSE(due.empty());
+  EXPECT_EQ(due, healed);
+  EXPECT_GT(plan.CountKind(FaultKind::kNetworkDelay), 0u);
 }
 
 TEST(FaultPlanTest, ZeroRatesEmptyPlan) {

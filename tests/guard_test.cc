@@ -879,8 +879,8 @@ TEST(PubsubGuardTest, ShedsPublishesOnBacklogAndDeadline) {
 
   // Deadline-aware: a publish that cannot reach durability in time is
   // rejected with DeadlineExceeded.
-  auto doomed = cluster.Publish("t", "", "p", "", {},
-                                Deadline::In(sim.Now(), 10));
+  auto doomed =
+      cluster.Publish("t", "", "p", {}, Deadline::In(sim.Now(), 10));
   EXPECT_TRUE(doomed.status().IsDeadlineExceeded());
   EXPECT_GT(guard.stats().shed_deadline, 0u);
 }

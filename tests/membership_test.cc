@@ -219,15 +219,14 @@ TEST(DetectorTest, GracePeriodBeforeFirstHeartbeat) {
 }
 
 TEST(DetectorTest, RegularStreamStaysCalmSilenceEscalates) {
-  DetectorConfig cfg;
-  PhiAccrualDetector det(cfg);
+  PhiAccrualDetector det;
   SimTime t = 0;
   for (int i = 0; i < 30; ++i) {
     t += 50 * kMillisecond;
     det.Heartbeat(t);
   }
   // On schedule: not suspicious.
-  EXPECT_LT(det.Phi(t + 50 * kMillisecond), cfg.phi_suspect);
+  EXPECT_LT(det.Phi(t + 50 * kMillisecond), PhiAccrualDetector::kPhiSuspect);
   // Phi is monotone in silence and crosses suspect before dead.
   double prev = 0;
   bool suspected = false, died = false;
@@ -246,8 +245,7 @@ TEST(DetectorTest, RegularStreamStaysCalmSilenceEscalates) {
 }
 
 TEST(DetectorTest, AdaptsToJitterAndIsDeterministic) {
-  DetectorConfig cfg;
-  PhiAccrualDetector steady(cfg), noisy(cfg), replay(cfg);
+  PhiAccrualDetector steady, noisy, replay;
   Rng rng(77);
   SimTime ts = 0, tn = 0;
   std::vector<SimTime> noisy_times;

@@ -33,9 +33,6 @@ TEST(LabeledRegistryTest, SeriesNameIsCanonical) {
             "faas.invocations{tenant=\"acme\"}");
   EXPECT_EQ(Registry::SeriesName("x", {.tenant = "t", .shard = "3"}),
             "x{shard=\"3\",tenant=\"t\"}");
-  EXPECT_EQ(Registry::SeriesName(
-                "x", {.tenant = "t", .cell = "c", .shard = "s", .module = "m"}),
-            "x{cell=\"c\",module=\"m\",shard=\"s\",tenant=\"t\"}");
   EXPECT_EQ(Registry::SeriesName("x", LabelSet{}), "x");
 }
 
@@ -60,14 +57,12 @@ TEST(LabeledRegistryTest, LabelValuesAreInternedAndSorted) {
   r.ResolveCounter("m.c", {.tenant = "zeta"});
   r.ResolveCounter("m.c", {.tenant = "acme"});
   r.ResolveCounter("m.d", {.tenant = "acme", .shard = "0"});
-  r.ResolveGauge("m.g", {.cell = "west"});
+  r.ResolveGauge("m.g", {.shard = "west"});
   const auto tenants = r.LabelValues("tenant");
   ASSERT_EQ(tenants.size(), 2u);
   EXPECT_EQ(tenants[0], "acme");
   EXPECT_EQ(tenants[1], "zeta");
-  EXPECT_EQ(r.LabelValues("cell").size(), 1u);
-  EXPECT_EQ(r.LabelValues("shard").size(), 1u);
-  EXPECT_TRUE(r.LabelValues("module").empty());
+  EXPECT_EQ(r.LabelValues("shard").size(), 2u);
   EXPECT_EQ(r.labeled_series(), 4u);
 }
 

@@ -5,6 +5,8 @@
 
 #include <map>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "baas/blob_store.h"
@@ -268,6 +270,40 @@ TEST(PulsarTest, FailoverRedeliversUnackedOnDisconnect) {
   ASSERT_EQ(standby_got.size(), 1u);
   EXPECT_EQ(standby_got[0], "m1");
   EXPECT_GE(f.cluster.metrics().redelivered, 1u);
+}
+
+TEST(PulsarTest, KeyAndPayloadSurviveTheLedger) {
+  // The ledger entry carries key and payload byte-exact, empty or binary,
+  // both on first dispatch and on failover redelivery.
+  PulsarFixture f;
+  ASSERT_TRUE(f.cluster.CreateTopic("t", {}).ok());
+  using KeyPayload = std::pair<std::string, std::string>;
+  const std::vector<KeyPayload> sent = {
+      {"", "no key"},
+      {"no payload", ""},
+      {std::string("k\0\xff", 3), std::string("\xff\0p\0", 4)},
+  };
+  std::vector<KeyPayload> primary_got, standby_got;
+  auto primary = f.cluster.Subscribe(
+      "t", "sub", SubscriptionType::kFailover, [&](const Message& m) {
+        primary_got.emplace_back(m.key, m.payload);
+      });
+  auto standby = f.cluster.Subscribe(
+      "t", "sub", SubscriptionType::kFailover, [&](const Message& m) {
+        standby_got.emplace_back(m.key, m.payload);
+      });
+  ASSERT_TRUE(primary.ok());
+  ASSERT_TRUE(standby.ok());
+  for (const auto& [key, payload] : sent) {
+    ASSERT_TRUE(f.cluster.Publish("t", key, payload).ok());
+  }
+  f.sim.Run();
+  EXPECT_EQ(primary_got, sent);
+  EXPECT_TRUE(standby_got.empty());
+  // Nothing was acked, so the standby gets every entry again, unchanged.
+  ASSERT_TRUE(f.cluster.Disconnect(*primary).ok());
+  f.sim.Run();
+  EXPECT_EQ(standby_got, sent);
 }
 
 TEST(PulsarTest, BrokerCrashLosesNoAckedData) {

@@ -26,7 +26,6 @@
 #include "common/rng.h"
 #include "common/time_types.h"
 #include "ctrl/config.h"
-#include "ctrl/knobs.h"
 #include "faas/platform.h"
 #include "faas/prewarmer.h"
 #include "obs/observability.h"
@@ -1032,54 +1031,6 @@ TEST(IdempotencyRegressionTest, CapacityEvictsLruNotNewest) {
 }
 
 // --------------------------------------------------- E28 knob wiring
-
-TEST(SamplerKnobTest, MidRunHeadRatePushKeepsFlameExact) {
-  // Two identical trace streams; run B retunes head sampling to 5% at the
-  // halfway point through the live knob. The retained store shrinks, but
-  // the flame profile — fed before the retention decision — must stay
-  // byte-identical to run A's.
-  auto run = [](bool push_mid_run, obs::SamplingPipeline::Stats* stats,
-                double* final_rate) {
-    sim::Simulation sim;
-    obs::Observability o(&sim);
-    obs::ScaleConfig cfg;
-    cfg.sampler.head_rate = 1.0;
-    cfg.sampler.seed = 7;
-    EXPECT_TRUE(o.EnableScale(cfg));
-    ctrl::ConfigService svc(&sim);
-    ctrl::AttachSamplerControl(&svc, o.pipeline());
-    for (int i = 0; i < 100; ++i) {
-      sim.ScheduleAt(SimTime(i) * kMillisecond, [&o, &sim, i] {
-        auto root = o.tracer.StartSpan("req", "svc", {});
-        o.tracer.EmitSpan("exec", "svc", root, sim.Now(),
-                          sim.Now() + SimDuration(100 + i),
-                          {{obs::kCategoryAttr, "exec"}});
-        o.tracer.EndSpanAt(root, sim.Now() + SimDuration(100 + i));
-      });
-    }
-    if (push_mid_run) {
-      sim.ScheduleAt(50 * kMillisecond, [&svc] {
-        svc.Push("obs.sampler.head_rate", ctrl::ConfigValue::Double(0.05));
-      });
-    }
-    sim.Run();
-    o.Flush();
-    *stats = o.pipeline()->stats();
-    *final_rate = o.pipeline()->head_rate();
-    return o.flame()->ExportText();
-  };
-
-  obs::SamplingPipeline::Stats full{}, tuned{};
-  double full_rate = 0, tuned_rate = 0;
-  const std::string flame_full = run(false, &full, &full_rate);
-  const std::string flame_tuned = run(true, &tuned, &tuned_rate);
-  EXPECT_DOUBLE_EQ(full_rate, 1.0);
-  EXPECT_DOUBLE_EQ(tuned_rate, 0.05);          // The push landed...
-  EXPECT_EQ(full.traces_finalized, 100u);
-  EXPECT_EQ(tuned.traces_finalized, 100u);
-  EXPECT_LT(tuned.traces_retained, full.traces_retained);  // ...and bit.
-  EXPECT_EQ(flame_tuned, flame_full);  // Profiles exact at any rate.
-}
 
 TEST(PrewarmerKnobTest, KeepAliveTargetsRetuneLive) {
   sim::Simulation sim;

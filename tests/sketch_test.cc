@@ -10,9 +10,7 @@
 #include "sketch/bloom.h"
 #include "sketch/countmin.h"
 #include "sketch/hyperloglog.h"
-#include "sketch/moments.h"
 #include "sketch/quantiles.h"
-#include "sketch/reservoir.h"
 #include "sketch/spacesaving.h"
 
 namespace taureau::sketch {
@@ -287,87 +285,6 @@ TEST(GKQuantilesTest, MergedSummaryStillAccurate) {
   EXPECT_EQ(a.count(), 20000u);
   EXPECT_NEAR(a.Quantile(0.5), 10000.0, 20000 * 0.05);
   EXPECT_NEAR(a.Quantile(0.9), 18000.0, 20000 * 0.05);
-}
-
-// -------------------------------------------------------------- Reservoir
-
-TEST(ReservoirTest, KeepsAllWhenUnderCapacity) {
-  ReservoirSample<int> rs(100);
-  for (int i = 0; i < 50; ++i) rs.Add(i);
-  EXPECT_EQ(rs.sample().size(), 50u);
-  EXPECT_EQ(rs.seen(), 50u);
-}
-
-TEST(ReservoirTest, CapacityBounded) {
-  ReservoirSample<int> rs(10);
-  for (int i = 0; i < 10000; ++i) rs.Add(i);
-  EXPECT_EQ(rs.sample().size(), 10u);
-  EXPECT_EQ(rs.seen(), 10000u);
-}
-
-TEST(ReservoirTest, ApproximatelyUniform) {
-  // Each element should appear with probability k/n; count hits of the
-  // first decile over many runs.
-  int first_decile_hits = 0;
-  const int runs = 300;
-  for (int run = 0; run < runs; ++run) {
-    ReservoirSample<int> rs(10, /*seed=*/run + 1);
-    for (int i = 0; i < 1000; ++i) rs.Add(i);
-    for (int v : rs.sample()) {
-      if (v < 100) ++first_decile_hits;
-    }
-  }
-  // Expected: runs * 10 * 0.1 = 300.
-  EXPECT_NEAR(double(first_decile_hits), 300.0, 90.0);
-}
-
-TEST(ReservoirTest, MergeTracksTotals) {
-  ReservoirSample<int> a(10, 1), b(10, 2);
-  for (int i = 0; i < 100; ++i) a.Add(i);
-  for (int i = 100; i < 300; ++i) b.Add(i);
-  ASSERT_TRUE(a.Merge(b).ok());
-  EXPECT_EQ(a.seen(), 300u);
-  EXPECT_EQ(a.sample().size(), 10u);
-}
-
-TEST(ReservoirTest, MergeRejectsCapacityMismatch) {
-  ReservoirSample<int> a(10), b(20);
-  EXPECT_TRUE(a.Merge(b).IsInvalidArgument());
-}
-
-// ---------------------------------------------------------------- Moments
-
-TEST(MomentsTest, BasicStatistics) {
-  MomentsSketch m;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) m.Add(x);
-  EXPECT_EQ(m.count(), 8u);
-  EXPECT_DOUBLE_EQ(m.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(m.min(), 2.0);
-  EXPECT_DOUBLE_EQ(m.max(), 9.0);
-  EXPECT_NEAR(m.stddev(), 2.138, 0.01);
-}
-
-TEST(MomentsTest, MergeIsExact) {
-  MomentsSketch a, b, whole;
-  Rng rng(6);
-  for (int i = 0; i < 1000; ++i) {
-    const double x = rng.NextGaussian(3, 2);
-    (i % 2 ? a : b).Add(x);
-    whole.Add(x);
-  }
-  a.Merge(b);
-  EXPECT_EQ(a.count(), whole.count());
-  EXPECT_NEAR(a.mean(), whole.mean(), 1e-9);
-  EXPECT_NEAR(a.variance(), whole.variance(), 1e-6);
-  EXPECT_NEAR(a.skewness(), whole.skewness(), 1e-6);
-}
-
-TEST(MomentsTest, GaussianShape) {
-  MomentsSketch m;
-  Rng rng(7);
-  for (int i = 0; i < 100000; ++i) m.Add(rng.NextGaussian());
-  EXPECT_NEAR(m.skewness(), 0.0, 0.05);
-  EXPECT_NEAR(m.kurtosis(), 3.0, 0.1);
 }
 
 // ---------------------------------- Parameterized merge-associativity sweep
