@@ -412,6 +412,8 @@ struct DiurnalFingerprint {
   std::vector<SimTime> clocks;
   double wall_seconds = 0.0;
   uint64_t epochs = 0;
+  uint64_t barrier_ns = 0;  ///< Host: coordinator between epochs.
+  uint64_t wait_ns = 0;     ///< Host: coordinator waiting for workers.
 
   std::string Export() const {
     std::string out = "{\"events\": " + U64(events);
@@ -524,6 +526,8 @@ DiurnalFingerprint RunDiurnalDay(unsigned threads) {
   fp.cross_posts = world.stats().cross_posts;
   fp.clamped_posts = world.stats().clamped_posts;
   fp.epochs = world.stats().epochs;
+  fp.barrier_ns = world.stats().barrier_ns;
+  fp.wait_ns = world.stats().wait_ns;
   std::vector<const obs::Registry*> regs;
   for (uint32_t s = 0; s < kCells; ++s) {
     fp.clocks.push_back(world.shard(s).Now());
@@ -576,11 +580,13 @@ void RunExperiment() {
   }
 
   // Part b: the diurnal day core-scaling curve. Every run must produce the
-  // same merged export; speedup is events/sec relative to threads=1.
+  // same merged export; speedup is events/sec relative to threads=1. The
+  // barrier and wait columns are the coordinator's host time per epoch.
   double speedup4 = 0.0;
   {
     bench::Table table({"threads", "events", "epochs", "wall (s)",
-                        "Mevents/s", "speedup", "identical"});
+                        "Mevents/s", "speedup", "barrier (us/epoch)",
+                        "wait (us/epoch)", "identical"});
     std::string reference;
     double serial_rate = 0.0;
     for (unsigned threads : {1u, 2u, 4u, 8u}) {
@@ -598,10 +604,13 @@ void RunExperiment() {
       if (threads == 1) serial_rate = rate;
       const double speedup = serial_rate > 0 ? rate / serial_rate : 0.0;
       if (threads == 4) speedup4 = speedup;
+      const double epochs = double(std::max<uint64_t>(fp.epochs, 1));
       table.AddRow({bench::FmtInt(threads), U64(fp.events), U64(fp.epochs),
                     bench::Fmt("%.2f", fp.wall_seconds),
                     bench::Fmt("%.2f", rate / 1e6),
                     bench::Fmt("%.2fx", speedup),
+                    bench::Fmt("%.2f", double(fp.barrier_ns) / epochs / 1e3),
+                    bench::Fmt("%.2f", double(fp.wait_ns) / epochs / 1e3),
                     reference == exported ? "yes" : "NO"});
     }
     table.Print("E26b: " + std::to_string(DiurnalRequests() / 1000000.0 >= 1

@@ -1,9 +1,20 @@
 #include "psim/psim.h"
 
 #include <algorithm>
+#include <chrono>
 #include <utility>
 
 namespace taureau::psim {
+
+namespace {
+
+using Clock = std::chrono::steady_clock;
+
+uint64_t NanosSince(Clock::time_point start) {
+  return uint64_t(std::chrono::nanoseconds(Clock::now() - start).count());
+}
+
+}  // namespace
 
 bool ParallelSimulation::PostLater::operator()(const PostRecord& a,
                                                const PostRecord& b) const {
@@ -19,7 +30,8 @@ ParallelSimulation::ParallelSimulation(const PsimConfig& config)
   shards_.reserve(shards);
   for (uint32_t s = 0; s < shards; ++s) {
     auto shard = std::make_unique<Shard>();
-    shard->outbox.resize(shards);
+    shard->outbox[0].resize(shards);
+    shard->outbox[1].resize(shards);
     shards_.push_back(std::move(shard));
   }
   unsigned threads = config.threads;
@@ -32,8 +44,8 @@ ParallelSimulation::ParallelSimulation(const PsimConfig& config)
     // The coordinator (the thread calling Run) doubles as worker 0, so the
     // pool holds threads_ - 1 standing workers.
     pool_.reserve(threads_ - 1);
-    for (unsigned t = 0; t + 1 < threads_; ++t) {
-      pool_.emplace_back([this] { WorkerMain(); });
+    for (unsigned w = 1; w < threads_; ++w) {
+      pool_.emplace_back([this, w] { WorkerMain(w); });
     }
   }
 }
@@ -57,31 +69,23 @@ void ParallelSimulation::Post(ShardId src, ShardId dst, SimDuration delay,
     ++from.posts_clamped;
   }
   const SimTime when = from.sim.Now() + delay;
-  from.outbox[dst].push_back(
+  from.posted_min = std::min(from.posted_min, when);
+  from.outbox[parity_][dst].push_back(
       PostRecord{when, src, from.post_seq++, std::move(fn)});
 }
 
 SimTime ParallelSimulation::NextEventTime() const {
   SimTime t = sim::Simulation::kNoEventTime;
   for (const auto& shard : shards_) {
-    t = std::min(t, shard->sim.next_event_time());
+    t = std::min({t, shard->sim.next_event_time(), shard->posted_min});
     if (!shard->calendar.empty()) t = std::min(t, shard->calendar.front().when);
   }
   return t;
 }
 
-bool ParallelSimulation::OutboxesEmpty() const {
-  for (const auto& shard : shards_) {
-    if (!shard->calendar.empty()) return false;
-    for (const auto& box : shard->outbox) {
-      if (!box.empty()) return false;
-    }
-  }
-  return true;
-}
-
 bool ParallelSimulation::Drained() const {
-  return NextEventTime() == sim::Simulation::kNoEventTime && OutboxesEmpty();
+  // Between runs every post not yet pulled is under some posted_min.
+  return NextEventTime() == sim::Simulation::kNoEventTime;
 }
 
 uint64_t ParallelSimulation::events_fired() const {
@@ -93,63 +97,50 @@ uint64_t ParallelSimulation::events_fired() const {
 ParallelSimulation::Stats ParallelSimulation::stats() const {
   Stats s;
   s.epochs = epochs_;
-  s.cross_posts = cross_posts_;
-  for (const auto& shard : shards_) s.clamped_posts += shard->posts_clamped;
+  s.barrier_ns = barrier_ns_;
+  s.wait_ns = wait_ns_;
+  for (const auto& shard : shards_) {
+    s.cross_posts += shard->cross_posts;
+    s.clamped_posts += shard->posts_clamped;
+  }
   return s;
 }
 
-void ParallelSimulation::CollectOutboxes() {
-  // Move every source's fresh posts into the destination calendars. The
-  // calendar is a min-heap over the global (time, shard, seq) rule, so
-  // posts exchanged at *different* barriers still release in rule order —
-  // delivery order never encodes which epoch carried the message.
-  const uint32_t shards = num_shards();
-  for (uint32_t src = 0; src < shards; ++src) {
-    for (uint32_t dst = 0; dst < shards; ++dst) {
-      auto& box = shards_[src]->outbox[dst];
-      if (box.empty()) continue;
-      auto& calendar = shards_[dst]->calendar;
-      for (PostRecord& rec : box) {
-        calendar.push_back(std::move(rec));
-        std::push_heap(calendar.begin(), calendar.end(), PostLater{});
-      }
-      box.clear();
+void ParallelSimulation::RunShard(ShardId s, SimTime horizon) {
+  Shard& shard = *shards_[s];
+  // This shard's earlier posts are all pulled during this epoch.
+  shard.posted_min = sim::Simulation::kNoEventTime;
+  // Pull column s of every source's previous-epoch outbox into the
+  // calendar heap, so posts pulled in *different* epochs still release in
+  // global rule order.
+  auto& calendar = shard.calendar;
+  for (auto& src : shards_) {
+    auto& box = src->outbox[parity_ ^ 1][s];
+    for (PostRecord& rec : box) {
+      calendar.push_back(std::move(rec));
+      std::push_heap(calendar.begin(), calendar.end(), PostLater{});
     }
+    box.clear();
+  }
+  // Release every arrival stamped inside this epoch in pop order: each
+  // ScheduleAt takes the loop's next sequence number, so equal-time
+  // arrivals fire in rule order, after local events already queued then.
+  while (!calendar.empty() && calendar.front().when <= horizon) {
+    std::pop_heap(calendar.begin(), calendar.end(), PostLater{});
+    shard.sim.ScheduleAt(calendar.back().when, std::move(calendar.back().fn));
+    calendar.pop_back();
+    ++shard.cross_posts;
+  }
+  shard.sim.RunUntil(horizon);
+}
+
+void ParallelSimulation::DrainShardsForEpoch(unsigned worker) {
+  for (ShardId s = worker; s < num_shards(); s += threads_) {
+    RunShard(s, horizon_);
   }
 }
 
-void ParallelSimulation::ReleaseCalendars(SimTime horizon) {
-  // Feed each shard every cross-shard event stamped inside the upcoming
-  // epoch window. Heap pops surface records in ascending (time, shard,
-  // seq) order; ScheduleBulkAt preserves that order among equal times, so
-  // the arrivals fire exactly in global rule order — after local events
-  // already queued at the same timestamp, before local events the epoch
-  // itself schedules there.
-  for (auto& shard : shards_) {
-    auto& calendar = shard->calendar;
-    if (calendar.empty() || calendar.front().when > horizon) continue;
-    std::vector<std::pair<SimTime, sim::Callback>> batch;
-    while (!calendar.empty() && calendar.front().when <= horizon) {
-      std::pop_heap(calendar.begin(), calendar.end(), PostLater{});
-      PostRecord rec = std::move(calendar.back());
-      calendar.pop_back();
-      batch.emplace_back(rec.when, std::move(rec.fn));
-    }
-    cross_posts_ += batch.size();
-    shard->sim.ScheduleBulkAt(std::move(batch));
-  }
-}
-
-void ParallelSimulation::DrainShardsForEpoch() {
-  const uint32_t shards = num_shards();
-  for (;;) {
-    const uint32_t s = next_shard_.fetch_add(1, std::memory_order_relaxed);
-    if (s >= shards) return;
-    shards_[s]->sim.RunUntil(horizon_);
-  }
-}
-
-void ParallelSimulation::WorkerMain() {
+void ParallelSimulation::WorkerMain(unsigned worker) {
   uint64_t seen = 0;
   for (;;) {
     // Spin briefly, then yield: epochs are microseconds apart in the hot
@@ -163,22 +154,23 @@ void ParallelSimulation::WorkerMain() {
     }
     ++seen;
     if (stop_.load(std::memory_order_acquire)) return;
-    DrainShardsForEpoch();
+    DrainShardsForEpoch(worker);
     done_count_.fetch_add(1, std::memory_order_acq_rel);
   }
 }
 
 void ParallelSimulation::ExecuteEpoch(SimTime horizon) {
+  parity_ ^= 1;  // Shards pull what the last epoch (or setup) posted.
+  horizon_ = horizon;
   if (pool_.empty()) {
-    for (auto& shard : shards_) shard->sim.RunUntil(horizon);
+    DrainShardsForEpoch(0);
     return;
   }
-  horizon_ = horizon;
-  next_shard_.store(0, std::memory_order_relaxed);
   done_count_.store(0, std::memory_order_relaxed);
   epoch_ticket_.fetch_add(1, std::memory_order_release);
-  DrainShardsForEpoch();  // The coordinator is worker 0.
+  DrainShardsForEpoch(0);  // The coordinator is worker 0.
   const unsigned workers = unsigned(pool_.size());
+  const Clock::time_point waited = Clock::now();
   int spins = 0;
   while (done_count_.load(std::memory_order_acquire) < workers) {
     if (++spins > 4096) {
@@ -186,23 +178,22 @@ void ParallelSimulation::ExecuteEpoch(SimTime horizon) {
       spins = 0;
     }
   }
+  wait_ns_ += NanosSince(waited);
 }
 
 uint64_t ParallelSimulation::RunEpochs(SimTime deadline) {
   const uint64_t before = events_fired();
   for (;;) {
-    // Barrier: gather the previous epoch's posts (and any setup-time
-    // posts) into the calendars, find the new global lower bound, then
-    // release every cross-shard event stamped inside the next window.
-    CollectOutboxes();
+    // Barrier: the new global lower bound. Shards pull their own arrivals.
+    const Clock::time_point barrier = Clock::now();
     const SimTime t = NextEventTime();
     if (t == sim::Simulation::kNoEventTime || t > deadline) break;
     // Inclusive horizon T + L - 1: an event firing at any t' <= H can only
     // post cross-shard work at t' + lookahead >= T + L > H, so every
-    // arrival gathered at the next barrier is still in every shard's
-    // future — no shard ever receives an event in its past.
+    // arrival pulled in the next epoch is still in every shard's future —
+    // no shard ever receives an event in its past.
     const SimTime horizon = std::min(deadline, t + lookahead_ - 1);
-    ReleaseCalendars(horizon);
+    barrier_ns_ += NanosSince(barrier);
     ExecuteEpoch(horizon);
     ++epochs_;
   }

@@ -5,17 +5,21 @@
 // by convention its slice of the landscape: machines, topics, namespaces —
 // the world that builds the shards decides, e.g. with ShardForKey). Shards
 // interact only through Post(): a timestamped cross-shard event that is
-// buffered in the source shard's outbox and exchanged at the next barrier.
+// buffered in the source shard's outbox and pulled by its destination in the
+// next epoch.
 //
 // Execution proceeds in conservative-lookahead epochs (classic CMB-style
 // null-message-free synchronous variant — the rethinkdb runtime's
 // message-hub shape, adapted to simulated time):
 //
-//   T  = min over shards of the earliest pending event time
+//   T  = min over shards of the earliest pending event, arrival or post
 //   H  = T + lookahead - 1                      (inclusive epoch horizon)
-//   every shard runs its private loop through H  (possibly in parallel)
-//   barrier: outboxes are merged into destination shards in global
-//            (time, source shard, post seq) order, and the next epoch starts
+//   each shard, on its fixed worker: pulls last epoch's posts to it, releases
+//            arrivals stamped <= H in global (time, source shard, post seq)
+//            order, runs its private loop through H
+//
+// Outboxes are double-buffered by epoch parity, so the coordinator's only
+// serial work is the minimum that gives T.
 //
 // Safety: lookahead is the minimum simulated latency of any cross-shard
 // interaction (mined from the latency models — no network hop, dispatch or
@@ -25,12 +29,13 @@
 // requests up to the lookahead (cross-shard communication cannot beat the
 // network) and counts them in stats().clamped_posts.
 //
-// Determinism: each shard's loop is single-threaded and seeded, outboxes
-// are private to the posting shard, and the barrier merge is a sort by the
-// global (time, shard, seq) rule — so the full observable state (event
-// counts, clocks, metric exports, span digests) is a pure function of the
-// workload, *not* of the thread count. 1 thread == N threads byte-identical
-// is asserted in-binary by bench_e26_psim and pinned by tests/psim_test.cc.
+// Determinism: each shard's loop is single-threaded and seeded, an outbox
+// is written only by its posting shard, and each destination releases its
+// arrivals in the order of the global (time, shard, seq) rule — so the full
+// observable state (event counts, clocks, metric exports, span digests) is
+// a pure function of the workload, *not* of the thread count. 1 thread == N
+// threads byte-identical is asserted in-binary by bench_e26_psim and pinned
+// by tests/psim_test.cc.
 #pragma once
 
 #include <atomic>
@@ -91,12 +96,12 @@ class ParallelSimulation {
   /// Cross-shard event: schedules `fn` on shard `dst` at simulated time
   /// shard(src).Now() + max(delay, lookahead). `src` must be the shard
   /// whose callback is currently executing (or any shard from setup code,
-  /// outside Run). The event is buffered in src's private outbox, moved to
-  /// dst's calendar at the next barrier, and released into dst's loop at
-  /// the epoch containing its timestamp. Equal-time arrivals fire in the
-  /// global (time, source shard, post seq) order — regardless of which
-  /// barrier carried them — after local events already queued at that
-  /// timestamp.
+  /// outside Run). The event is buffered in src's private outbox, pulled
+  /// into dst's calendar at the start of dst's next epoch, and released
+  /// into dst's loop at the epoch containing its timestamp. Equal-time
+  /// arrivals fire in the global (time, source shard, post seq) order —
+  /// regardless of which epoch carried them — after local events already
+  /// queued at that timestamp.
   void Post(ShardId src, ShardId dst, SimDuration delay, sim::Callback fn);
 
   /// Runs barrier epochs until every shard's queue and every outbox is
@@ -117,6 +122,12 @@ class ParallelSimulation {
     uint64_t epochs = 0;          ///< Barrier rounds executed.
     uint64_t cross_posts = 0;     ///< Cross-shard events delivered.
     uint64_t clamped_posts = 0;   ///< Posts whose delay was < lookahead.
+    /// Host time, not simulated: what the coordinator spent between epochs
+    /// finding the next event time and the horizon.
+    uint64_t barrier_ns = 0;
+    /// Host time the coordinator spun on the done-counter after its own
+    /// shards finished. Always 0 at threads == 1.
+    uint64_t wait_ns = 0;
   };
   Stats stats() const;
 
@@ -135,55 +146,58 @@ class ParallelSimulation {
   /// false-shares a cache line with a neighbouring shard's.
   struct Shard {
     sim::Simulation sim;
-    /// outbox[dst]: cross-shard events produced by this shard since the
-    /// last barrier. Only this shard's executing thread writes it; the
-    /// barrier (coordinator, after the join) drains it.
-    std::vector<std::vector<PostRecord>> outbox;
+    /// outbox[parity][dst]: cross-shard events this shard posted in the
+    /// epoch of that parity (setup-time posts join the last epoch's). Only
+    /// this shard's executing thread writes the current parity; in the next
+    /// epoch, shard dst's worker pulls and clears outbox[that parity][dst].
+    std::vector<std::vector<PostRecord>> outbox[2];
     /// Pending cross-shard arrivals for THIS shard, min-heaped by the
     /// global (time, shard, seq) rule. Events wait here until the epoch
-    /// whose window contains their timestamp — so arrivals exchanged at
-    /// different barriers still fire in global rule order.
+    /// whose window contains their timestamp — so arrivals pulled in
+    /// different epochs still fire in global rule order.
     std::vector<PostRecord> calendar;
+    /// Earliest timestamp this shard posted that its destinations have not
+    /// pulled yet; kNoEventTime when there is none.
+    SimTime posted_min = sim::Simulation::kNoEventTime;
     uint64_t post_seq = 0;
     uint64_t posts_clamped = 0;
+    uint64_t cross_posts = 0;  ///< Arrivals released into this shard's loop.
   };
 
-  /// Earliest pending event over all shards: private heaps and calendars
-  /// (outboxes are always empty when this is consulted). kNoEventTime when
-  /// drained.
+  /// Earliest pending event over all shards: private heaps, calendars and
+  /// posts not yet pulled. kNoEventTime when drained.
   SimTime NextEventTime() const;
   /// Runs every shard through `horizon` (serially or on the worker pool).
   void ExecuteEpoch(SimTime horizon);
-  /// Coordinator-only barrier, phase 1: moves every outbox into the
-  /// destination calendars.
-  void CollectOutboxes();
-  /// Coordinator-only barrier, phase 2: schedules every calendar record
-  /// stamped <= horizon onto its shard's loop, in global rule order.
-  void ReleaseCalendars(SimTime horizon);
-  bool OutboxesEmpty() const;
+  /// One shard's epoch on its own worker: pull, release, run through horizon.
+  void RunShard(ShardId s, SimTime horizon);
   /// Core epoch loop shared by Run/RunUntil.
   uint64_t RunEpochs(SimTime deadline);
 
-  void WorkerMain();
-  void DrainShardsForEpoch();
+  void WorkerMain(unsigned worker);
+  /// Runs the shards `worker` owns: s mod threads_ == worker, fixed, so a
+  /// shard's outbox column, calendar and loop stay on one core.
+  void DrainShardsForEpoch(unsigned worker);
 
   std::vector<std::unique_ptr<Shard>> shards_;
   SimDuration lookahead_;
   unsigned threads_;
   uint64_t epochs_ = 0;
-  uint64_t cross_posts_ = 0;
+  uint64_t barrier_ns_ = 0;
+  uint64_t wait_ns_ = 0;
 
   // Worker pool (present only when threads_ > 1). Epochs are published via
-  // an acquire/release ticket; workers claim shards through an atomic
-  // cursor, run them through horizon_, and check in on done_count_. All
-  // shard state is therefore handed off with proper happens-before edges
-  // at every barrier — the property the TSan CI job verifies.
+  // an acquire/release ticket; each worker runs the shards it owns through
+  // horizon_ and checks in on done_count_. All shard state is therefore
+  // handed off with proper happens-before edges at every barrier — the
+  // property the TSan CI job verifies.
   std::vector<std::thread> pool_;
   std::atomic<uint64_t> epoch_ticket_{0};
-  std::atomic<uint32_t> next_shard_{0};
   std::atomic<unsigned> done_count_{0};
   std::atomic<bool> stop_{false};
-  SimTime horizon_ = 0;  ///< Written by coordinator before ticket release.
+  // Written by the coordinator before the ticket release.
+  SimTime horizon_ = 0;
+  unsigned parity_ = 0;  ///< The outbox parity this epoch posts into.
 };
 
 /// Convenience view a workload hands to the closures it schedules on one

@@ -6,8 +6,9 @@
 // of a ParallelSimulation run — event counts, per-shard clocks, merged
 // metric exports, span digests — is a pure function of the workload, never
 // of the worker thread count. The suite replays a seeded cross-shard event
-// storm serial (threads=1) and parallel (threads=4) for seeds 1..10 and
-// shard counts {1, 2, 4, 8} and asserts byte-identical observables.
+// storm serial (threads=1) and parallel (threads 2, 3, 4 and 8) for seeds
+// 1..10 and shard counts {1, 2, 4, 8}, both in one Run and advanced in
+// RunUntil slices, and asserts byte-identical observables.
 //
 // Property tests then pin the lookahead/merge rules: no event is ever
 // delivered before its timestamp, equal-time cross-shard arrivals fire in
@@ -94,12 +95,20 @@ struct Fingerprint {
   bool operator==(const Fingerprint& other) const = default;
 };
 
+constexpr SimDuration kStormLookahead = 500;
+
+/// `slice` > 0 advances the storm by RunUntil(k * slice) until it drains,
+/// then calls Run: every slice ends its epochs at a deadline, with the last
+/// epoch's posts not yet pulled. No hop takes longer than 1500us, so the
+/// storm is over by `span`; past it, a post the engine lost fails the
+/// Drained check instead of slicing forever.
 Fingerprint RunStorm(uint64_t seed, uint32_t shards, unsigned threads,
-                     int chains_per_shard = 12, int depth = 10) {
+                     SimDuration slice = 0, int chains_per_shard = 12,
+                     int depth = 10) {
   PsimConfig cfg;
   cfg.shards = shards;
   cfg.threads = threads;
-  cfg.lookahead_us = 500;
+  cfg.lookahead_us = kStormLookahead;
   StormWorld w(cfg);
   w.state = std::vector<StormShard>(shards);
   for (uint32_t s = 0; s < shards; ++s) {
@@ -113,6 +122,14 @@ Fingerprint RunStorm(uint64_t seed, uint32_t shards, unsigned threads,
       w.world.shard(s).ScheduleAt(SimTime(c) * 97, [wp = &w, s, depth] {
         Hop(wp, s, depth);
       });
+    }
+  }
+  if (slice > 0) {
+    const SimTime span =
+        SimTime(chains_per_shard) * 97 + SimTime(depth) * 1500;
+    for (SimTime until = slice; until <= span && !w.world.Drained();
+         until += slice) {
+      w.world.RunUntil(until);
     }
   }
   w.world.Run();
@@ -133,21 +150,54 @@ Fingerprint RunStorm(uint64_t seed, uint32_t shards, unsigned threads,
   return fp;
 }
 
+/// Field-by-field, so a mismatch names what differs. Clocks are compared
+/// only when both runs end the same way: RunUntil advances idle clocks to
+/// its deadline.
+void ExpectSameStorm(const Fingerprint& want, const Fingerprint& got,
+                     bool clocks, const std::string& where) {
+  EXPECT_EQ(want.events, got.events) << where;
+  if (clocks) {
+    EXPECT_EQ(want.clocks, got.clocks) << where;
+  }
+  EXPECT_EQ(want.cross_posts, got.cross_posts) << where;
+  EXPECT_EQ(want.clamped, got.clamped) << where;
+  ASSERT_EQ(want.merged, got.merged) << where;
+}
+
 TEST(PsimDifferential, SerialAndParallelAreByteIdentical) {
-  for (uint64_t seed = 1; seed <= 10; ++seed) {
-    for (uint32_t shards : {1u, 2u, 4u, 8u}) {
-      const Fingerprint serial = RunStorm(seed, shards, /*threads=*/1);
-      const Fingerprint parallel = RunStorm(seed, shards, /*threads=*/4);
-      EXPECT_EQ(serial.events, parallel.events)
-          << "seed=" << seed << " shards=" << shards;
-      EXPECT_EQ(serial.clocks, parallel.clocks)
-          << "seed=" << seed << " shards=" << shards;
-      EXPECT_EQ(serial.cross_posts, parallel.cross_posts)
-          << "seed=" << seed << " shards=" << shards;
-      EXPECT_EQ(serial.clamped, parallel.clamped)
-          << "seed=" << seed << " shards=" << shards;
-      ASSERT_EQ(serial.merged, parallel.merged)
-          << "seed=" << seed << " shards=" << shards;
+  // A slice of 7 lookaheads + 3 ends epochs at deadlines off the horizon
+  // grid; 3 threads over 8 shards gives workers unequal shard counts. The
+  // dense storm keeps every shard busy; the sparse one (one chain per
+  // shard) often has a lone post in flight when a slice ends.
+  constexpr SimDuration kSlice = 7 * kStormLookahead + 3;
+  struct Shape {
+    int chains;
+    int depth;
+  };
+  for (const Shape shape : {Shape{12, 10}, Shape{1, 20}}) {
+    for (uint64_t seed = 1; seed <= 10; ++seed) {
+      for (uint32_t shards : {1u, 2u, 4u, 8u}) {
+        const std::string where = "chains=" + std::to_string(shape.chains) +
+                                  " seed=" + std::to_string(seed) +
+                                  " shards=" + std::to_string(shards);
+        auto storm = [&](unsigned threads, SimDuration slice) {
+          return RunStorm(seed, shards, threads, slice, shape.chains,
+                          shape.depth);
+        };
+        const Fingerprint serial = storm(/*threads=*/1, /*slice=*/0);
+        const Fingerprint sliced = storm(1, kSlice);
+        ASSERT_NO_FATAL_FAILURE(ExpectSameStorm(serial, sliced,
+                                                /*clocks=*/false,
+                                                where + " sliced"));
+        for (unsigned threads : {2u, 3u, 4u, 8u}) {
+          const std::string run =
+              where + " threads=" + std::to_string(threads);
+          ASSERT_NO_FATAL_FAILURE(
+              ExpectSameStorm(serial, storm(threads, 0), true, run));
+          ASSERT_NO_FATAL_FAILURE(ExpectSameStorm(
+              sliced, storm(threads, kSlice), true, run + " sliced"));
+        }
+      }
     }
   }
 }
@@ -483,12 +533,14 @@ TEST(PsimEngine, RunUntilAdvancesAllShardClocksAndHoldsFutureArrivals) {
   });
   world.RunUntil(5 * kL);
   EXPECT_EQ(delivered, 0);
-  EXPECT_FALSE(world.Drained());  // The arrival is still in the calendar.
+  EXPECT_FALSE(world.Drained());  // The post is still waiting to be pulled.
   EXPECT_EQ(world.shard(0).Now(), 5 * kL);
   EXPECT_EQ(world.shard(1).Now(), 5 * kL);
   world.Run();
   EXPECT_EQ(delivered, 1);
   EXPECT_TRUE(world.Drained());
+  // The serial coordinator never waits for a worker.
+  EXPECT_EQ(world.stats().wait_ns, 0u);
 }
 
 TEST(PsimEngine, SetupTimePostsDeliverOnFirstEpoch) {

@@ -554,7 +554,9 @@ TEST(BacklogTrimTest, UnackedMessagesRetained) {
   ASSERT_EQ(f.delivered.size(), 10u);
   // Ack everything except the 4th message: the floor stops there.
   for (size_t i = 0; i < f.delivered.size(); ++i) {
-    if (i != 3) ASSERT_TRUE(f.pulsar.Ack(f.consumer, f.delivered[i]).ok());
+    if (i != 3) {
+      ASSERT_TRUE(f.pulsar.Ack(f.consumer, f.delivered[i]).ok());
+    }
   }
   auto trimmed = f.pulsar.TrimConsumedBacklog("t");
   ASSERT_TRUE(trimmed.ok());

@@ -1,6 +1,7 @@
 // Unit + property tests for the sketch family (paper §5.1, Fig. 3).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
 #include <set>
 #include <string>
@@ -289,8 +290,11 @@ TEST(GKQuantilesTest, MergedSummaryStillAccurate) {
 
 // ---------------------------------- Parameterized merge-associativity sweep
 
+// gtest prints a parameter without a PrintTo as its raw bytes, and ctest
+// keeps that text in each test's name; with no padding bytes the names
+// stay the same from build to build.
 struct MergeCase {
-  int parts;
+  int64_t parts;
   uint64_t items;
 };
 
@@ -337,8 +341,8 @@ INSTANTIATE_TEST_SUITE_P(
     Partitions, SketchMergeSweep,
     ::testing::Values(MergeCase{2, 2000}, MergeCase{4, 5000},
                       MergeCase{8, 10000}, MergeCase{16, 20000}),
-    [](const ::testing::TestParamInfo<MergeCase>& info) {
-      return std::to_string(info.param.parts) + "parts";
+    [](const ::testing::TestParamInfo<MergeCase>& param_info) {
+      return std::to_string(param_info.param.parts) + "parts";
     });
 
 }  // namespace
