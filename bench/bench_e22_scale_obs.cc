@@ -323,7 +323,7 @@ void BM_FlameFold(benchmark::State& state) {
     s.module = "bench";
     s.start_us = i == 0 ? 0 : SimTime(i - 1) * 10;
     s.end_us = i == 0 ? SimTime(n - 1) * 10 : SimTime(i) * 10;
-    if (i != 0) s.attrs[obs::kCategoryAttr] = i % 2 ? "exec" : "queue";
+    if (i != 0) s.attrs.Set(obs::kCategoryAttr, i % 2 ? "exec" : "queue");
   }
   obs::FlameProfile flame;
   for (auto _ : state) {

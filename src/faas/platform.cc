@@ -600,29 +600,25 @@ void FaasPlatform::Complete(Invocation* inv, bool cold, SimDuration startup_us,
                              "invocation retried to success after kill");
     }
   }
+  const char* reuse_path = nullptr;
   if (obs_ != nullptr && inv->root_ctx.valid() && !executed) {
     // The whole request window was spent in the reuse layer; the child
     // span puts it on the critical path under its own category.
-    const char* path = inv->served_via == ServedVia::kCacheHit ? "cache-hit"
-                       : inv->served_via == ServedVia::kCoalesced
-                           ? "coalesced"
-                           : "approximation";
-    obs::SpanAttrList attrs = {{obs::kCategoryAttr, "reuse"}, {"path", path}};
+    reuse_path = inv->served_via == ServedVia::kCacheHit ? "cache-hit"
+                 : inv->served_via == ServedVia::kCoalesced
+                     ? "coalesced"
+                     : "approximation";
+    obs::SpanAttrList attrs = {{obs::kCategoryAttr, "reuse"},
+                               {"path", reuse_path}};
     std::string error_bound;
     if (inv->served_via == ServedVia::kApproximation) {
       error_bound = std::to_string(inv->approx_error_bound);
       attrs.Add("error_bound", error_bound);
     }
-    obs_->tracer.EmitSpan(std::string("reuse-") + path, "faas", inv->root_ctx,
-                          inv->submit_us, sim_->Now(), attrs);
-    obs_->tracer.SetAttr(inv->root_ctx, "reuse", path);
+    obs_->tracer.EmitSpan(std::string("reuse-") + reuse_path, "faas",
+                          inv->root_ctx, inv->submit_us, sim_->Now(), attrs);
   }
   if (obs_ != nullptr && inv->root_ctx.valid()) {
-    obs_->tracer.SetAttr(inv->root_ctx, "cold", res.cold_start ? "1" : "0");
-    obs_->tracer.SetAttr(inv->root_ctx, "attempts",
-                         std::to_string(res.attempts));
-    obs_->tracer.SetAttr(inv->root_ctx, "status",
-                         std::string(StatusCodeName(res.status.code())));
     // Outcome/severity for tail sampling: terminal failures are errors, a
     // chaos kill retried to success is a masked fault (warn) — both must
     // survive any sampling rate.
@@ -632,9 +628,14 @@ void FaasPlatform::Complete(Invocation* inv, bool cold, SimDuration startup_us,
     const char* sev = !res.status.ok()  ? "error"
                       : inv->chaos_killed ? "warn"
                                           : "info";
-    obs_->tracer.SetAttr(inv->root_ctx, obs::kOutcomeAttr, outcome);
-    obs_->tracer.SetAttr(inv->root_ctx, obs::kSeverityAttr, sev);
-    obs_->tracer.EndSpan(inv->root_ctx);
+    const std::string attempts = std::to_string(res.attempts);
+    obs::SpanAttrList attrs = {{"cold", res.cold_start ? "1" : "0"},
+                               {"attempts", attempts},
+                               {"status", StatusCodeName(res.status.code())},
+                               {obs::kOutcomeAttr, outcome},
+                               {obs::kSeverityAttr, sev}};
+    if (reuse_path != nullptr) attrs.Add("reuse", reuse_path);
+    obs_->tracer.EndSpan(inv->root_ctx, attrs);
   }
   if (inv->cb) inv->cb(res);
 
@@ -932,16 +933,14 @@ void FaasPlatform::OnHedgeResult(std::shared_ptr<HedgeState> hs,
   InvocationResult out = res;
   out.submit_us = hs->submit_us;
   if (obs_ != nullptr && hs->root_ctx.valid()) {
-    obs_->tracer.SetAttr(hs->root_ctx, "hedged", hs->hedge_id != 0 ? "1" : "0");
-    obs_->tracer.SetAttr(hs->root_ctx, "winner",
-                         from_hedge ? "hedge" : "primary");
-    obs_->tracer.SetAttr(hs->root_ctx, "status",
-                         std::string(StatusCodeName(out.status.code())));
-    obs_->tracer.SetAttr(hs->root_ctx, obs::kOutcomeAttr,
-                         out.status.ok() ? obs::kOutcomeOk : obs::kOutcomeError);
-    obs_->tracer.SetAttr(hs->root_ctx, obs::kSeverityAttr,
-                         out.status.ok() ? "info" : "error");
-    obs_->tracer.EndSpan(hs->root_ctx);
+    obs_->tracer.EndSpan(
+        hs->root_ctx,
+        {{"hedged", hs->hedge_id != 0 ? "1" : "0"},
+         {"winner", from_hedge ? "hedge" : "primary"},
+         {"status", StatusCodeName(out.status.code())},
+         {obs::kOutcomeAttr,
+          out.status.ok() ? obs::kOutcomeOk : obs::kOutcomeError},
+         {obs::kSeverityAttr, out.status.ok() ? "info" : "error"}});
   }
   if (hs->cb) hs->cb(out);
 }

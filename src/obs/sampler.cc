@@ -44,14 +44,10 @@ RetainReason SamplingPipeline::DecisionFor(uint64_t trace_id) const {
 }
 
 SamplingPipeline::Pending& SamplingPipeline::GroupFor(uint64_t trace_id) {
-  const auto it = pending_.find(trace_id);
-  if (it != pending_.end()) return it->second;
-  if (free_groups_.empty()) return pending_[trace_id];
-  PendingMap::node_type node = std::move(free_groups_.back());
-  free_groups_.pop_back();
-  node.key() = trace_id;
-  node.mapped().Reset();
-  return pending_.insert(std::move(node)).position->second;
+  if (Pending* group = pending_.Find(trace_id)) return *group;
+  Pending& group = pending_.Insert(trace_id);
+  group.Reset();
+  return group;
 }
 
 void SamplingPipeline::OnSpanStart(const Span& span) {
@@ -72,9 +68,9 @@ void SamplingPipeline::NoteMarkers(const Span& span, Pending* group) {
 
 void SamplingPipeline::OnSpanEnd(const Span& span) {
   ++stats_.spans_seen;
-  auto it = pending_.find(span.trace);
-  if (it == pending_.end()) return;  // start was never seen; ignore
-  Pending& group = it->second;
+  Pending* found = pending_.Find(span.trace);
+  if (found == nullptr) return;  // start was never seen; ignore
+  Pending& group = *found;
   NoteMarkers(span, &group);
   if (span.id == group.root_id) group.root_ended = true;
   if (group.size < group.slots.size()) {
@@ -86,19 +82,18 @@ void SamplingPipeline::OnSpanEnd(const Span& span) {
   if (group.open > 0) --group.open;
   if (group.open == 0 && (group.root_ended || group.late)) {
     const bool complete = !group.late;
-    Finalize(pending_.extract(it), complete);
+    Finalize(span.trace, &group, complete);
   }
 }
 
-void SamplingPipeline::Finalize(PendingMap::node_type node, bool complete) {
-  const uint64_t trace_id = node.key();
-  Pending& group = node.mapped();
-  const std::span<Span> spans(group.slots.data(), group.size);
+void SamplingPipeline::Finalize(uint64_t trace_id, Pending* group,
+                                bool complete) {
+  const std::span<Span> spans(group->slots.data(), group->size);
   std::sort(spans.begin(), spans.end(),
             [](const Span& a, const Span& b) { return a.id < b.id; });
   if (flame_ != nullptr) flame_->FoldTrace(spans);
 
-  if (group.late) {
+  if (group->late) {
     ++stats_.late_groups;
     // Late span groups (async follow-from work such as pubsub deliveries)
     // inherit their trace's original decision.
@@ -116,9 +111,9 @@ void SamplingPipeline::Finalize(PendingMap::node_type node, bool complete) {
       }
     }
   } else {
-    Decide(trace_id, group, complete, spans);
+    Decide(trace_id, *group, complete, spans);
   }
-  free_groups_.push_back(std::move(node));
+  pending_.Erase(trace_id);
 }
 
 void SamplingPipeline::Decide(uint64_t trace_id, const Pending& group,
@@ -217,14 +212,18 @@ void SamplingPipeline::Flush() {
   // Finalize in trace-id order so same-seed runs flush identically.
   std::vector<uint64_t> ids;
   ids.reserve(pending_.size());
-  for (const auto& [tid, group] : pending_) ids.push_back(tid);
+  pending_.ForEach([&ids](uint64_t tid, const Pending&) { ids.push_back(tid); });
   std::sort(ids.begin(), ids.end());
-  for (uint64_t tid : ids) Finalize(pending_.extract(tid), /*complete=*/false);
+  for (uint64_t tid : ids) {
+    Finalize(tid, pending_.Find(tid), /*complete=*/false);
+  }
 }
 
 size_t SamplingPipeline::pending_span_count() const {
   size_t n = 0;
-  for (const auto& [tid, group] : pending_) n += group.size + group.open;
+  pending_.ForEach([&n](uint64_t, const Pending& group) {
+    n += group.size + group.open;
+  });
   return n;
 }
 

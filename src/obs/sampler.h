@@ -28,11 +28,11 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "common/time_types.h"
 #include "obs/flame.h"
+#include "obs/id_slab.h"
 #include "obs/slo.h"
 #include "obs/trace.h"
 
@@ -109,9 +109,9 @@ class SamplingPipeline : public SpanSink {
 
  private:
   /// One in-flight trace's closed spans. Groups are recycled: a finalized
-  /// group's node returns to `free_groups_` and serves a later trace, and
-  /// copy-assigning a span into a kept slot reuses its attribute block, so
-  /// steady-state streaming allocates nothing here.
+  /// group's IdSlab slot serves a later trace with its span slots, and
+  /// copy-assigning a span into a kept slot copies its inline attributes,
+  /// so steady-state streaming allocates nothing here.
   struct Pending {
     /// slots[0, size) hold this trace's closed spans in close order; slots
     /// past `size` are left from earlier traces.
@@ -132,7 +132,6 @@ class SamplingPipeline : public SpanSink {
       root_ended = saw_error = saw_fault = late = false;
     }
   };
-  using PendingMap = std::unordered_map<uint64_t, Pending>;
   struct RetainedTrace {
     RetainReason reason = RetainReason::kDropped;
     std::vector<Span> spans;
@@ -140,8 +139,8 @@ class SamplingPipeline : public SpanSink {
 
   Pending& GroupFor(uint64_t trace_id);
   void NoteMarkers(const Span& span, Pending* group);
-  /// Folds, scores and decides an extracted group, then recycles its node.
-  void Finalize(PendingMap::node_type node, bool complete);
+  /// Folds, scores and decides a finished group, then frees its slot.
+  void Finalize(uint64_t trace_id, Pending* group, bool complete);
   void Decide(uint64_t trace_id, const Pending& group, bool complete,
               std::span<const Span> spans);
   void Retain(uint64_t trace_id, RetainReason reason,
@@ -152,8 +151,7 @@ class SamplingPipeline : public SpanSink {
   SamplerConfig config_;
   FlameProfile* flame_;
   SloEngine* slo_;
-  PendingMap pending_;
-  std::vector<PendingMap::node_type> free_groups_;
+  IdSlab<Pending> pending_;  ///< In-flight span groups by trace id.
   std::map<uint64_t, RetainedTrace> retained_;
   std::set<uint64_t> healthy_;  ///< Evict-first candidates (head-sampled).
   /// Decision per finalized trace id (ids are sequential from 1).

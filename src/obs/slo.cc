@@ -23,7 +23,7 @@ void SloEngine::AddObjective(SloObjective objective) {
   objectives_.insert_or_assign(st.spec.name, std::move(st));
 }
 
-void SloEngine::Record(const std::string& module, const std::string& tenant,
+void SloEngine::Record(const std::string& module, std::string_view tenant,
                        SimTime at_us, SimDuration latency_us, bool ok) {
   if (at_us < last_at_us_) {
     // Documented precondition: events arrive in simulation order. Loud in
@@ -50,7 +50,7 @@ void SloEngine::Record(const std::string& module, const std::string& tenant,
 }
 
 SloEngine::TenantIter SloEngine::ResolveTenant(State* st,
-                                               const std::string& tenant,
+                                               std::string_view tenant,
                                                SimTime at_us) {
   if (tenant.empty() || tenant == kOtherTenant) {
     return st->tenants.try_emplace(kOtherTenant).first;
@@ -63,7 +63,7 @@ SloEngine::TenantIter SloEngine::ResolveTenant(State* st,
       st->tenants.size() - st->tenants.count(kOtherTenant);
   const uint64_t estimate = st->popularity->EstimateCount(tenant);
   auto materialize = [&] {
-    auto ins = st->tenants.try_emplace(tenant).first;
+    auto ins = st->tenants.try_emplace(std::string(tenant)).first;
     // Events this tenant may already have pushed into kOtherTenant (only
     // possible after demotions emptied a slot): never more than its sketch
     // estimate minus the event being recorded now.
@@ -120,10 +120,14 @@ void SloEngine::Score(State* st, Track* tr, const std::string& tenant,
     tr->window.push_back({at_us, tr->window_bad});
     if (!good) ++tr->window_bad;
     // Window semantics are (now - W, now]: an event exactly W old has
-    // aged out.
-    while (!tr->window.empty() &&
-           tr->window.front().at_us <= at_us - st->max_window_us) {
-      tr->window.pop_front();
+    // aged out. The event just pushed never has, so head stays in range.
+    while (tr->window[tr->head].at_us <= at_us - st->max_window_us) {
+      ++tr->head;
+    }
+    if (tr->head > tr->window.size() / 2) {
+      tr->window.erase(tr->window.begin(),
+                       tr->window.begin() + std::ptrdiff_t(tr->head));
+      tr->head = 0;
     }
   }
   Evaluate(st, tr, tenant, at_us);
@@ -147,7 +151,7 @@ double SloEngine::WindowBurn(const Track& tr, double target,
   // differences of counts instead of a walk over the window.
   const SimTime cutoff = now_us - window_us;
   const auto first = std::partition_point(
-      tr.window.begin(), tr.window.end(),
+      tr.window.begin() + std::ptrdiff_t(tr.head), tr.window.end(),
       [cutoff](const Event& e) { return e.at_us <= cutoff; });
   if (first == tr.window.end()) return 0.0;
   const uint64_t total = uint64_t(tr.window.end() - first);

@@ -31,10 +31,11 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/time_types.h"
@@ -98,13 +99,13 @@ class SloEngine {
   /// see the regression policy in the header comment.
   void Record(const std::string& module, SimTime at_us,
               SimDuration latency_us, bool ok) {
-    Record(module, std::string(), at_us, latency_us, ok);
+    Record(module, std::string_view(), at_us, latency_us, ok);
   }
 
   /// Tenant-attributed variant: additionally scores the tenant's track on
   /// every matching per-tenant objective. An empty tenant (or a tenant the
   /// cardinality guard declines to materialize) lands on kOtherTenant.
-  void Record(const std::string& module, const std::string& tenant,
+  void Record(const std::string& module, std::string_view tenant,
               SimTime at_us, SimDuration latency_us, bool ok);
 
   /// Smallest latency budget among latency objectives for `module`
@@ -184,20 +185,26 @@ class SloEngine {
     uint64_t total = 0;
     uint64_t bad = 0;              ///< Lifetime; Demote folds victims in.
     uint64_t window_bad = 0;       ///< Bad events ever pushed to `window`.
-    std::deque<Event> window;      ///< Events within the longest window.
+    /// window[head, end) are the events within the longest window, in time
+    /// order; the aged-out prefix is erased once it passes half the vector,
+    /// so the live events stay contiguous and the capacity is reused.
+    std::vector<Event> window;
+    size_t head = 0;
     std::map<std::string, bool> firing;  ///< By policy name.
     uint64_t attribution_bound = 0;      ///< See TenantAttributionBound.
   };
+  /// Transparent, so a tenant resolves from a string_view without a copy.
+  using TenantMap = std::map<std::string, Track, std::less<>>;
   struct State {
     SloObjective spec;
     SimDuration max_window_us = 0;
     Track agg;
-    std::map<std::string, Track> tenants;  ///< Materialized + kOtherTenant.
+    TenantMap tenants;  ///< Materialized + kOtherTenant.
     std::unique_ptr<sketch::SpaceSaving> popularity;  ///< per_tenant only.
     uint64_t demotions = 0;
   };
 
-  using TenantIter = std::map<std::string, Track>::iterator;
+  using TenantIter = TenantMap::iterator;
 
   double WindowBurn(const Track& tr, double target, SimDuration window_us,
                     SimTime now_us) const;
@@ -208,8 +215,7 @@ class SloEngine {
                 SimTime now_us);
   /// The track `tenant` scores into under the cardinality guard; may
   /// demote the weakest materialized tenant to make room.
-  TenantIter ResolveTenant(State* st, const std::string& tenant,
-                           SimTime at_us);
+  TenantIter ResolveTenant(State* st, std::string_view tenant, SimTime at_us);
   void Demote(State* st, const std::string& tenant, SimTime at_us);
   const Track* FindTenant(const std::string& objective,
                           const std::string& tenant) const;

@@ -11,17 +11,21 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <initializer_list>
+#include <iterator>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/status.h"
 #include "common/time_types.h"
+#include "obs/id_slab.h"
 #include "obs/interned.h"
 #include "sim/simulation.h"
 
@@ -38,54 +42,182 @@ struct TraceContext {
   bool operator==(const TraceContext&) const = default;
 };
 
-/// A span's attributes as one key-sorted vector: all of a span's attributes
-/// live in one heap block instead of one std::map node each, and a Span that
-/// is reused (the tracer's stream mode, the sampler's group slots) keeps that
-/// block. It offers the std::map operations its readers use — find, count,
-/// at, operator[] and iteration in key order — so every export renders the
-/// same bytes as the map it replaced.
+/// A span's attributes, held inline in the Span: a key-sorted array of
+/// 16-byte entries and one byte buffer holding each key followed by its
+/// value, in entry order. An entry packs the key's first 8 bytes
+/// big-endian (zero-padded) beside the key's offset and length; the value
+/// starts where the key ends and ends where the next entry's key starts, so
+/// the entry's offset and length can be 32-bit: keys and values past 64 KiB
+/// round-trip, up to 4 GiB in all. Past kInlineEntries entries or
+/// kInlineBytes bytes, both parts move to one heap block, which the span
+/// keeps when it is cleared and reused. Copying is two memcpys.
+///
+/// Order and equality are std::map<std::string, std::string>'s: bytes
+/// compare unsigned and a key sorts before every key it prefixes. The
+/// prefix decides only the comparisons where two prefixes differ. Readers
+/// get string_views into the span, valid until its next Set, clear or
+/// assignment, so every export renders the bytes the map did.
 class SpanAttrs {
  public:
-  using value_type = std::pair<std::string, std::string>;
-  using const_iterator = std::vector<value_type>::const_iterator;
+  /// The largest hot span (the faas root closed by Complete) carries 7
+  /// attributes in under 90 bytes; SpanAttrList::kMaxAttrs is 8.
+  static constexpr uint32_t kInlineEntries = 8;
+  static constexpr uint32_t kInlineBytes = 96;
 
-  const_iterator begin() const { return items_.begin(); }
-  const_iterator end() const { return items_.end(); }
-  size_t size() const { return items_.size(); }
-  bool empty() const { return items_.empty(); }
+  using value_type = std::pair<std::string_view, std::string_view>;
+
+  class const_iterator {
+   public:
+    using iterator_category = std::input_iterator_tag;
+    using value_type = SpanAttrs::value_type;
+    using difference_type = std::ptrdiff_t;
+    using reference = value_type;
+    /// operator-> yields the (key, value) pair by value.
+    struct pointer {
+      value_type kv;
+      const value_type* operator->() const { return &kv; }
+    };
+
+    const_iterator() = default;
+    value_type operator*() const { return attrs_->At(i_); }
+    pointer operator->() const { return {attrs_->At(i_)}; }
+    const_iterator& operator++() {
+      ++i_;
+      return *this;
+    }
+    const_iterator operator++(int) {
+      const_iterator was = *this;
+      ++i_;
+      return was;
+    }
+    bool operator==(const const_iterator&) const = default;
+
+   private:
+    friend class SpanAttrs;
+    const_iterator(const SpanAttrs* attrs, uint32_t i) : attrs_(attrs), i_(i) {}
+
+    const SpanAttrs* attrs_ = nullptr;
+    uint32_t i_ = 0;
+  };
+
+  SpanAttrs() = default;
+  SpanAttrs(const SpanAttrs& other) { CopyFrom(other); }
+  SpanAttrs(SpanAttrs&& other) noexcept { MoveFrom(other); }
+  SpanAttrs& operator=(const SpanAttrs& other) {
+    if (this != &other) CopyFrom(other);
+    return *this;
+  }
+  SpanAttrs& operator=(SpanAttrs&& other) noexcept {
+    if (this != &other) MoveFrom(other);
+    return *this;
+  }
+
+  const_iterator begin() const { return {this, 0}; }
+  const_iterator end() const { return {this, size_}; }
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
 
   const_iterator find(std::string_view key) const {
-    const auto it = LowerBound(items_, key);
-    return it != items_.end() && it->first == key ? it : items_.end();
+    const uint64_t prefix = Prefix(key);
+    const uint32_t i = LowerBound(prefix, key);
+    return i < size_ && entries()[i].prefix == prefix && KeyAt(i) == key
+               ? const_iterator(this, i)
+               : end();
   }
   size_t count(std::string_view key) const { return find(key) != end(); }
   /// Throws std::out_of_range for an absent key, like std::map::at.
-  const std::string& at(std::string_view key) const {
-    const auto it = find(key);
+  std::string_view at(std::string_view key) const {
+    const const_iterator it = find(key);
     if (it == end()) throw std::out_of_range("SpanAttrs::at");
-    return it->second;
-  }
-  /// The value under `key`, inserted empty at its sorted place if absent.
-  std::string& operator[](std::string_view key) {
-    const auto it = LowerBound(items_, key);
-    if (it != items_.end() && it->first == key) return it->second;
-    return items_.emplace(it, std::string(key), std::string())->second;
+    return (*it).second;
   }
 
-  /// Drops every attribute; the block stays for the next span.
-  void clear() { items_.clear(); }
-  void reserve(size_t n) { items_.reserve(n); }
+  /// Sets `key` to `value`, inserting it at its sorted place if absent.
+  /// Throws std::length_error past 4 GiB of keys and values.
+  void Set(std::string_view key, std::string_view value);
+
+  /// Drops every attribute; a spilled span keeps its heap block.
+  void clear() {
+    size_ = 0;
+    used_ = 0;
+  }
 
  private:
-  template <typename Items>
-  static auto LowerBound(Items& items, std::string_view key)
-      -> decltype(items.begin()) {
-    return std::lower_bound(
-        items.begin(), items.end(), key,
-        [](const value_type& a, std::string_view k) { return a.first < k; });
+  struct Entry {
+    uint64_t prefix;  ///< First 8 key bytes, big-endian, zero-padded.
+    uint32_t off;     ///< The key's offset; its value follows it.
+    uint32_t key_len;
+  };
+  static_assert(sizeof(Entry) == 16);
+
+  static uint64_t Prefix(std::string_view key) {
+    unsigned char b[8] = {};
+    if (!key.empty()) std::memcpy(b, key.data(), std::min<size_t>(key.size(), 8));
+    uint64_t prefix = 0;
+    for (const unsigned char c : b) prefix = prefix << 8 | c;
+    return prefix;
   }
 
-  std::vector<value_type> items_;
+  const Entry* entries() const {
+    return heap_ != nullptr ? heap_.get() : inline_entries_;
+  }
+  Entry* entries() { return heap_ != nullptr ? heap_.get() : inline_entries_; }
+  const char* bytes() const {
+    return heap_ != nullptr
+               ? reinterpret_cast<const char*>(heap_.get() + entry_cap_)
+               : inline_bytes_;
+  }
+  char* bytes() {
+    return heap_ != nullptr ? reinterpret_cast<char*>(heap_.get() + entry_cap_)
+                            : inline_bytes_;
+  }
+  /// One past entry i's value.
+  uint32_t EndOf(uint32_t i) const {
+    return i + 1 < size_ ? entries()[i + 1].off : used_;
+  }
+  std::string_view KeyAt(uint32_t i) const {
+    const Entry& e = entries()[i];
+    return {bytes() + e.off, e.key_len};
+  }
+  value_type At(uint32_t i) const {
+    const Entry& e = entries()[i];
+    const uint32_t value_off = e.off + e.key_len;
+    return {{bytes() + e.off, e.key_len},
+            {bytes() + value_off, EndOf(i) - value_off}};
+  }
+  /// The first entry whose key is not less than `key`.
+  uint32_t LowerBound(uint64_t prefix, std::string_view key) const {
+    const Entry* e = entries();
+    uint32_t lo = 0;
+    uint32_t hi = size_;
+    while (lo < hi) {
+      const uint32_t mid = lo + (hi - lo) / 2;
+      const bool less = e[mid].prefix != prefix ? e[mid].prefix < prefix
+                                                : KeyAt(mid) < key;
+      if (less) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    return lo;
+  }
+  /// Whether `s` views this span's own byte buffer.
+  bool Holds(std::string_view s) const;
+  /// Makes room for `n_entries` entries and `n_bytes` bytes, spilling to
+  /// (or growing) the heap block; existing contents are kept.
+  void Reserve(size_t n_entries, size_t n_bytes);
+  void CopyFrom(const SpanAttrs& other);
+  void MoveFrom(SpanAttrs& other) noexcept;
+
+  Entry inline_entries_[kInlineEntries] = {};
+  char inline_bytes_[kInlineBytes] = {};
+  /// Spilled storage: entry_cap_ entries, then byte_cap_ bytes.
+  std::unique_ptr<Entry[]> heap_;
+  uint32_t size_ = 0;  ///< Entries in use.
+  uint32_t used_ = 0;  ///< Bytes in use.
+  uint32_t entry_cap_ = kInlineEntries;
+  uint32_t byte_cap_ = kInlineBytes;
 };
 
 /// One timed, attributed node of a trace tree. Name and module are interned
@@ -181,8 +313,9 @@ class SpanAttrList {
 /// once per span with the final attribute set (modules set attrs before
 /// closing). Attributes set on an already-closed span are not re-delivered.
 /// The Span& handed to either call is valid only during that call: in
-/// stream mode the tracer reuses a closed span's storage for the next span
-/// it opens, so a sink that keeps a span must copy it.
+/// stream mode the tracer reuses a closed span's slot for the next span it
+/// opens, so a sink that keeps a span must copy it. A sink must not open
+/// or close spans on the tracer that calls it.
 class SpanSink {
  public:
   virtual ~SpanSink() = default;
@@ -200,8 +333,9 @@ class SpanSink {
 ///  - kStream: only *open* spans are stored; a closed span is handed to the
 ///    attached SpanSink and released, so tracer memory is O(in-flight) and
 ///    retention policy lives entirely in the sink (see SamplingPipeline).
-///    Released storage (hash node and attribute block) is reused by the
-///    next span opened, so steady-state streaming allocates nothing.
+///    Open spans sit in an IdSlab; a released slot (attributes included)
+///    is reused by the next span opened, so steady-state streaming
+///    allocates nothing.
 ///    Read APIs (spans()/Find/Roots/Validate/Export*) only see what is
 ///    still stored; serve reads from the sink's retained store instead.
 class Tracer {
@@ -226,13 +360,16 @@ class Tracer {
   TraceContext StartSpanAt(std::string_view name, std::string_view module,
                            TraceContext parent, SimTime start_us);
 
-  /// Sets one attribute (overwriting) on an open or closed span.
-  void SetAttr(TraceContext ctx, std::string_view key, std::string value);
+  /// Sets one attribute (overwriting) on a stored span: an open one, or in
+  /// kRetainAll a closed one too.
+  void SetAttr(TraceContext ctx, std::string_view key, std::string_view value);
 
-  /// Closes the span at Now() / at `end_us`. Closing twice keeps the first
-  /// end time; invalid contexts are ignored.
-  void EndSpan(TraceContext ctx);
-  void EndSpanAt(TraceContext ctx, SimTime end_us);
+  /// Sets `attrs` (as SetAttr would, in order) and closes the span at Now()
+  /// / at `end_us`, finding it once. Closing twice keeps the first end
+  /// time; invalid contexts are ignored.
+  void EndSpan(TraceContext ctx, const SpanAttrList& attrs = {});
+  void EndSpanAt(TraceContext ctx, SimTime end_us,
+                 const SpanAttrList& attrs = {});
 
   /// Emits a fully-formed span in one call (retrospective instrumentation:
   /// the platform knows an attempt's queue/startup/exec intervals only once
@@ -265,7 +402,9 @@ class Tracer {
   /// retrospective intervals relative to Now()).
   sim::Simulation* sim() const { return sim_; }
 
-  /// nullptr when the id was never issued.
+  /// nullptr when the id was never issued (or, in kStream, is closed). The
+  /// pointer stays valid until the span closes in kStream, and until the
+  /// next span opens in kRetainAll.
   const Span* Find(uint64_t span_id) const;
 
   /// Ids of root spans / of `span_id`'s direct children, in id order.
@@ -287,20 +426,19 @@ class Tracer {
   void Clear();
 
  private:
-  using OpenMap = std::unordered_map<uint64_t, Span>;
-
   Span* FindMutable(TraceContext ctx);
-  /// kStream: the stored span for a new id, in a released node when one is
-  /// free (its attributes cleared); every other field is the caller's.
-  Span& OpenSlot(uint64_t id);
+  /// Stores a new open span; the caller hands it to the sink.
+  Span& Open(std::string_view name, std::string_view module,
+             TraceContext parent, SimTime start_us);
+  /// Sets `attrs` on `s`, then closes it unless it is already closed.
+  void Close(Span* s, SimTime end_us, const SpanAttrList& attrs);
 
   sim::Simulation* sim_;
   StoreMode mode_ = StoreMode::kRetainAll;
   SpanSink* sink_ = nullptr;
   SymbolTable symbols_;  ///< Canonical span name/module strings.
   std::vector<Span> spans_;  ///< kRetainAll: spans_[id - 1] holds span `id`.
-  OpenMap open_;  ///< kStream: open spans by id.
-  std::vector<OpenMap::node_type> released_;  ///< kStream: closed spans' nodes.
+  IdSlab<Span> open_;  ///< kStream: open spans by id.
   uint64_t next_trace_ = 1;
   uint64_t next_span_ = 1;
   uint64_t emitted_ = 0;

@@ -57,18 +57,16 @@ void Orchestrator::RunKeyed(const std::string& run_key, const Composition& comp,
          res.start_us = start;
          res.end_us = sim_->Now();
          if (obs_ != nullptr && root.valid()) {
-           obs_->tracer.SetAttr(root, "status",
-                                std::string(StatusCodeName(res.status.code())));
-           obs_->tracer.SetAttr(root, "invocations",
-                                std::to_string(invocations));
            // Outcome/severity at root close so tail sampling keeps every
            // failed run regardless of the head-sampling rate.
-           obs_->tracer.SetAttr(root, obs::kOutcomeAttr,
-                                res.status.ok() ? obs::kOutcomeOk
-                                                : obs::kOutcomeError);
-           obs_->tracer.SetAttr(root, obs::kSeverityAttr,
-                                res.status.ok() ? "info" : "error");
-           obs_->tracer.EndSpan(root);
+           obs_->tracer.EndSpan(
+               root, {{"status", StatusCodeName(res.status.code())},
+                      {"invocations", std::to_string(invocations)},
+                      {obs::kOutcomeAttr, res.status.ok()
+                                              ? obs::kOutcomeOk
+                                              : obs::kOutcomeError},
+                      {obs::kSeverityAttr,
+                       res.status.ok() ? "info" : "error"}});
          }
          if (cb) cb(res);
        });
@@ -170,9 +168,7 @@ void Orchestrator::Exec(std::shared_ptr<const Composition::Node> node,
       // Closes the step span with the outcome; safe to call when untraced.
       auto end_step = [this, step](const Status& s) {
         if (obs_ == nullptr || !step.valid()) return;
-        obs_->tracer.SetAttr(step, "status",
-                             std::string(StatusCodeName(s.code())));
-        obs_->tracer.EndSpan(step);
+        obs_->tracer.EndSpan(step, {{"status", StatusCodeName(s.code())}});
       };
       if (!key.empty()) {
         // Idempotent execution: a step that already completed under this

@@ -111,6 +111,14 @@ class ParallelSimulation {
   /// Runs epochs through `deadline` (events with time <= deadline fire),
   /// then advances every shard clock to at least `deadline`. Cross-shard
   /// events stamped beyond the deadline stay pending.
+  ///
+  /// Known limit: a deadline moves epoch boundaries, and an epoch releases
+  /// every arrival stamped inside it when it starts, ahead of any local
+  /// event scheduled during that epoch. So a cross-shard arrival and a
+  /// local event stamped at the same microsecond can fire in the opposite
+  /// order to an unsliced Run. A sliced run equals an unsliced one for
+  /// schedules without such ties (psim_test's storms), not for every
+  /// schedule.
   uint64_t RunUntil(SimTime deadline);
 
   /// Sum of events fired across all shards (lifetime).

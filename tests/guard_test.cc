@@ -729,7 +729,8 @@ struct OrchestratorFixture {
         const obs::Span* p = by_id.at(parent);
         auto theirs = p->attrs.find("deadline_us");
         if (theirs != p->attrs.end()) {
-          EXPECT_LE(std::stoll(mine->second), std::stoll(theirs->second))
+          EXPECT_LE(std::stoll(std::string(mine->second)),
+                    std::stoll(std::string(theirs->second)))
               << "span '" << s.name << "' outlives ancestor '" << p->name
               << "'";
           ++*checked;

@@ -394,7 +394,7 @@ Span MakeSpan(uint64_t id, uint64_t parent, uint64_t trace,
   s.module = "t";
   s.start_us = start;
   s.end_us = end;
-  if (!cat.empty()) s.attrs[kCategoryAttr] = cat;
+  if (!cat.empty()) s.attrs.Set(kCategoryAttr, cat);
   return s;
 }
 
@@ -631,6 +631,10 @@ struct NaiveTrack {
 };
 
 TEST(SloTest, WindowBurnMatchesNaiveScan) {
+  // 1,500 events about 10.5 us apart against a 3,000 us longest window:
+  // the aggregate tracks' windows compact (drop their aged-out prefix) four
+  // times per run and the long-tail track's about three times, so the burn
+  // reads span compactions.
   constexpr SimDuration kMaxWindow = 3000;  // ticket's long window
   const std::vector<BurnRatePolicy> policies = {
       {"page", 1000, 100, 5.0}, {"ticket", kMaxWindow, 300, 2.0}};

@@ -98,6 +98,54 @@ TEST(TracerTest, SetAttrOverwritesAndIgnoresInvalidContext) {
   EXPECT_EQ(tracer.span_count(), 1u);
 }
 
+TEST(TracerTest, EndSpanWithAttrsActsAsSetAttrsThenEndSpan) {
+  // In both store modes the one-call close leaves what SetAttr calls and
+  // then EndSpanAt leave, in the sink and in the store: on an open span, on
+  // one already closed (retain mode still sets its attributes; stream mode
+  // no longer holds it) and on an invalid context.
+  struct EndCapture : SpanSink {
+    std::string ended;
+    void OnSpanStart(const Span&) override {}
+    void OnSpanEnd(const Span& span) override { AppendSpanLine(span, &ended); }
+  };
+  const SpanAttrList attrs = {
+      {"status", "OK"}, {"cat", "exec"}, {"status", "Late"}};
+  for (const Tracer::StoreMode mode :
+       {Tracer::StoreMode::kRetainAll, Tracer::StoreMode::kStream}) {
+    const bool stream = mode == Tracer::StoreMode::kStream;
+    for (const bool one_call : {false, true}) {
+      SCOPED_TRACE(std::string(stream ? "stream" : "retain") +
+                   (one_call ? " one call" : " SetAttr + EndSpanAt"));
+      sim::Simulation sim;
+      Tracer tracer(&sim);
+      ASSERT_TRUE(tracer.SetStoreMode(mode));
+      EndCapture sink;
+      tracer.SetSink(&sink);
+      const TraceContext root = tracer.StartSpanAt("root", "test", {}, 0);
+      const TraceContext done =
+          tracer.EmitSpan("done", "test", root, 1, 2, {{"cat", "queue"}});
+      for (const TraceContext ctx : {done, root, TraceContext{}}) {
+        if (one_call) {
+          tracer.EndSpanAt(ctx, 10, attrs);
+        } else {
+          for (const auto& [k, v] : attrs) tracer.SetAttr(ctx, k, v);
+          tracer.EndSpanAt(ctx, 10);
+        }
+      }
+      EXPECT_EQ(sink.ended,
+                "span=2 parent=1 trace=1 [1,2] test/done cat=queue\n"
+                "span=1 parent=0 trace=1 [0,10] test/root cat=exec "
+                "status=Late\n");
+      EXPECT_EQ(tracer.ExportText(),
+                stream ? ""
+                       : "span=1 parent=0 trace=1 [0,10] test/root cat=exec "
+                         "status=Late\n"
+                         "span=2 parent=1 trace=1 [1,2] test/done cat=exec "
+                         "status=Late\n");
+    }
+  }
+}
+
 TEST(TracerTest, EmitSpanRetrospective) {
   sim::Simulation sim;
   Tracer tracer(&sim);
@@ -218,6 +266,87 @@ TEST(TracerTest, StreamSpanStorageReusedClean) {
   EXPECT_EQ(tracer.Find(child.span_id), nullptr);
 }
 
+TEST(TracerTest, StreamStoreHoldsExactlyTheOpenSpansUnderChurn) {
+  // Three spans stay open while 10,000 others open and close: 1,000 are
+  // opened, then each step closes a random open one and opens a new one.
+  // The open-span index grows to 2,048 slots and runs just under half
+  // full, so probe runs are long and deletions shift runs that wrap
+  // around its end. Every span is a root, so the sampling pipeline holds
+  // one pending group per open span in the same kind of index.
+  sim::Simulation sim;
+  Observability o(&sim);
+  ScaleConfig scale;
+  scale.sampler.head_rate = 0;
+  ASSERT_TRUE(o.EnableScale(scale));
+  Tracer& tracer = o.tracer;
+  const SamplingPipeline& pipeline = *o.pipeline();
+  const std::vector<std::string> held_names = {"held-a", "held-b", "held-c"};
+  std::vector<TraceContext> held;
+  for (const std::string& name : held_names) {
+    held.push_back(tracer.StartTrace(name, "test"));
+    tracer.SetAttr(held.back(), "held", name);
+  }
+  const Span* first = tracer.Find(held[0].span_id);
+  ASSERT_NE(first, nullptr);
+
+  std::vector<TraceContext> open;
+  int opened = 0;
+  const auto open_one = [&] {
+    open.push_back(tracer.StartTrace("churn", "test"));
+    tracer.SetAttr(open.back(), "n", std::to_string(opened++));
+  };
+  const auto expect_exact = [&] {
+    ASSERT_EQ(tracer.stored_span_count(), held.size() + open.size());
+    ASSERT_EQ(pipeline.pending_span_count(), held.size() + open.size());
+    for (const TraceContext& ctx : open) {
+      const Span* s = tracer.Find(ctx.span_id);
+      ASSERT_NE(s, nullptr) << ctx.span_id;
+      ASSERT_EQ(s->id, ctx.span_id);
+      // Span n of the churn has id n + 4.
+      ASSERT_EQ(s->attrs.at("n"), std::to_string(ctx.span_id - 4));
+    }
+    for (size_t i = 0; i < held.size(); ++i) {
+      const Span* s = tracer.Find(held[i].span_id);
+      ASSERT_NE(s, nullptr);
+      ASSERT_EQ(s->attrs.at("held"), held_names[i]);
+    }
+  };
+  while (open.size() < 1000) open_one();
+  expect_exact();
+
+  Rng rng(17);
+  std::vector<uint64_t> closed;
+  for (int step = 1; opened < 10000; ++step) {
+    const size_t victim = rng.NextBounded(open.size());
+    const TraceContext ctx = open[victim];
+    open[victim] = open.back();
+    open.pop_back();
+    tracer.EndSpan(ctx);
+    closed.push_back(ctx.span_id);
+    ASSERT_EQ(tracer.Find(ctx.span_id), nullptr) << ctx.span_id;
+    ASSERT_EQ(tracer.stored_span_count(), held.size() + open.size());
+    open_one();
+    if (step % 97 == 0) {
+      expect_exact();
+      if (HasFatalFailure()) return;
+    }
+  }
+  expect_exact();
+  for (const uint64_t id : closed) ASSERT_EQ(tracer.Find(id), nullptr) << id;
+  // Slots never move: the pointer taken before the churn still reads the
+  // span it pointed to.
+  EXPECT_EQ(tracer.Find(held[0].span_id), first);
+  EXPECT_EQ(first->id, held[0].span_id);
+  EXPECT_EQ(first->name, "held-a");
+  EXPECT_EQ(first->attrs.at("held"), "held-a");
+
+  for (const TraceContext& ctx : open) tracer.EndSpan(ctx);
+  for (const TraceContext& ctx : held) tracer.EndSpan(ctx);
+  EXPECT_EQ(tracer.stored_span_count(), 0u);
+  EXPECT_EQ(pipeline.pending_span_count(), 0u);
+  EXPECT_EQ(pipeline.stats().traces_finalized, 3u + uint64_t(opened));
+}
+
 TEST(TracerTest, ClearResetsSpansButAdvancesNothingElse) {
   sim::Simulation sim;
   Tracer tracer(&sim);
@@ -229,45 +358,66 @@ TEST(TracerTest, ClearResetsSpansButAdvancesNothingElse) {
 
 // ------------------------------------------------------------- SpanAttrs
 
+using AttrMap = std::map<std::string, std::string>;
+
+/// Every read SpanAttrs offers agrees with `ref`: size, iteration in key
+/// order, and find/count/at for each of `keys`, present or not.
+void ExpectAttrsMatch(const SpanAttrs& attrs, const AttrMap& ref,
+                      const std::vector<std::string>& keys) {
+  ASSERT_EQ(attrs.size(), ref.size());
+  ASSERT_EQ(attrs.empty(), ref.empty());
+  auto want_it = ref.begin();
+  for (const auto& [k, v] : attrs) {
+    ASSERT_NE(want_it, ref.end());
+    EXPECT_EQ(k, want_it->first);
+    EXPECT_EQ(v, want_it->second) << want_it->first;
+    ++want_it;
+  }
+  for (const std::string& k : keys) {
+    ASSERT_EQ(attrs.count(k), ref.count(k)) << k;
+    const auto it = attrs.find(k);
+    ASSERT_EQ(it != attrs.end(), ref.count(k) == 1) << k;
+    if (it != attrs.end()) {
+      EXPECT_EQ(it->first, k);
+      EXPECT_EQ(it->second, ref.at(k)) << k;
+      EXPECT_EQ(attrs.at(k), ref.at(k)) << k;
+    } else {
+      EXPECT_THROW(attrs.at(k), std::out_of_range);
+    }
+  }
+}
+
 TEST(SpanAttrsTest, MatchesStdMap) {
-  // Keys that prefix one another, so the sorted order is the map's
-  // lexicographic one and not, say, a length-first one.
-  const char* keys[] = {"a", "ab", "attempt", "attempts", "cat"};
+  // Keys that prefix one another ("a" < "a\0" < "ab"), that share their
+  // first 8 bytes ("attempts", "attempts2", "attempts\xc3\xa9"), or that
+  // hold a byte >= 0x80, so only the map's unsigned lexicographic order
+  // fits; more of them than the inline entry capacity.
+  const std::vector<std::string> keys = {
+      "a",         std::string("a\0", 2), "ab",    "attempt",
+      "attempts",  "attempts2",           "attempts\xc3\xa9",
+      "cat",       "owner",               "status", "zone",
+      "\xc3\xa9tat"};
+  ASSERT_GT(keys.size(), SpanAttrs::kInlineEntries);
   for (uint64_t seed = 1; seed <= 50; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
     Rng rng(seed);
     Span span;
     span.id = seed;
     span.name = "op";
     span.module = "test";
     span.end_us = 5;
-    std::map<std::string, std::string> ref;
-    const int ops = int(rng.NextInt(0, 30));
+    AttrMap ref;
+    const int ops = int(rng.NextInt(0, 60));
     for (int i = 0; i < ops; ++i) {
-      const std::string key = keys[rng.NextBounded(5)];
-      const std::string value = "v" + std::to_string(rng.NextBounded(100));
-      span.attrs[key] = value;
+      const std::string& key = keys[rng.NextBounded(keys.size())];
+      // From empty to past the inline byte capacity, so overwrites both
+      // grow and shrink a value and most spans spill.
+      std::string value(rng.NextBounded(SpanAttrs::kInlineBytes + 25), ' ');
+      for (char& c : value) c = char('a' + rng.NextBounded(26));
+      span.attrs.Set(key, value);
       ref[key] = value;
-      for (const char* k : keys) {
-        ASSERT_EQ(span.attrs.count(k), ref.count(k)) << "seed " << seed;
-        const auto it = span.attrs.find(k);
-        ASSERT_EQ(it != span.attrs.end(), ref.count(k) == 1);
-        if (it != span.attrs.end()) {
-          EXPECT_EQ(it->first, k);
-          EXPECT_EQ(it->second, ref.at(k));
-          EXPECT_EQ(span.attrs.at(k), ref.at(k));
-        } else {
-          EXPECT_THROW(span.attrs.at(k), std::out_of_range);
-        }
-      }
-    }
-    ASSERT_EQ(span.attrs.size(), ref.size());
-    ASSERT_EQ(span.attrs.empty(), ref.empty());
-    auto want_it = ref.begin();
-    for (const auto& [k, v] : span.attrs) {
-      ASSERT_NE(want_it, ref.end());
-      EXPECT_EQ(k, want_it->first) << "seed " << seed;
-      EXPECT_EQ(v, want_it->second);
-      ++want_it;
+      ExpectAttrsMatch(span.attrs, ref, keys);
+      if (HasFatalFailure()) return;
     }
 
     std::string rendered;
@@ -276,7 +426,44 @@ TEST(SpanAttrsTest, MatchesStdMap) {
                        " parent=0 trace=0 [0,5] test/op";
     for (const auto& [k, v] : ref) want += " " + k + "=" + v;
     EXPECT_EQ(rendered, want + "\n");
+
+    // Copy the (usually spilled) attributes into an inline set and back,
+    // each time over different contents; then move them.
+    SpanAttrs other;
+    other.Set("zz", "1");
+    other = span.attrs;
+    ExpectAttrsMatch(other, ref, keys);
+    span.attrs.clear();
+    span.attrs.Set("zz", "1");
+    span.attrs = other;
+    ExpectAttrsMatch(span.attrs, ref, keys);
+    ExpectAttrsMatch(other, ref, keys);
+    const SpanAttrs moved = std::move(other);
+    ExpectAttrsMatch(moved, ref, keys);
   }
+
+  // A value past 64 KiB with keys after it, so 16-bit offsets would wrap;
+  // then a value set from a view of the span's own bytes, which the write
+  // reallocates.
+  std::string blob(70000, ' ');
+  for (size_t i = 0; i < blob.size(); ++i) blob[i] = char(i % 251);
+  const std::vector<std::string> big_keys = {"a", "b", "blob", "c", "d"};
+  SpanAttrs big;
+  big.Set("a", "1");
+  big.Set("blob", blob);
+  big.Set("c", "3");
+  big.Set("b", "2");
+  AttrMap big_ref = {{"a", "1"}, {"b", "2"}, {"blob", blob}, {"c", "3"}};
+  ExpectAttrsMatch(big, big_ref, big_keys);
+  big.Set("d", big.at("blob"));
+  big_ref["d"] = blob;
+  ExpectAttrsMatch(big, big_ref, big_keys);
+  const SpanAttrs big_copy = big;
+  big.Set("blob", "short");
+  big_ref["blob"] = "short";
+  ExpectAttrsMatch(big, big_ref, big_keys);
+  big_ref["blob"] = blob;
+  ExpectAttrsMatch(big_copy, big_ref, big_keys);
 
   // An EmitSpan list with a repeated key keeps the last value.
   sim::Simulation sim;

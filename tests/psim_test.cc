@@ -101,7 +101,10 @@ constexpr SimDuration kStormLookahead = 500;
 /// then calls Run: every slice ends its epochs at a deadline, with the last
 /// epoch's posts not yet pulled. No hop takes longer than 1500us, so the
 /// storm is over by `span`; past it, a post the engine lost fails the
-/// Drained check instead of slicing forever.
+/// Drained check instead of slicing forever. Slicing leaves these storms'
+/// event order unchanged, not every schedule's: an arrival and a local
+/// event stamped at the same microsecond can swap when a deadline moves an
+/// epoch boundary (see ParallelSimulation::RunUntil).
 Fingerprint RunStorm(uint64_t seed, uint32_t shards, unsigned threads,
                      SimDuration slice = 0, int chains_per_shard = 12,
                      int depth = 10) {
@@ -168,7 +171,9 @@ TEST(PsimDifferential, SerialAndParallelAreByteIdentical) {
   // A slice of 7 lookaheads + 3 ends epochs at deadlines off the horizon
   // grid; 3 threads over 8 shards gives workers unequal shard counts. The
   // dense storm keeps every shard busy; the sparse one (one chain per
-  // shard) often has a lone post in flight when a slice ends.
+  // shard) often has a lone post in flight when a slice ends. The sliced
+  // run equals the unsliced one for these storms; it need not for a
+  // schedule where an arrival and a local event tie on time (RunUntil).
   constexpr SimDuration kSlice = 7 * kStormLookahead + 3;
   struct Shape {
     int chains;
