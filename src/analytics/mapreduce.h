@@ -80,7 +80,7 @@ using ReduceFn = std::function<std::string(
 struct MapReduceConfig {
   uint32_t num_mappers = 4;
   uint32_t num_reducers = 4;
-  TaskCostModel task_model;
+  TaskCostModel task_model{};
 };
 
 struct MapReduceStats {

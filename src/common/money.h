@@ -20,9 +20,6 @@ class Money {
   constexpr Money() = default;
 
   static constexpr Money FromNanoDollars(int64_t n) { return Money(n); }
-  static constexpr Money FromMicroDollars(int64_t u) {
-    return Money(u * 1000);
-  }
   static constexpr Money FromDollars(double d) {
     return Money(static_cast<int64_t>(d * 1e9 + (d >= 0 ? 0.5 : -0.5)));
   }

@@ -61,7 +61,6 @@ class Histogram {
   double P50() const { return Quantile(0.50); }
   double P90() const { return Quantile(0.90); }
   double P99() const { return Quantile(0.99); }
-  double P999() const { return Quantile(0.999); }
 
   void Merge(const Histogram& other);
   void Reset();

@@ -27,8 +27,5 @@ constexpr double ToMillis(SimDuration d) { return double(d) / kMillisecond; }
 constexpr SimDuration FromSeconds(double s) {
   return static_cast<SimDuration>(s * kSecond);
 }
-constexpr SimDuration FromMillis(double ms) {
-  return static_cast<SimDuration>(ms * kMillisecond);
-}
 
 }  // namespace taureau

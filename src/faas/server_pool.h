@@ -32,12 +32,12 @@ struct ServerPoolConfig {
   /// of queueing into timeout.
   size_t max_queue_depth = 0;
   bool enable_breaker = false;
-  chaos::CircuitBreaker::Config breaker;
+  chaos::CircuitBreaker::Config breaker{};
   /// Deadline-aware admission control (taureau::guard): bounded queue +
   /// reject-on-arrival when the remaining deadline cannot cover the
   /// expected wait + service.
   bool enable_admission = false;
-  guard::AdmissionConfig admission;
+  guard::AdmissionConfig admission{};
 };
 
 /// Statically provisioned request-serving fleet.

@@ -81,10 +81,6 @@ class Orchestrator {
   /// Convenience: run and drive the simulation until completion.
   Result<ExecutionResult> RunSync(const Composition& comp, std::string input);
 
-  bool HasComposition(const std::string& name) const {
-    return compositions_.count(name) > 0;
-  }
-
   // ------------------------------------------------------------- chaos
   /// Registers the step-redeliver hook under the "orchestration" module:
   /// each injected event arms one duplicate delivery of the next completed

@@ -48,7 +48,7 @@ struct TopicConfig {
   /// Owning tenant (account). Threaded onto every publish span
   /// (obs::kTenantAttr) and the tenant-labeled publish counter
   /// ("pubsub.published{tenant=...}"); empty means untagged.
-  std::string tenant;
+  std::string tenant{};
   uint32_t partitions = 1;
   uint32_t ensemble_size = 3;
   uint32_t write_quorum = 2;
@@ -72,7 +72,7 @@ struct PulsarConfig {
   /// `admission.max_wait_us`, or when the caller's deadline cannot be met
   /// by the expected wait + durable-append time.
   bool enable_admission = false;
-  guard::AdmissionConfig admission;
+  guard::AdmissionConfig admission{};
 };
 
 /// View materialized from the obs::Registry on each `metrics()` call; the

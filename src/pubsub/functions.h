@@ -45,7 +45,7 @@ using PulsarFunction =
 struct FunctionWorkerConfig {
   std::string name;
   std::string input_topic;
-  std::string output_topic;  ///< Empty = no output.
+  std::string output_topic{};  ///< Empty = no output.
   /// Number of parallel instances (consumers on a shared subscription).
   uint32_t parallelism = 1;
 };

@@ -26,10 +26,11 @@
 //     One-hit wonders (recurrence 1, cheap exec) therefore never displace
 //     hot expensive results, while plain LRU (cost_aware = false) keeps
 //     the historical idempotency behaviour.
-//   - Allocation-free in steady state: entries live in a slab of fixed
-//     chunks, linked into the LRU list by index, and found through an
-//     open-addressed index. An erased slot goes on a free list and the next
-//     insert reuses it, strings and all, so a full cache allocates nothing.
+//   - Allocation-free in steady state: entries live in a Slab of 256-node
+//     chunks, linked into the LRU list by index, and found through a
+//     FlatTable keyed on the key's hash (common/flat_table.h). An erased
+//     node goes on the slab's free list and the next insert reuses it,
+//     strings and all, so a full cache allocates nothing.
 //
 // Deterministic by construction: no clocks, no randomness — the hit/miss/
 // eviction sequence is a pure function of the call sequence, which is what
@@ -38,10 +39,9 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
-#include <vector>
 
+#include "common/flat_table.h"
 #include "common/hash.h"
 #include "common/status.h"
 #include "common/time_types.h"
@@ -122,7 +122,7 @@ class ResultCache {
   void Clear();
 
   const ResultCacheConfig& config() const { return config_; }
-  size_t size() const { return size_; }
+  size_t size() const { return index_.size(); }
   size_t bytes() const { return bytes_; }
   uint64_t hits() const { return hits_; }
   uint64_t misses() const { return misses_; }
@@ -133,32 +133,29 @@ class ResultCache {
 
  private:
   static constexpr uint32_t kNone = UINT32_MAX;
-  static constexpr uint32_t kChunkNodes = 256;
 
-  /// One slab slot. Live slots form the LRU list; free ones are chained
-  /// through `next`.
+  /// One slab slot. Live slots form the LRU list.
   struct Node {
     Key key{};
     CachedResult entry;
     size_t bytes = 0;
-    uint32_t hash = 0;  ///< The key's index hash.
+    uint32_t hash = 0;  ///< The key's index tag.
     uint32_t prev = kNone;  ///< Toward the most recently used end.
-    uint32_t next = kNone;  ///< Toward the LRU tail (or the next free slot).
+    uint32_t next = kNone;  ///< Toward the LRU tail.
   };
-  /// An index slot: the node it points to (kNone = empty) and that node's
-  /// key hash, so probes rarely touch the slab.
-  struct IndexSlot {
+  /// An index entry: a live node and its key's hash, so probes rarely touch
+  /// the slab.
+  struct IndexEntry {
+    uint32_t tag = 0;
     uint32_t node = kNone;
-    uint32_t hash = 0;
   };
 
-  Node& At(uint32_t n) { return chunks_[n / kChunkNodes][n % kChunkNodes]; }
   bool Expired(const Node& node, SimTime now_us) const {
     return config_.ttl_us > 0 &&
            now_us - node.entry.stored_at_us >= config_.ttl_us;
   }
   /// The node holding `key`, or kNone.
-  uint32_t Find(const Key& key, uint32_t hash);
+  uint32_t NodeOf(const Key& key, uint32_t hash) const;
   /// Stores a new entry (the key must be absent) at the LRU front.
   void Insert(const Key& key, uint32_t hash, const CachedResult& value,
               size_t bytes, SimTime now_us);
@@ -166,26 +163,17 @@ class ResultCache {
   void Unlink(uint32_t n);
   void PushFront(uint32_t n);
   void Touch(uint32_t n);
-  void IndexInsert(uint32_t n, uint32_t hash);
-  void IndexErase(uint32_t n, uint32_t hash);
-  void GrowIndex();
   /// Drops expired entries from the LRU tail (cheap pre-pass so stale
   /// entries never win an admission comparison).
   void SweepExpiredTail(SimTime now_us);
   bool OverBudget(size_t incoming_bytes) const;
 
   ResultCacheConfig config_;
-  /// Fixed-size chunks, so a node never moves once created.
-  std::vector<std::unique_ptr<Node[]>> chunks_;
-  uint32_t nodes_created_ = 0;
-  uint32_t free_ = kNone;
+  Slab<Node, 256> nodes_;
   /// Most recently used, and the next eviction candidate.
   uint32_t head_ = kNone;
   uint32_t tail_ = kNone;
-  /// Linear-probing table over the live nodes (power-of-two size, at most
-  /// half full; deletion shifts the probe run back, so no tombstones).
-  std::vector<IndexSlot> index_;
-  size_t size_ = 0;
+  FlatTable<IndexEntry> index_;  ///< The live nodes by key hash.
   size_t bytes_ = 0;
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;

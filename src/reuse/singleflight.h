@@ -11,16 +11,16 @@
 // delivery stays with the module that owns the request lifecycle (spans,
 // metrics, billing).
 //
-// Flights live in one flat open-addressed table (linear probing, at most
-// half full, backward-shift deletion), so leading and closing a flight
-// allocate nothing once the table has grown to the in-flight high-water
-// mark.
+// Flights live inline in one FlatTable keyed on the key's hash
+// (common/flat_table.h), so leading and closing a flight allocate nothing
+// once the table has grown to the in-flight high-water mark.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <vector>
 
+#include "common/flat_table.h"
 #include "reuse/result_cache.h"
 
 namespace taureau::reuse {
@@ -44,33 +44,26 @@ class Singleflight {
   bool Attach(const ContentKey& key, Follower follower);
 
   /// True when `key` has an in-flight leader.
-  bool InFlight(const ContentKey& key) const { return Find(key) != kAbsent; }
+  bool InFlight(const ContentKey& key) const;
 
   /// Closes the flight and returns its followers in attach order (empty
   /// when the key was not led). The caller delivers to each.
   std::vector<Follower> Complete(const ContentKey& key);
 
-  size_t inflight() const { return size_; }
+  size_t inflight() const { return flights_.size(); }
   uint64_t leaders() const { return leaders_; }
   uint64_t followers_attached() const { return followers_attached_; }
   uint64_t max_fanout() const { return max_fanout_; }
 
  private:
-  static constexpr size_t kAbsent = SIZE_MAX;
-
   struct Flight {
-    bool live = false;
+    uint64_t tag = 0;  ///< key.Hash()
     ContentKey key;
     uint64_t leader_id = 0;
     std::vector<Follower> followers;
   };
 
-  /// The table slot of `key`'s flight, or kAbsent.
-  size_t Find(const ContentKey& key) const;
-  void Grow();
-
-  std::vector<Flight> table_;
-  size_t size_ = 0;
+  FlatTable<Flight> flights_;
   uint64_t leaders_ = 0;
   uint64_t followers_attached_ = 0;
   uint64_t max_fanout_ = 0;  ///< Largest follower count of any one flight.

@@ -1,11 +1,14 @@
 // Unit tests for the common substrate: Status/Result, RNG, stats, money,
-// hashing.
+// hashing, and the slab and open-addressed table.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <set>
+#include <string>
 #include <vector>
 
+#include "common/flat_table.h"
 #include "common/hash.h"
 #include "common/money.h"
 #include "common/rng.h"
@@ -362,6 +365,92 @@ TEST(HistogramDepthTest, QuantileClampsOutOfRange) {
   h.Add(7.0);
   EXPECT_DOUBLE_EQ(h.Quantile(-0.5), h.Quantile(0.0));
   EXPECT_DOUBLE_EQ(h.Quantile(2.0), h.Quantile(1.0));
+}
+
+// ------------------------------------------------------ FlatTable and Slab
+
+struct TableItem {
+  uint64_t tag = 0;
+  uint64_t key = 0;
+  uint64_t value = 0;
+};
+
+/// Seeded churn of a FlatTable against a std::map. Every tag is shared by
+/// three keys, so only `match` tells them apart. With `wrap` the 45 keys'
+/// tags all have home slot 124..127 at 128 slots, and so the last slot or
+/// two at every smaller size: the table grows from 16 slots while every
+/// probe run crosses its end, and erases shift entries back across it.
+/// Otherwise 600 keys on spread tags (tag 0, stored as 1, among them) grow
+/// the table to 1024 slots. Halfway through, Clear empties it.
+void RunFlatTableChurn(bool wrap, uint64_t seed) {
+  std::vector<uint64_t> tags;
+  for (uint64_t t = 0; tags.size() < (wrap ? 15u : 200u); ++t) {
+    if (!wrap || FlatHome(t, 128) >= 124) tags.push_back(t);
+  }
+  const uint64_t keys = 3 * tags.size();
+  FlatTable<TableItem> table;
+  std::map<uint64_t, uint64_t> want;
+  Rng rng(seed);
+  for (int op = 0; op < 100000; ++op) {
+    const uint64_t key = rng.NextBounded(keys);
+    const uint64_t tag = tags[key / 3];
+    const uint64_t dice = rng.NextBounded(100);
+    TableItem* found = table.Find(
+        tag, [key](const TableItem& e) { return e.key == key; });
+    const auto it = want.find(key);
+    ASSERT_EQ(found != nullptr, it != want.end()) << "op " << op;
+    if (found != nullptr) {
+      ASSERT_EQ(found->key, key) << "op " << op;
+      ASSERT_EQ(found->value, it->second) << "op " << op;
+    }
+    if (op == 50000) {
+      table.Clear();
+      want.clear();
+    } else if (dice < 45 && found == nullptr) {
+      TableItem& e = table.Insert(tag);
+      ASSERT_EQ(e.key, 0u) << "op " << op;  // A default entry.
+      e.key = key;
+      e.value = uint64_t(op);
+      want[key] = uint64_t(op);
+    } else if (dice >= 45 && dice < 80 && found != nullptr) {
+      table.Erase(*found);
+      want.erase(it);
+    }
+    ASSERT_EQ(table.size(), want.size()) << "op " << op;
+  }
+  std::map<uint64_t, uint64_t> got;
+  table.ForEach([&got](const TableItem& e) { got[e.key] = e.value; });
+  EXPECT_EQ(got, want);
+}
+
+TEST(FlatTableTest, ChurnMatchesMapReference) {
+  for (const bool wrap : {true, false}) {
+    SCOPED_TRACE(wrap ? "wrapping runs" : "growing table");
+    RunFlatTableChurn(wrap, /*seed=*/29);
+    if (HasFailure()) return;
+  }
+}
+
+TEST(SlabTest, SlotsStayPutAndReleasedSlotsKeepTheirContents) {
+  Slab<std::string, 64> slab;
+  const uint32_t first = slab.Acquire();
+  std::string* const where = &slab[first];
+  *where = std::string(100, 'x');
+  std::set<uint32_t> slots{first};
+  for (int i = 0; i < 10000; ++i) slots.insert(slab.Acquire());
+  EXPECT_EQ(slots.size(), 10001u);
+  EXPECT_EQ(&slab[first], where);
+  EXPECT_EQ(slab[first], std::string(100, 'x'));
+  // Released slots come back last-in first-out, contents intact.
+  slab[7] = "seven";
+  slab.Release(7);
+  slab.Release(first);
+  EXPECT_EQ(slab.Acquire(), first);
+  EXPECT_EQ(slab[first], std::string(100, 'x'));
+  EXPECT_EQ(slab.Acquire(), 7u);
+  EXPECT_EQ(slab[7], "seven");
+  EXPECT_EQ(slab.Acquire(), 10001u);
+  EXPECT_TRUE(slab[10001].empty());
 }
 
 }  // namespace

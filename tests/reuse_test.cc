@@ -22,6 +22,7 @@
 
 #include "chaos/idempotency.h"
 #include "cluster/cluster.h"
+#include "common/flat_table.h"
 #include "common/hash.h"
 #include "common/rng.h"
 #include "common/time_types.h"
@@ -572,7 +573,7 @@ void RunSingleflightChurn(bool wrap, uint64_t seed) {
   for (int i = 0; keys.size() < (wrap ? 7u : 400u); ++i) {
     const ContentKey key =
         layer.Key(i % 2 ? "a" : "bb", "p" + std::to_string(i));
-    const uint64_t home = key.Hash() & 15;
+    const size_t home = FlatHome(key.Hash(), kFlatTableFirstCapacity);
     if (!wrap || home >= 14 || home == 0) keys.push_back(key);
   }
   struct Flight {
