@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
+
+#include "common/hash.h"
 
 namespace taureau::obs {
 
@@ -27,7 +30,7 @@ void FlameProfile::FoldTrace(std::span<const Span> spans) {
     } else {
       parent_path = path_scratch_[size_t(parent - spans.begin())];
     }
-    path_scratch_[i] = ResolvePath(parent_path, s.name.str());
+    path_scratch_[i] = ResolvePath(parent_path, &s.name.str());
   }
 
   // One attribution pass per subtree root charges every span's self time
@@ -41,8 +44,9 @@ void FlameProfile::FoldTrace(std::span<const Span> spans) {
              .ok()) {
       continue;  // unfinished root: skip its subtree
     }
-    RootAggregate& agg =
-        ResolveAggregate(&by_root_, &root_index_, root.name.str());
+    PathNode& root_node = path_nodes_[path_scratch_[r]];
+    if (root_node.root == nullptr) root_node.root = &by_root_[root_node.path];
+    RootAggregate& agg = *root_node.root;
     ++agg.count;
     agg.breakdown.Accumulate(breakdown);
     const auto tenant = root.attrs.find(kTenantAttr);
@@ -66,19 +70,33 @@ void FlameProfile::FoldTrace(std::span<const Span> spans) {
   }
 }
 
-uint32_t FlameProfile::ResolvePath(uint32_t parent, std::string_view name) {
-  const auto it = path_index_.find(PathKey{parent, name});
-  if (it != path_index_.end()) return it->second;
+uint32_t FlameProfile::ResolvePath(uint32_t parent,
+                                   const std::string* symbol) {
+  const uint64_t tag =
+      MixU64(uint64_t(reinterpret_cast<uintptr_t>(symbol)) ^ parent);
+  PathEntry* entry = path_index_.Find(tag, [&](const PathEntry& e) {
+    return e.parent == parent && e.symbol == symbol;
+  });
+  if (entry != nullptr && path_nodes_[entry->id].name == *symbol) {
+    return entry->id;
+  }
+  // A new (parent, name) pair, or an address that now holds another name:
+  // start a node; its paths_ entry is shared with any node of equal path.
   const uint32_t id = uint32_t(path_nodes_.size());
   PathNode& node = path_nodes_.emplace_back();
   if (parent != kNoPath) {
     node.path = path_nodes_[parent].path;
     node.path += ';';
   }
-  node.path += name;
-  const std::string_view tail =
-      std::string_view(node.path).substr(node.path.size() - name.size());
-  path_index_.emplace(PathKey{parent, tail}, id);
+  node.path += *symbol;
+  node.name =
+      std::string_view(node.path).substr(node.path.size() - symbol->size());
+  if (entry == nullptr) {
+    entry = &path_index_.Insert(tag);
+    entry->parent = parent;
+    entry->symbol = symbol;
+  }
+  entry->id = id;
   return id;
 }
 
@@ -127,8 +145,7 @@ void FlameProfile::Clear() {
   by_root_.clear();
   by_tenant_.clear();
   path_nodes_.clear();
-  path_index_.clear();
-  root_index_.clear();
+  path_index_.Clear();
   tenant_index_.clear();
   folded_spans_ = 0;
   folded_traces_ = 0;

@@ -10,11 +10,11 @@
 // Path keys are semicolon-joined span names from the group root down
 // (folded-flame-graph convention): "invoke:serve;exec". Each distinct path
 // string is built once; afterwards a span's path resolves through an index
-// keyed by (parent path, span name), so folding a known shape allocates
-// nothing. Self time uses the critical-path partition — each instant of
-// the root window is charged to the deepest covering span — so per-trace
-// self times sum exactly to the root span's wall time (the invariant the
-// obs_scale tests pin).
+// keyed by (parent path, interned name address), so folding a known shape
+// neither allocates nor hashes a string. Self time uses the critical-path
+// partition — each instant of the root window is charged to the deepest
+// covering span — so per-trace self times sum exactly to the root span's
+// wall time (the invariant the obs_scale tests pin).
 #pragma once
 
 #include <cstdint>
@@ -27,6 +27,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/flat_table.h"
 #include "common/time_types.h"
 #include "obs/critical_path.h"
 #include "obs/trace.h"
@@ -85,27 +86,30 @@ class FlameProfile {
   using RootMap = std::map<std::string, RootAggregate>;
   using RootIndex = std::unordered_map<std::string_view, RootAggregate*>;
 
-  /// A path seen by the fold. Nodes never move (deque), so the index keys
-  /// below can view `path`.
+  /// A path seen by the fold. Nodes never move (deque), so `name` can view
+  /// the tail of `path`.
   struct PathNode {
     std::string path;
+    std::string_view name;     ///< The last span name of `path`.
     PathStat* stat = nullptr;  ///< Its paths_ entry, once a finished span
                                ///< folds there.
+    RootAggregate* root = nullptr;  ///< Its by_root_ entry, once a subtree
+                                    ///< root folds there (`path` is then
+                                    ///< the root's name).
   };
-  /// (parent path id, span name); the name views the tail of the path.
-  struct PathKey {
-    uint32_t parent;
-    std::string_view name;
-    bool operator==(const PathKey&) const = default;
-  };
-  struct PathKeyHash {
-    size_t operator()(const PathKey& k) const {
-      return std::hash<std::string_view>{}(k.name) * 31 + k.parent;
-    }
+  /// path_index_'s entry: (parent path id, span name address) -> path id.
+  /// The address is the name's interned string. A hit confirms the name's
+  /// bytes, so names from different symbol tables, or an address reused
+  /// for another name after its table was freed, still fold exactly.
+  struct PathEntry {
+    uint64_t tag = 0;  ///< Mix of symbol and parent; 0 marks an empty slot.
+    uint32_t parent = 0;
+    uint32_t id = 0;
+    const std::string* symbol = nullptr;
   };
   static constexpr uint32_t kNoPath = UINT32_MAX;  ///< Subtree roots' parent.
 
-  uint32_t ResolvePath(uint32_t parent, std::string_view name);
+  uint32_t ResolvePath(uint32_t parent, const std::string* symbol);
   /// `map`'s entry for `key`, found through `index` (which views the map's
   /// keys) or inserted into both.
   static RootAggregate& ResolveAggregate(RootMap* map, RootIndex* index,
@@ -117,8 +121,8 @@ class FlameProfile {
   uint64_t folded_spans_ = 0;
   uint64_t folded_traces_ = 0;
   std::deque<PathNode> path_nodes_;  ///< By path id.
-  std::unordered_map<PathKey, uint32_t, PathKeyHash> path_index_;
-  RootIndex root_index_;
+  FlatTable<PathEntry> path_index_;
+  /// Tenant aggregates by attribute value (values are not interned).
   RootIndex tenant_index_;
   // Per-trace working storage, reused by every FoldTrace call (each
   // profile belongs to one simulation, so one shard under psim).

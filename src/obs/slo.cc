@@ -9,11 +9,21 @@ namespace taureau::obs {
 void SloEngine::AddObjective(SloObjective objective) {
   State st;
   st.max_window_us = 0;
-  for (const BurnRatePolicy& p : objective.policies) {
+  const std::vector<BurnRatePolicy>& policies = objective.policies;
+  for (size_t i = 0; i < policies.size(); ++i) {
+    const BurnRatePolicy& p = policies[i];
     st.max_window_us = std::max(
         st.max_window_us, std::max(p.long_window_us, p.short_window_us));
-    st.agg.firing[p.name] = false;
+    size_t first = 0;
+    while (policies[first].name != p.name) ++first;
+    st.flag_of.push_back(first);
+    if (first == i) st.flags_by_name.push_back(i);
   }
+  std::sort(st.flags_by_name.begin(), st.flags_by_name.end(),
+            [&policies](size_t a, size_t b) {
+              return policies[a].name < policies[b].name;
+            });
+  st.agg.policies.resize(policies.size());
   if (objective.per_tenant) {
     objective.max_tenant_series = std::max<size_t>(objective.max_tenant_series, 1);
     st.popularity =
@@ -49,11 +59,20 @@ void SloEngine::Record(const std::string& module, std::string_view tenant,
   }
 }
 
+SloEngine::TenantIter SloEngine::TenantTrack(State* st,
+                                             std::string_view tenant) {
+  auto it = st->tenants.lower_bound(tenant);
+  if (it != st->tenants.end() && it->first == tenant) return it;
+  it = st->tenants.emplace_hint(it, std::string(tenant), Track());
+  it->second.policies.resize(st->spec.policies.size());
+  return it;
+}
+
 SloEngine::TenantIter SloEngine::ResolveTenant(State* st,
                                                std::string_view tenant,
                                                SimTime at_us) {
   if (tenant.empty() || tenant == kOtherTenant) {
-    return st->tenants.try_emplace(kOtherTenant).first;
+    return TenantTrack(st, kOtherTenant);
   }
   st->popularity->Add(tenant);
   auto it = st->tenants.find(tenant);
@@ -63,7 +82,7 @@ SloEngine::TenantIter SloEngine::ResolveTenant(State* st,
       st->tenants.size() - st->tenants.count(kOtherTenant);
   const uint64_t estimate = st->popularity->EstimateCount(tenant);
   auto materialize = [&] {
-    auto ins = st->tenants.try_emplace(std::string(tenant)).first;
+    auto ins = TenantTrack(st, tenant);
     // Events this tenant may already have pushed into kOtherTenant (only
     // possible after demotions emptied a slot): never more than its sketch
     // estimate minus the event being recorded now.
@@ -89,7 +108,7 @@ SloEngine::TenantIter SloEngine::ResolveTenant(State* st,
     Demote(st, weakest_name, at_us);
     return materialize();
   }
-  return st->tenants.try_emplace(kOtherTenant).first;
+  return TenantTrack(st, kOtherTenant);
 }
 
 void SloEngine::Demote(State* st, const std::string& tenant, SimTime at_us) {
@@ -97,12 +116,14 @@ void SloEngine::Demote(State* st, const std::string& tenant, SimTime at_us) {
   if (it == st->tenants.end()) return;
   Track& victim = it->second;
   // Clear any firing alerts so IsTenantFiring never reports a ghost.
-  for (auto& [policy, firing] : victim.firing) {
+  for (size_t flag : st->flags_by_name) {
+    bool& firing = victim.policies[flag].firing;
     if (!firing) continue;
     firing = false;
-    alerts_.push_back({at_us, st->spec.name, policy, tenant, false, 0.0, 0.0});
+    alerts_.push_back({at_us, st->spec.name, st->spec.policies[flag].name,
+                       tenant, false, 0.0, 0.0});
   }
-  Track& other = st->tenants[kOtherTenant];
+  Track& other = TenantTrack(st, kOtherTenant)->second;
   other.total += victim.total;
   other.bad += victim.bad;
   // The folded lifetime counts are no longer tenant-exact; widen the
@@ -127,6 +148,11 @@ void SloEngine::Score(State* st, Track* tr, const std::string& tenant,
     if (tr->head > tr->window.size() / 2) {
       tr->window.erase(tr->window.begin(),
                        tr->window.begin() + std::ptrdiff_t(tr->head));
+      // A cursor still in the erased prefix restarts at the new head.
+      for (PolicyState& ps : tr->policies) {
+        ps.long_first = std::max(ps.long_first, tr->head) - tr->head;
+        ps.short_first = std::max(ps.short_first, tr->head) - tr->head;
+      }
       tr->head = 0;
     }
   }
@@ -144,8 +170,17 @@ SimDuration SloEngine::SlowBudgetFor(const std::string& module) const {
   return best;
 }
 
+double SloEngine::BurnFrom(const Track& tr, double target, size_t first) {
+  if (first == tr.window.size()) return 0.0;
+  const uint64_t total = uint64_t(tr.window.size() - first);
+  const uint64_t bad = tr.window_bad - tr.window[first].bad_before;
+  const double bad_fraction = double(bad) / double(total);
+  const double budget = 1.0 - target;
+  return budget > 0 ? bad_fraction / budget : (bad > 0 ? 1e18 : 0.0);
+}
+
 double SloEngine::WindowBurn(const Track& tr, double target,
-                             SimDuration window_us, SimTime now_us) const {
+                             SimDuration window_us, SimTime now_us) {
   // Timestamps in the window never decrease, so the events newer than
   // now - W are a suffix: binary-search its start, then total and bad are
   // differences of counts instead of a walk over the window.
@@ -153,24 +188,32 @@ double SloEngine::WindowBurn(const Track& tr, double target,
   const auto first = std::partition_point(
       tr.window.begin() + std::ptrdiff_t(tr.head), tr.window.end(),
       [cutoff](const Event& e) { return e.at_us <= cutoff; });
-  if (first == tr.window.end()) return 0.0;
-  const uint64_t total = uint64_t(tr.window.end() - first);
-  const uint64_t bad = tr.window_bad - first->bad_before;
-  const double bad_fraction = double(bad) / double(total);
-  const double budget = 1.0 - target;
-  return budget > 0 ? bad_fraction / budget : (bad > 0 ? 1e18 : 0.0);
+  return BurnFrom(tr, target, size_t(first - tr.window.begin()));
 }
 
 void SloEngine::Evaluate(State* st, Track* tr, const std::string& tenant,
                          SimTime now_us) {
-  for (const BurnRatePolicy& p : st->spec.policies) {
-    const double burn_long =
-        WindowBurn(*tr, st->spec.target, p.long_window_us, now_us);
-    const double burn_short =
-        WindowBurn(*tr, st->spec.target, p.short_window_us, now_us);
+  // Record clamps timestamps to be non-decreasing, so each window's cutoff
+  // only moves forward and its start is its cursor advanced past the
+  // events that aged out since the last Evaluate: amortized O(1).
+  auto advance = [tr](size_t first, SimTime cutoff) {
+    first = std::max(first, tr->head);
+    while (first < tr->window.size() && tr->window[first].at_us <= cutoff) {
+      ++first;
+    }
+    return first;
+  };
+  const std::vector<BurnRatePolicy>& policies = st->spec.policies;
+  for (size_t i = 0; i < policies.size(); ++i) {
+    const BurnRatePolicy& p = policies[i];
+    PolicyState& ps = tr->policies[i];
+    ps.long_first = advance(ps.long_first, now_us - p.long_window_us);
+    ps.short_first = advance(ps.short_first, now_us - p.short_window_us);
+    const double burn_long = BurnFrom(*tr, st->spec.target, ps.long_first);
+    const double burn_short = BurnFrom(*tr, st->spec.target, ps.short_first);
     const bool fire =
         burn_long >= p.burn_threshold && burn_short >= p.burn_threshold;
-    bool& firing = tr->firing[p.name];
+    bool& firing = tr->policies[st->flag_of[i]].firing;
     if (fire == firing) continue;
     firing = fire;
     alerts_.push_back(
@@ -206,12 +249,18 @@ uint64_t SloEngine::BadEvents(const std::string& objective) const {
   return it != objectives_.end() ? it->second.agg.bad : 0;
 }
 
+bool SloEngine::Firing(const State& st, const Track& tr,
+                       std::string_view policy) {
+  for (size_t flag : st.flags_by_name) {
+    if (st.spec.policies[flag].name == policy) return tr.policies[flag].firing;
+  }
+  return false;
+}
+
 bool SloEngine::IsFiring(const std::string& objective,
                          const std::string& policy) const {
   const auto it = objectives_.find(objective);
-  if (it == objectives_.end()) return false;
-  const auto pit = it->second.agg.firing.find(policy);
-  return pit != it->second.agg.firing.end() && pit->second;
+  return it != objectives_.end() && Firing(it->second, it->second.agg, policy);
 }
 
 const SloEngine::Track* SloEngine::FindTenant(const std::string& objective,
@@ -247,9 +296,7 @@ bool SloEngine::IsTenantFiring(const std::string& objective,
                                const std::string& tenant,
                                const std::string& policy) const {
   const Track* tr = FindTenant(objective, tenant);
-  if (tr == nullptr) return false;
-  const auto pit = tr->firing.find(policy);
-  return pit != tr->firing.end() && pit->second;
+  return tr != nullptr && Firing(objectives_.at(objective), *tr, policy);
 }
 
 std::vector<std::string> SloEngine::MaterializedTenants(

@@ -180,6 +180,16 @@ class SloEngine {
     SimTime at_us;
     uint64_t bad_before;
   };
+  /// One policy's evaluation state in one track. The cursors are the first
+  /// window index inside the policy's long and short window at the last
+  /// Evaluate; timestamps never decrease, so they only move forward.
+  struct PolicyState {
+    size_t long_first = 0;
+    size_t short_first = 0;
+    /// Alert state of the policy *name*: policies sharing a name share the
+    /// flag of the first of them (State::flag_of).
+    bool firing = false;
+  };
   /// One burn-rate accounting unit: the module aggregate, or one tenant.
   struct Track {
     uint64_t total = 0;
@@ -190,7 +200,8 @@ class SloEngine {
     /// so the live events stay contiguous and the capacity is reused.
     std::vector<Event> window;
     size_t head = 0;
-    std::map<std::string, bool> firing;  ///< By policy name.
+    /// By policy index; sized when the track is created.
+    std::vector<PolicyState> policies;
     uint64_t attribution_bound = 0;      ///< See TenantAttributionBound.
   };
   /// Transparent, so a tenant resolves from a string_view without a copy.
@@ -198,6 +209,12 @@ class SloEngine {
   struct State {
     SloObjective spec;
     SimDuration max_window_us = 0;
+    /// By policy index: the index of the first policy with the same name,
+    /// whose PolicyState holds the alert flag.
+    std::vector<size_t> flag_of;
+    /// The distinct flags (first policy of each name) in name order, the
+    /// order Demote clears them in.
+    std::vector<size_t> flags_by_name;
     Track agg;
     TenantMap tenants;  ///< Materialized + kOtherTenant.
     std::unique_ptr<sketch::SpaceSaving> popularity;  ///< per_tenant only.
@@ -206,8 +223,16 @@ class SloEngine {
 
   using TenantIter = TenantMap::iterator;
 
-  double WindowBurn(const Track& tr, double target, SimDuration window_us,
-                    SimTime now_us) const;
+  /// Burn of the window suffix window[first, end).
+  static double BurnFrom(const Track& tr, double target, size_t first);
+  /// Burn over (now - W, now] at any `now`, by binary search (the readers).
+  static double WindowBurn(const Track& tr, double target,
+                           SimDuration window_us, SimTime now_us);
+  /// The alert flag of policy name `policy` in `tr` (false if unknown).
+  static bool Firing(const State& st, const Track& tr,
+                     std::string_view policy);
+  /// `tenant`'s track, created with one PolicyState per policy if absent.
+  static TenantIter TenantTrack(State* st, std::string_view tenant);
   /// Pushes the event into `tr`, ages the window, evaluates policies.
   void Score(State* st, Track* tr, const std::string& tenant, SimTime at_us,
              bool good);

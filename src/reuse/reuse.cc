@@ -16,7 +16,8 @@ ReuseLayer::ReuseLayer(ReuseConfig config)
     : config_(config),
       enabled_(config.enabled),
       approx_burn_threshold_(config.approx_burn_threshold),
-      cache_(config.cache) {
+      cache_(config.cache),
+      sketch_memo_(kSketchMemoSlots) {
   BindMetrics();
 }
 
@@ -41,6 +42,16 @@ std::string_view ReuseLayer::SketchItem(const ContentKey& key) const {
     sketch_item_ += kDigits[(key.payload_hash >> shift) & 0xF];
   }
   return sketch_item_;
+}
+
+std::span<const uint32_t> ReuseLayer::SketchColumns(
+    const ContentKey& key) const {
+  SketchSlot& slot = sketch_memo_[SketchMemoSlot(key)];
+  if (slot.key != key) {
+    slot.key = key;
+    popularity_.Columns(SketchItem(key), slot.cols);
+  }
+  return slot.cols;
 }
 
 PutOutcome ReuseLayer::Offer(const ContentKey& key,

@@ -32,9 +32,11 @@
 // per function or tenant (FunctionId, TenantMetrics).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -124,12 +126,19 @@ class ReuseLayer {
   /// Feeds the recurrence sketch. Call once per arriving request, before
   /// Lookup, so the estimate covers the full request stream.
   void NoteRequest(const ContentKey& key) {
-    popularity_.Add(SketchItem(key));
+    popularity_.AddAt(SketchColumns(key));
   }
 
   /// CountMin recurrence estimate for a key (never undercounts).
   uint64_t Recurrence(const ContentKey& key) const {
-    return popularity_.EstimateCount(SketchItem(key));
+    return popularity_.EstimateAt(SketchColumns(key));
+  }
+
+  /// Slots in the memo of recent keys' sketch columns, and the slot that
+  /// holds `key`'s: keys that share a slot evict each other.
+  static constexpr size_t kSketchMemoSlots = 1024;
+  static size_t SketchMemoSlot(const ContentKey& key) {
+    return size_t(key.Hash()) & (kSketchMemoSlots - 1);
   }
 
   /// Cache lookup at `now` (TTL-aware). Does not bump reuse.hit/miss
@@ -206,9 +215,22 @@ class ReuseLayer {
 
   void BindMetrics();
   void SyncCacheGauges();
+  /// Rows of the recurrence sketch.
+  static constexpr uint32_t kSketchDepth = 4;
+  /// One memo slot: a key and its sketch columns. `key.bytes == 0` marks
+  /// an empty slot, since every key of a named function has bytes >= 17.
+  struct SketchSlot {
+    ContentKey key;
+    std::array<uint32_t, kSketchDepth> cols{};
+  };
+
   /// The bytes the recurrence sketch hashes for `key`: the string key
   /// `function + 0x1f + hex(payload hash)`, rendered into a reused buffer.
   std::string_view SketchItem(const ContentKey& key) const;
+  /// `key`'s sketch columns, from the memo or hashed from SketchItem into
+  /// its slot. A function id never changes its name, so a slot whose key
+  /// matches is never stale.
+  std::span<const uint32_t> SketchColumns(const ContentKey& key) const;
 
   ReuseConfig config_;
   bool enabled_ = true;
@@ -217,8 +239,12 @@ class ReuseLayer {
   Singleflight flights_;
   /// Recurrence estimate, 4 x 4096 (one-sided error: never undercounts, so
   /// admission can only over-value, never starve).
-  sketch::CountMinSketch popularity_{/*depth=*/4, /*width=*/4096,
+  sketch::CountMinSketch popularity_{/*depth=*/kSketchDepth, /*width=*/4096,
                                      /*seed=*/17};
+  /// Direct-mapped by SketchMemoSlot; sized once, in the constructor. A
+  /// request stream repeats few keys, so most requests skip rendering and
+  /// hashing the sketch item.
+  mutable std::vector<SketchSlot> sketch_memo_;
   /// Interned functions by id, and the ids by name.
   std::vector<Function> functions_;
   std::unordered_map<std::string, uint32_t> function_ids_;

@@ -1,6 +1,7 @@
 #include "sketch/countmin.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 
 #include "common/hash.h"
@@ -21,10 +22,13 @@ CountMinSketch CountMinSketch::FromErrorBounds(double eps, double delta,
   return CountMinSketch(depth, width, seed);
 }
 
+uint32_t CountMinSketch::Column(std::string_view item, uint32_t row) const {
+  return uint32_t(HashSeeded(item, seed_ + row) % width_);
+}
+
 void CountMinSketch::Add(std::string_view item, uint64_t count) {
   for (uint32_t row = 0; row < depth_; ++row) {
-    const uint64_t h = HashSeeded(item, seed_ + row);
-    table_[size_t(row) * width_ + h % width_] += count;
+    table_[Cell(row, Column(item, row))] += count;
   }
   total_ += count;
 }
@@ -32,8 +36,30 @@ void CountMinSketch::Add(std::string_view item, uint64_t count) {
 uint64_t CountMinSketch::EstimateCount(std::string_view item) const {
   uint64_t best = UINT64_MAX;
   for (uint32_t row = 0; row < depth_; ++row) {
-    const uint64_t h = HashSeeded(item, seed_ + row);
-    best = std::min(best, table_[size_t(row) * width_ + h % width_]);
+    best = std::min(best, table_[Cell(row, Column(item, row))]);
+  }
+  return best == UINT64_MAX ? 0 : best;
+}
+
+void CountMinSketch::Columns(std::string_view item,
+                             std::span<uint32_t> cols) const {
+  assert(cols.size() == depth_);
+  for (uint32_t row = 0; row < depth_; ++row) cols[row] = Column(item, row);
+}
+
+void CountMinSketch::AddAt(std::span<const uint32_t> cols, uint64_t count) {
+  assert(cols.size() == depth_);
+  for (uint32_t row = 0; row < depth_; ++row) {
+    table_[Cell(row, cols[row])] += count;
+  }
+  total_ += count;
+}
+
+uint64_t CountMinSketch::EstimateAt(std::span<const uint32_t> cols) const {
+  assert(cols.size() == depth_);
+  uint64_t best = UINT64_MAX;
+  for (uint32_t row = 0; row < depth_; ++row) {
+    best = std::min(best, table_[Cell(row, cols[row])]);
   }
   return best == UINT64_MAX ? 0 : best;
 }

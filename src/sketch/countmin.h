@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -29,6 +30,14 @@ class CountMinSketch {
   /// Point estimate of the item's frequency (never underestimates).
   uint64_t EstimateCount(std::string_view item) const;
 
+  /// The item's counter column in each row; `cols` holds depth() entries.
+  /// A caller that sees the same item again may keep its columns and call
+  /// AddAt / EstimateAt instead of rehashing the bytes.
+  void Columns(std::string_view item, std::span<uint32_t> cols) const;
+  /// Add and EstimateCount for the item whose Columns are `cols`.
+  void AddAt(std::span<const uint32_t> cols, uint64_t count = 1);
+  uint64_t EstimateAt(std::span<const uint32_t> cols) const;
+
   /// Total weight added.
   uint64_t TotalCount() const { return total_; }
 
@@ -43,6 +52,13 @@ class CountMinSketch {
   double ErrorBound() const;
 
  private:
+  /// The item's column in `row`: the one place an item is hashed.
+  uint32_t Column(std::string_view item, uint32_t row) const;
+  /// The index in table_ of the counter at (row, col).
+  size_t Cell(uint32_t row, uint32_t col) const {
+    return size_t(row) * width_ + col;
+  }
+
   uint32_t depth_;
   uint32_t width_;
   uint64_t seed_;

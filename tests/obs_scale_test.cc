@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <deque>
 #include <map>
 #include <string>
@@ -515,6 +516,75 @@ TEST(FlameTest, TopKBySelfIsDeterministicWithLexicalTieBreak) {
   EXPECT_EQ(top[1].first, "root;bb");
 }
 
+TEST(FlameTest, FoldIsExactWhenASymbolAddressChangesMeaning) {
+  // A three-span trace (root with a tenant, a child, a grandchild) whose
+  // names come from wherever the caller's Interned points.
+  auto make = [](uint64_t trace, const Interned& root, const Interned& child,
+                 const Interned& grandchild) {
+    std::vector<Span> spans;
+    spans.push_back(MakeSpan(1, 0, trace, "", 0, 100));
+    spans.push_back(MakeSpan(2, 1, trace, "", 10, 60, "exec"));
+    spans.push_back(MakeSpan(3, 2, trace, "", 20, 40, "queue"));
+    spans[0].name = root;
+    spans[1].name = child;
+    spans[2].name = grandchild;
+    spans[0].attrs.Set(kTenantAttr, "t" + std::to_string(trace % 2));
+    return spans;
+  };
+  auto plain = [](const std::string& s) {
+    Interned i;
+    i = s;  // the global table
+    return i;
+  };
+
+  // One string renamed between folds: the address a symbol-keyed index
+  // saw stands for another name, as when a freed table's address is reused.
+  std::string symbol = "alpha";
+  const Interned reused(&symbol);
+  // A tracer's own table holds the same names at other addresses.
+  sim::Simulation sim;
+  Tracer tracer(&sim);
+  auto root = tracer.EmitSpan("alpha", "t", {}, 0, 100);
+  auto child = tracer.EmitSpan("exec", "t", root, 10, 60);
+  tracer.EmitSpan("alpha", "t", child, 20, 40);
+  const Interned own_alpha = tracer.spans()[0].name;
+  const Interned own_exec = tracer.spans()[1].name;
+  ASSERT_NE(&own_alpha.str(), &plain("alpha").str());
+
+  FlameProfile flame;
+  FlameProfile reference;
+  const char* names[] = {"alpha", "beta", "exec", "alpha", "gamma"};
+  uint64_t trace = 0;
+  for (const char* name : names) {
+    symbol = name;
+    ++trace;
+    flame.FoldTrace(make(trace, reused, plain("exec"), reused));
+    reference.FoldTrace(make(trace, plain(name), plain("exec"), plain(name)));
+    ++trace;
+    flame.FoldTrace(make(trace, own_alpha, reused, own_exec));
+    reference.FoldTrace(
+        make(trace, plain("alpha"), plain(name), plain("exec")));
+  }
+
+  ASSERT_EQ(flame.paths().size(), reference.paths().size());
+  for (const auto& [path, stat] : reference.paths()) {
+    ASSERT_TRUE(flame.paths().count(path)) << path;
+    const PathStat& got = flame.paths().at(path);
+    EXPECT_EQ(got.count, stat.count) << path;
+    EXPECT_EQ(got.total_us, stat.total_us) << path;
+    EXPECT_EQ(got.self_us, stat.self_us) << path;
+  }
+  EXPECT_TRUE(reference.paths().count("beta;exec;beta"));
+  EXPECT_TRUE(reference.paths().count("exec;exec;exec"));
+  EXPECT_EQ(FormatRootAggregates(flame.by_root()),
+            FormatRootAggregates(reference.by_root()));
+  EXPECT_EQ(flame.by_root().size(), 4u);  // alpha, beta, exec, gamma
+  EXPECT_EQ(FormatRootAggregates(flame.by_tenant()),
+            FormatRootAggregates(reference.by_tenant()));
+  EXPECT_EQ(flame.ExportText(), reference.ExportText());
+  EXPECT_EQ(flame.folded_spans(), reference.folded_spans());
+}
+
 TEST(FlameTest, AggregatesIdenticalRegardlessOfSamplingRate) {
   auto run = [](double head_rate) {
     sim::Simulation sim;
@@ -630,16 +700,50 @@ struct NaiveTrack {
   }
 };
 
+/// A seeded SLO event stream: repeated timestamps, optionally back-dated
+/// events (which the engine clamps), and tenants that, against an objective
+/// with max_tenant_series = 2, force demotions. 1,500 events about 10.5 us
+/// apart against a 3,000 us longest window make each track's window compact
+/// (drop its aged-out prefix) several times.
+struct SloStream {
+  static constexpr int kEvents = 1500;
+  static constexpr SimDuration kMaxWindow = 3000;
+
+  Rng rng;
+  bool back_date;
+  SimTime t = 0;
+  SimTime last = 0;
+  // The next event.
+  SimTime sent = 0;  ///< The timestamp passed to Record.
+  SimTime at = 0;    ///< After the engine's clamp.
+  std::string tenant;
+  SimDuration latency = 0;
+  bool ok = false;
+
+  SloStream(uint64_t seed, bool clamp_some)
+      : rng(seed), back_date(clamp_some) {}
+
+  void Next() {
+    static const char* kTenants[] = {"",   "t0", "t0", "t0",
+                                     "t1", "t1", "t2", "t3"};
+    t += SimTime(rng.NextBounded(4)) * 7;
+    sent = t;
+    if (back_date && rng.NextBool(0.1)) {
+      sent = t - SimTime(rng.NextBounded(60));
+    }
+    at = std::max(sent, last);
+    last = at;
+    tenant = kTenants[rng.NextBounded(8)];
+    latency = SimDuration(rng.NextBounded(80));
+    ok = rng.NextBool(0.85);
+  }
+};
+
 TEST(SloTest, WindowBurnMatchesNaiveScan) {
-  // 1,500 events about 10.5 us apart against a 3,000 us longest window:
-  // the aggregate tracks' windows compact (drop their aged-out prefix) four
-  // times per run and the long-tail track's about three times, so the burn
-  // reads span compactions.
-  constexpr SimDuration kMaxWindow = 3000;  // ticket's long window
+  constexpr SimDuration kMaxWindow = SloStream::kMaxWindow;
   const std::vector<BurnRatePolicy> policies = {
       {"page", 1000, 100, 5.0}, {"ticket", kMaxWindow, 300, 2.0}};
   const SimDuration windows[] = {50, 100, 1000, kMaxWindow, 5000};
-  const char* tenants[] = {"", "t0", "t0", "t0", "t1", "t1", "t2", "t3"};
 
   auto run = [&](uint64_t seed, bool back_date) {
     SloEngine slo;
@@ -654,24 +758,15 @@ TEST(SloTest, WindowBurnMatchesNaiveScan) {
     NaiveTrack avail;
     NaiveTrack lat_agg;
     std::map<std::string, NaiveTrack> lat_tenants;
-    Rng rng(seed);
-    SimTime t = 0;
-    SimTime last = 0;
-    for (int i = 0; i < 1500; ++i) {
-      // Repeated timestamps are common; a back-dated event is clamped.
-      t += SimTime(rng.NextBounded(4)) * 7;
-      SimTime sent = t;
-      if (back_date && rng.NextBool(0.1)) {
-        sent = t - SimTime(rng.NextBounded(60));
-      }
-      const SimTime at = std::max(sent, last);  // the engine's clamp
-      last = at;
-      const std::string tenant = tenants[rng.NextBounded(8)];
-      const SimDuration latency = SimDuration(rng.NextBounded(80));
-      const bool ok = rng.NextBool(0.85);
-      const bool lat_good = ok && latency <= 50;
+    SloStream stream(seed, back_date);
+    for (int i = 0; i < SloStream::kEvents; ++i) {
+      stream.Next();
+      const SimTime at = stream.at;
+      const std::string& tenant = stream.tenant;
+      const bool ok = stream.ok;
+      const bool lat_good = ok && stream.latency <= 50;
 
-      slo.Record("svc", tenant, sent, latency, ok);
+      slo.Record("svc", tenant, stream.sent, stream.latency, ok);
       const auto after = slo.MaterializedTenants("lat");
       // Demoted tenants lose their track; new tracks (a newly materialized
       // tenant, or kOtherTenant made by a demotion) start empty.
@@ -703,6 +798,148 @@ TEST(SloTest, WindowBurnMatchesNaiveScan) {
     }
     EXPECT_GT(slo.TenantDemotions("lat"), 0u);
     EXPECT_EQ(slo.clamped_events() > 0, back_date);
+  };
+  run(11, false);
+  run(12, false);
+  run(13, true);
+}
+
+TEST(SloTest, AlertLogMatchesNaiveEvaluation) {
+  constexpr SimDuration kMaxWindow = SloStream::kMaxWindow;
+  // Two policies named "page" share one alert flag; "instant" has a 0 us
+  // long window (burn 0, threshold 0: it fires once and stays firing);
+  // "ticket" and "sustained" have windows equal to the longest.
+  const std::vector<BurnRatePolicy> policies = {
+      {"page", 1000, 100, 5.0},
+      {"ticket", kMaxWindow, 300, 2.0},
+      {"page", 300, 30, 12.0},
+      {"instant", 0, 200, 0.0},
+      {"sustained", 2000, kMaxWindow, 4.0}};
+
+  /// One engine track rebuilt by the test: its kept events, rescanned for
+  /// every policy, and its alert state by policy name.
+  struct RefTrack {
+    NaiveTrack events;
+    std::map<std::string, bool> firing;
+  };
+  auto burn = [](const NaiveTrack& tr, double target, SimDuration window_us,
+                 SimTime now_us) {
+    uint64_t total = 0;
+    uint64_t bad = 0;
+    for (const auto& [at_us, good] : tr.events) {
+      if (at_us <= now_us - window_us) continue;
+      ++total;
+      if (!good) ++bad;
+    }
+    if (total == 0) return 0.0;
+    return double(bad) / double(total) / (1.0 - target);
+  };
+
+  auto run = [&](uint64_t seed, bool back_date) {
+    SloEngine slo;
+    slo.AllowClockRegression(back_date);
+    slo.AddObjective(Availability("avail", 0.99, policies));
+    SloObjective lat = Availability("lat", 0.9, policies);
+    lat.latency_budget_us = 50;
+    lat.per_tenant = true;
+    lat.max_tenant_series = 2;
+    slo.AddObjective(lat);
+
+    std::vector<AlertEvent> ref;
+    auto score = [&](RefTrack* tr, const std::string& objective,
+                     double target, const std::string& tenant, SimTime at,
+                     bool good) {
+      tr->events.Push(at, good, kMaxWindow);
+      for (const BurnRatePolicy& p : policies) {
+        const double burn_long = burn(tr->events, target, p.long_window_us, at);
+        const double burn_short =
+            burn(tr->events, target, p.short_window_us, at);
+        const bool fire =
+            burn_long >= p.burn_threshold && burn_short >= p.burn_threshold;
+        bool& firing = tr->firing[p.name];
+        if (fire == firing) continue;
+        firing = fire;
+        ref.push_back(
+            {at, objective, p.name, tenant, fire, burn_long, burn_short});
+      }
+    };
+
+    RefTrack avail;
+    RefTrack lat_agg;
+    std::map<std::string, RefTrack> lat_tenants;
+    SloStream stream(seed, back_date);
+    size_t checked = 0;
+    for (int i = 0; i < SloStream::kEvents; ++i) {
+      stream.Next();
+      const SimTime at = stream.at;
+      slo.Record("svc", stream.tenant, stream.sent, stream.latency, stream.ok);
+
+      // Objectives score in name order, the aggregate before the tenant; a
+      // demotion clears the victim's firing alerts (in policy-name order)
+      // before the tenant's track scores.
+      score(&avail, "avail", 0.99, "", at, stream.ok);
+      const bool lat_good = stream.ok && stream.latency <= 50;
+      score(&lat_agg, "lat", 0.9, "", at, lat_good);
+      const auto after = slo.MaterializedTenants("lat");
+      for (auto it = lat_tenants.begin(); it != lat_tenants.end();) {
+        if (std::find(after.begin(), after.end(), it->first) != after.end()) {
+          ++it;
+          continue;
+        }
+        for (const auto& [policy, firing] : it->second.firing) {
+          if (!firing) continue;
+          ref.push_back({at, "lat", policy, it->first, false, 0, 0});
+        }
+        it = lat_tenants.erase(it);
+      }
+      const bool own_track = !stream.tenant.empty() &&
+                             std::find(after.begin(), after.end(),
+                                       stream.tenant) != after.end();
+      const std::string track = own_track ? stream.tenant : kOtherTenant;
+      score(&lat_tenants[track], "lat", 0.9, track, at, lat_good);
+
+      // Edges before `checked` matched after an earlier event.
+      const std::vector<AlertEvent>& got = slo.alerts();
+      ASSERT_EQ(got.size(), ref.size()) << "event " << i;
+      for (size_t k = checked; k < ref.size(); ++k) {
+        const AlertEvent& a = got[k];
+        const AlertEvent& b = ref[k];
+        ASSERT_EQ(a.at_us, b.at_us) << "edge " << k;
+        ASSERT_EQ(a.objective, b.objective) << "edge " << k;
+        ASSERT_EQ(a.policy, b.policy) << "edge " << k;
+        ASSERT_EQ(a.tenant, b.tenant) << "edge " << k;
+        ASSERT_EQ(a.firing, b.firing) << "edge " << k;
+        ASSERT_EQ(std::bit_cast<uint64_t>(a.burn_long),
+                  std::bit_cast<uint64_t>(b.burn_long))
+            << "edge " << k;
+        ASSERT_EQ(std::bit_cast<uint64_t>(a.burn_short),
+                  std::bit_cast<uint64_t>(b.burn_short))
+            << "edge " << k;
+      }
+      checked = ref.size();
+    }
+    EXPECT_GT(slo.TenantDemotions("lat"), 0u);
+    EXPECT_EQ(slo.clamped_events() > 0, back_date);
+    // The stream exercises both edge directions, tenant edges and
+    // demotion clears.
+    size_t rising = 0;
+    size_t tenant_edges = 0;
+    for (const AlertEvent& a : ref) {
+      rising += a.firing ? 1 : 0;
+      tenant_edges += a.tenant.empty() ? 0 : 1;
+    }
+    EXPECT_GT(rising, 10u);
+    EXPECT_GT(ref.size() - rising, 10u);
+    EXPECT_GT(tenant_edges, 10u);
+    for (const auto& [name, tr] : lat_tenants) {
+      for (const auto& [policy, firing] : tr.firing) {
+        EXPECT_EQ(slo.IsTenantFiring("lat", name, policy), firing)
+            << name << "/" << policy;
+      }
+    }
+    for (const auto& [policy, firing] : avail.firing) {
+      EXPECT_EQ(slo.IsFiring("avail", policy), firing) << policy;
+    }
   };
   run(11, false);
   run(12, false);

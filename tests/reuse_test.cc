@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <list>
 #include <map>
 #include <memory>
@@ -664,6 +665,86 @@ TEST(ReuseLayerTest, RecurrenceNeverUndercounts) {
   const CachedResult* e = layer.Lookup(key, 1);
   ASSERT_NE(e, nullptr);
   EXPECT_GE(e->recurrence, 7u);
+}
+
+TEST(ReuseLayerTest, RecurrenceMatchesStringSketch) {
+  // The layer counts each key at its memoized sketch columns; a CountMin
+  // sketch fed the string key `function + 0x1f + 16 hex digits` must agree
+  // at every step, also for keys that share a memo slot and evict each
+  // other.
+  ReuseLayer layer;
+  sketch::CountMinSketch reference(/*depth=*/4, /*width=*/4096, /*seed=*/17);
+  struct Request {
+    std::string function;
+    ContentKey key;
+  };
+  const std::string functions[] = {"fn", "resize-image", "f"};
+  std::vector<Request> pool;
+  for (int i = 0; i < 240; ++i) {
+    const std::string& fn = functions[i % 3];
+    pool.push_back({fn, layer.Key(fn, "p" + std::to_string(i))});
+  }
+  // Pairs of pool keys in one slot, found with the memo's own slot map.
+  std::vector<std::pair<size_t, size_t>> shared;
+  std::map<size_t, size_t> by_slot;
+  for (size_t i = 0; i < pool.size(); ++i) {
+    auto [it, fresh] =
+        by_slot.try_emplace(ReuseLayer::SketchMemoSlot(pool[i].key), i);
+    if (!fresh) shared.push_back({it->second, i});
+  }
+  ASSERT_GE(shared.size(), 3u);
+  bool cross_function = false;
+  for (const auto& [a, b] : shared) {
+    cross_function |= pool[a].function != pool[b].function;
+  }
+  EXPECT_TRUE(cross_function);
+  // And one payload whose keys under two functions share a slot: the
+  // slot's key differs only in its function.
+  for (int j = 0; j < 100000; ++j) {
+    const std::string payload = "q" + std::to_string(j);
+    const ContentKey a = layer.Key("fn", payload);
+    const ContentKey b = layer.Key("f", payload);
+    if (ReuseLayer::SketchMemoSlot(a) != ReuseLayer::SketchMemoSlot(b)) {
+      continue;
+    }
+    shared.push_back({pool.size(), pool.size() + 1});
+    pool.push_back({"fn", a});
+    pool.push_back({"f", b});
+    break;
+  }
+  ASSERT_EQ(pool.size(), 242u);
+
+  auto item = [](const Request& r) {
+    char hex[17];
+    std::snprintf(hex, sizeof(hex), "%016llx",
+                  static_cast<unsigned long long>(r.key.payload_hash));
+    return r.function + '\x1f' + hex;
+  };
+  auto note = [&](const Request& r) {
+    layer.NoteRequest(r.key);
+    reference.Add(item(r));
+    ASSERT_EQ(layer.Recurrence(r.key), reference.EstimateCount(item(r)));
+  };
+  Rng rng(2024);
+  for (int i = 0; i < 4000; ++i) {
+    if (rng.NextBool(0.2)) {
+      // Two keys of one slot, alternating.
+      const auto [a, b] = shared[rng.NextBounded(shared.size())];
+      for (int k = 0; k < 4; ++k) note(pool[k % 2 == 0 ? a : b]);
+    } else {
+      note(pool[rng.NextBounded(pool.size())]);
+    }
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  for (const Request& r : pool) {
+    EXPECT_EQ(layer.Recurrence(r.key), reference.EstimateCount(item(r)));
+  }
+  // Offer stamps the same estimate onto the cached entry.
+  const Request& hot = pool[shared[0].first];
+  layer.Offer(hot.key, {Status::OK(), "v", /*exec_us=*/100}, 0);
+  const CachedResult* e = layer.Lookup(hot.key, 1);
+  ASSERT_NE(e, nullptr);
+  EXPECT_EQ(e->recurrence, reference.EstimateCount(item(hot)));
 }
 
 TEST(ReuseLayerTest, ApproxGateFollowsBurnRate) {

@@ -6,6 +6,7 @@
 #include <set>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "common/rng.h"
 #include "sketch/bloom.h"
@@ -91,6 +92,37 @@ TEST(CountMinTest, MergeRejectsMismatchedShapes) {
   EXPECT_TRUE(a.Merge(b).IsInvalidArgument());
   EXPECT_TRUE(a.Merge(c).IsInvalidArgument());
   EXPECT_TRUE(a.Merge(d).IsInvalidArgument());
+}
+
+TEST(CountMinTest, ColumnsMatchStringPath) {
+  // Twin sketches, one fed item bytes and one fed each item's memoized
+  // columns, hold the same counters at every step.
+  for (uint32_t depth : {1u, 4u, 7u}) {
+    CountMinSketch by_item(depth, 97, /*seed=*/5);
+    CountMinSketch by_cols(depth, 97, /*seed=*/5);
+    std::map<std::string, std::vector<uint32_t>> memo;
+    Rng rng(depth);
+    ZipfGenerator zipf(300, 0.9);
+    for (int i = 0; i < 5000; ++i) {
+      const std::string k = Key(zipf.Next(&rng));
+      const uint64_t n = 1 + rng.NextBounded(3);
+      auto [it, fresh] = memo.try_emplace(k, depth);
+      if (fresh) by_cols.Columns(k, it->second);
+      by_item.Add(k, n);
+      by_cols.AddAt(it->second, n);
+      ASSERT_EQ(by_cols.EstimateAt(it->second), by_item.EstimateCount(k));
+    }
+    EXPECT_EQ(by_cols.TotalCount(), by_item.TotalCount());
+    for (const auto& [k, cols] : memo) {
+      EXPECT_EQ(by_cols.EstimateAt(cols), by_item.EstimateCount(k)) << k;
+      EXPECT_EQ(by_cols.EstimateCount(k), by_item.EstimateCount(k)) << k;
+      for (uint32_t col : cols) EXPECT_LT(col, 97u);
+    }
+    for (int i = 0; i < 200; ++i) {  // items never added
+      const std::string k = "absent-" + std::to_string(i);
+      EXPECT_EQ(by_cols.EstimateCount(k), by_item.EstimateCount(k)) << k;
+    }
+  }
 }
 
 TEST(CountMinTest, PaperFigure3Usage) {
