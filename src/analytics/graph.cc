@@ -69,10 +69,6 @@ Graph Graph::Chain(uint32_t n) {
   return g;
 }
 
-void VertexContext::Send(uint32_t target, double message) {
-  outbox_->emplace_back(target, message);
-}
-
 void VertexContext::SendToAllNeighbors(double message) {
   for (uint32_t t : *neighbors_) outbox_->emplace_back(t, message);
 }

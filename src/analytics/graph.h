@@ -39,7 +39,6 @@ class VertexContext {
   uint32_t superstep() const { return superstep_; }
   const std::vector<uint32_t>& neighbors() const { return *neighbors_; }
 
-  void Send(uint32_t target, double message);
   void SendToAllNeighbors(double message);
   void VoteToHalt() { halted_ = true; }
 

@@ -9,9 +9,9 @@
 //               `half_open_successes` consecutive probe successes close the
 //               breaker, one failure re-opens it.
 //
-// State transitions can be surfaced as obs metrics via BindMetrics so any
-// embedder (server pool, broker, controller) exports trip/half-open/close
-// counts and the live state without bespoke plumbing.
+// State transitions can be surfaced as obs metrics via BindMetrics, which
+// exports trip/half-open/close counts and the live state under a prefix the
+// caller picks.
 #pragma once
 
 #include <cstdint>
@@ -52,13 +52,6 @@ class CircuitBreaker {
     epoch_provider_ = std::move(provider);
   }
 
-  /// Live re-configuration (a ctrl subscription in the embedder lands
-  /// here); the current state machine position is untouched, the new
-  /// bounds govern from the next decision on.
-  void SetHalfOpenProbes(int probes) { config_.half_open_probes = probes; }
-  void SetFailureThreshold(int threshold) {
-    config_.failure_threshold = threshold;
-  }
   const Config& config() const { return config_; }
 
   /// True when the request may proceed at `now`; false = shed it.

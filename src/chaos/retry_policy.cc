@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 namespace taureau::chaos {
 
@@ -18,18 +17,6 @@ SimDuration RetryPolicy::BackoffFor(int failed_attempt, Rng* rng) const {
     backoff *= rng->NextDouble(1.0 - jitter, 1.0 + jitter);
   }
   return static_cast<SimDuration>(std::max(0.0, backoff));
-}
-
-std::string RetryPolicy::ToString() const {
-  char buf[96];
-  if (initial_backoff_us <= 0) {
-    std::snprintf(buf, sizeof(buf), "%dx immediate", max_attempts);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%dx exp(%.0fms..%.1fs, x%.1f, j%.1f)",
-                  max_attempts, ToMillis(initial_backoff_us),
-                  ToSeconds(max_backoff_us), multiplier, jitter);
-  }
-  return buf;
 }
 
 }  // namespace taureau::chaos

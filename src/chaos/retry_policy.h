@@ -6,8 +6,6 @@
 // Jitter draws from the caller's Rng so retry schedules stay reproducible.
 #pragma once
 
-#include <string>
-
 #include "common/rng.h"
 #include "common/time_types.h"
 
@@ -52,9 +50,6 @@ struct RetryPolicy {
   /// Deterministic given the Rng's stream position; rng may be null when
   /// jitter == 0.
   SimDuration BackoffFor(int failed_attempt, Rng* rng) const;
-
-  /// "3x exp(10ms..10s, x2.0, j0.2)" — for experiment tables.
-  std::string ToString() const;
 };
 
 }  // namespace taureau::chaos

@@ -44,15 +44,6 @@ void Summary::Merge(const Summary& other) {
   max_ = std::max(max_, other.max_);
 }
 
-std::string Summary::ToString() const {
-  char buf[160];
-  std::snprintf(buf, sizeof(buf),
-                "n=%llu mean=%.3g stddev=%.3g min=%.3g max=%.3g",
-                static_cast<unsigned long long>(count_), mean(), stddev(),
-                min(), max());
-  return buf;
-}
-
 Histogram::Histogram(double max_value) : max_value_(max_value) {
   const int exponents =
       static_cast<int>(std::ceil(std::log2(std::max(max_value_, 2.0)))) + 1;

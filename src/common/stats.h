@@ -26,8 +26,6 @@ class Summary {
   /// Merges another summary into this one (parallel Welford).
   void Merge(const Summary& other);
 
-  std::string ToString() const;
-
  private:
   uint64_t count_ = 0;
   double mean_ = 0.0;

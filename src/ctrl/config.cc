@@ -137,20 +137,6 @@ Status ConfigStore::Watch(const std::string& key, Watcher watcher) {
   return Status::OK();
 }
 
-std::string ConfigStore::ExportText() const {
-  std::string out;
-  char buf[64];
-  for (const auto& [key, e] : entries_) {
-    out += key;
-    out += " = ";
-    out += e.value.ToString();
-    std::snprintf(buf, sizeof(buf), " (v%" PRIu64 " @%lld)\n", e.version,
-                  static_cast<long long>(e.updated_at_us));
-    out += buf;
-  }
-  return out;
-}
-
 // ---------------------------------------------------------------------------
 // Subscription
 

@@ -1,11 +1,10 @@
 // taureau::ctrl — the live control plane (E28): a deterministic, versioned
 // dynamic-config service in the LaunchDarkly client/server-store shape.
 //
-// ROADMAP item 4: every policy knob (keep-alive, admission thresholds,
-// retry budgets, hedge delay, breaker probes, capacity thresholds) was
-// frozen at construction, so the platform could neither adapt mid-run nor
-// reproduce the classic config-change-induced outage. This module makes
-// those knobs *live*:
+// Policy knobs (keep-alive, retry budgets, hedge delay, reuse and prewarm
+// targets) would otherwise be frozen at construction, so the platform could
+// neither adapt mid-run nor reproduce the classic config-change-induced
+// outage. This module makes those knobs *live*:
 //
 //   - ConfigStore: typed, versioned entries. Every applied change bumps a
 //     store-wide monotonic version; watchers fire in registration order,
@@ -24,11 +23,11 @@
 //     version-order guarantee, corrupted payloads are rejected by the
 //     typed store's validation and counted as masked faults.
 //
-// Modules wire in via AttachControl(ConfigService*, scope): they define
-// their keys (defaults = their constructed config) and subscribe setters;
-// see guard/faas/pubsub/jiffy. All single-threaded per simulation, like
-// every other module; under psim each shard owns its own service and
-// cross-shard pushes travel as psim::Post events.
+// Modules wire in via AttachControl(ConfigService*): they define their keys
+// (defaults = their constructed config) and subscribe setters; see guard,
+// faas (keep-alive and the prewarmer) and reuse. All single-threaded per
+// simulation, like every other module; under psim each shard owns its own
+// service and cross-shard pushes travel as psim::Post events.
 #pragma once
 
 #include <cstdint>
@@ -158,8 +157,6 @@ class ConfigStore {
   Status Watch(const std::string& key, Watcher watcher);
 
   size_t size() const { return entries_.size(); }
-  /// Deterministic one-line-per-entry dump (key order).
-  std::string ExportText() const;
 
  private:
   std::map<std::string, ConfigEntry> entries_;

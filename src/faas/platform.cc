@@ -945,33 +945,13 @@ void FaasPlatform::OnHedgeResult(std::shared_ptr<HedgeState> hs,
   if (hs->cb) hs->cb(out);
 }
 
-void FaasPlatform::AttachControl(ctrl::ConfigService* service,
-                                 const std::string& scope) {
+void FaasPlatform::AttachControl(ctrl::ConfigService* service) {
   (void)service->EnsureDefined(
       {.key = "faas.keep_alive_us",
        .default_value = ctrl::ConfigValue::Int(config_.keep_alive_us),
        .min_value = 0.0,
        .max_value = 24.0 * 3600 * kSecond,
        .description = "idle warm-container retention before teardown"});
-  (void)service->EnsureDefined(
-      {.key = "faas.max_concurrency",
-       .default_value = ctrl::ConfigValue::Int(int64_t(config_.max_concurrency)),
-       .min_value = 1.0,
-       .max_value = 1e9,
-       .description = "account-level cap on concurrently live containers"});
-  (void)service->EnsureDefined(
-      {.key = "faas.admission.max_queue_depth",
-       .default_value =
-           ctrl::ConfigValue::Int(int64_t(config_.admission.max_queue_depth)),
-       .min_value = 0.0,
-       .max_value = 1e9,
-       .description = "platform admission queue-depth bound (0 = unbounded)"});
-  (void)service->EnsureDefined(
-      {.key = "faas.admission.max_wait_us",
-       .default_value = ctrl::ConfigValue::Int(config_.admission.max_wait_us),
-       .min_value = 0.0,
-       .max_value = 24.0 * 3600 * kSecond,
-       .description = "platform admission estimated-wait bound (0 = unbounded)"});
   // Existing keep-alive timers keep their scheduled teardown; the new
   // retention governs containers going idle from now on (safe point:
   // between events, never mid-decision).
@@ -979,33 +959,7 @@ void FaasPlatform::AttachControl(ctrl::ConfigService* service,
       "faas.keep_alive_us",
       [this](const ctrl::ConfigUpdate& u) {
         config_.keep_alive_us = u.value.as_int();
-      },
-      scope);
-  service->Subscribe(
-      "faas.max_concurrency",
-      [this](const ctrl::ConfigUpdate& u) {
-        const size_t next = size_t(u.value.as_int());
-        const bool raised = next > config_.max_concurrency;
-        config_.max_concurrency = next;
-        if (raised) DrainPending();  // new headroom may admit queued work
-      },
-      scope);
-  service->Subscribe(
-      "faas.admission.max_queue_depth",
-      [this](const ctrl::ConfigUpdate& u) {
-        admission_.SetLimits(size_t(u.value.as_int()),
-                             config_.admission.max_wait_us);
-        config_.admission.max_queue_depth = size_t(u.value.as_int());
-      },
-      scope);
-  service->Subscribe(
-      "faas.admission.max_wait_us",
-      [this](const ctrl::ConfigUpdate& u) {
-        config_.admission.max_wait_us = u.value.as_int();
-        admission_.SetLimits(config_.admission.max_queue_depth,
-                             u.value.as_int());
-      },
-      scope);
+      });
 }
 
 void FaasPlatform::AttachChaos(chaos::InjectorRegistry* registry) {

@@ -225,16 +225,12 @@ class FaasPlatform {
   reuse::ReuseLayer* reuse() { return reuse_; }
 
   // ------------------------------------------------------------- ctrl
-  /// Wires the platform's policy knobs to live config: defines
-  /// "faas.keep_alive_us", "faas.max_concurrency",
-  /// "faas.admission.max_queue_depth" and "faas.admission.max_wait_us"
-  /// (defaults = the constructed config) and subscribes setters that
-  /// apply at the service's push safe points. A non-empty `scope`
-  /// subscribes target-scoped, so a staged rollout can canary this
-  /// platform alone. Raising max_concurrency drains the throttle queue
-  /// into the new headroom immediately.
-  void AttachControl(ctrl::ConfigService* service,
-                     const std::string& scope = std::string());
+  /// Wires keep-alive to live config: defines "faas.keep_alive_us"
+  /// (default = the constructed config) and subscribes a setter that
+  /// applies at the service's push safe points. Containers that go idle
+  /// after the push are retained for the new duration; a container that
+  /// was already idle keeps its scheduled teardown.
+  void AttachControl(ctrl::ConfigService* service);
 
   // ------------------------------------------------------------- chaos
   /// Registers container-kill, machine-crash and network-delay hooks under

@@ -32,8 +32,7 @@ Result<uint64_t> Prewarmer::Invoke(std::string payload, InvokeCallback cb) {
   return platform_->Invoke(function_, std::move(payload), std::move(cb));
 }
 
-void Prewarmer::AttachControl(ctrl::ConfigService* service,
-                              const std::string& scope) {
+void Prewarmer::AttachControl(ctrl::ConfigService* service) {
   if (service == nullptr) return;
   (void)service->EnsureDefined(
       {.key = "faas.prewarm.max_prewarmed",
@@ -52,14 +51,12 @@ void Prewarmer::AttachControl(ctrl::ConfigService* service,
       "faas.prewarm.max_prewarmed",
       [this](const ctrl::ConfigUpdate& u) {
         config_.max_prewarmed = uint32_t(u.value.as_int());
-      },
-      scope);
+      });
   service->Subscribe(
       "faas.prewarm.headroom",
       [this](const ctrl::ConfigUpdate& u) {
         config_.headroom = u.value.AsNumber();
-      },
-      scope);
+      });
 }
 
 bool Prewarmer::Tick() {

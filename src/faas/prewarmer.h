@@ -64,9 +64,7 @@ class Prewarmer {
   /// "faas.prewarm.max_prewarmed" (cap on idle pre-warmed containers) and
   /// "faas.prewarm.headroom" (forecast multiplier). Pushes apply at the
   /// service's safe points and take effect on the next control-loop tick.
-  /// A non-empty `scope` subscribes target-scoped for canaried rollouts.
-  void AttachControl(ctrl::ConfigService* service,
-                     const std::string& scope = std::string());
+  void AttachControl(ctrl::ConfigService* service);
 
  private:
   bool Tick();

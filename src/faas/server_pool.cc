@@ -8,43 +8,6 @@ ServerPool::ServerPool(sim::Simulation* sim, ServerPoolConfig config)
       breaker_(config.breaker),
       admission_(config.admission) {}
 
-void ServerPool::AttachControl(ctrl::ConfigService* service,
-                               const std::string& scope) {
-  (void)service->EnsureDefined(
-      {.key = "pool.breaker.half_open_probes",
-       .default_value =
-           ctrl::ConfigValue::Int(config_.breaker.half_open_probes),
-       .min_value = 1.0,
-       .max_value = 1e6,
-       .description = "breaker probes admitted while half-open"});
-  (void)service->EnsureDefined(
-      {.key = "pool.breaker.failure_threshold",
-       .default_value =
-           ctrl::ConfigValue::Int(config_.breaker.failure_threshold),
-       .min_value = 1.0,
-       .max_value = 1e6,
-       .description = "consecutive failures that trip the breaker"});
-  service->Subscribe(
-      "pool.breaker.half_open_probes",
-      [this](const ctrl::ConfigUpdate& u) {
-        config_.breaker.half_open_probes = int(u.value.as_int());
-        breaker_.SetHalfOpenProbes(int(u.value.as_int()));
-      },
-      scope);
-  service->Subscribe(
-      "pool.breaker.failure_threshold",
-      [this](const ctrl::ConfigUpdate& u) {
-        config_.breaker.failure_threshold = int(u.value.as_int());
-        breaker_.SetFailureThreshold(int(u.value.as_int()));
-      },
-      scope);
-}
-
-void ServerPool::AttachObservability(obs::Observability* o) {
-  if (o == nullptr) return;
-  breaker_.BindMetrics(&o->registry, "pool");
-}
-
 bool ServerPool::Submit(SimDuration service_us, Callback cb,
                         guard::Deadline deadline) {
   const SimTime now = sim_->Now();
@@ -61,7 +24,6 @@ bool ServerPool::Submit(SimDuration service_us, Callback cb,
                                     now);
     if (decision != guard::AdmissionDecision::kAdmit) {
       ++shed_requests_;
-      if (guard_ != nullptr) guard_->RecordShed("pool", decision, {}, now);
       if (shed_handler_) shed_handler_(service_us);
       return false;
     }
@@ -109,10 +71,6 @@ void ServerPool::StartNext() {
     // burn a slot the caller has already given up on.
     if (config_.enable_admission && req.deadline.Expired(sim_->Now())) {
       ++deadline_expired_;
-      if (guard_ != nullptr) {
-        guard_->RecordDeadlineExceeded("pool", {}, req.submit_us,
-                                       sim_->Now());
-      }
       continue;
     }
     Begin(std::move(req));

@@ -1,7 +1,7 @@
 // Server-centric baseline (paper §2: "the server-centric model, where the
 // users have to reserve server resources regardless of whether or not they
 // use it"). A fixed pool of always-on servers with FIFO queueing — the
-// comparison point for the billing (E3) and elasticity (E4) experiments.
+// comparison point for the elasticity experiment (E4).
 #pragma once
 
 #include <cstdint>
@@ -12,11 +12,8 @@
 #include "common/money.h"
 #include "common/stats.h"
 #include "common/status.h"
-#include "ctrl/config.h"
 #include "guard/admission.h"
 #include "guard/deadline.h"
-#include "guard/guard.h"
-#include "obs/observability.h"
 #include "sim/simulation.h"
 
 namespace taureau::faas {
@@ -61,19 +58,6 @@ class ServerPool {
   /// function). Without a handler shed requests are simply dropped.
   void set_shed_handler(ShedHandler handler) { shed_handler_ = std::move(handler); }
 
-  /// Shed decisions + admission counters feed the shared guard.
-  void AttachGuard(guard::Guard* g) { guard_ = g; }
-  /// Surfaces breaker state transitions as "pool.breaker_*" metrics.
-  void AttachObservability(obs::Observability* o);
-
-  /// Wires the breaker's probe knobs to live config: defines
-  /// "pool.breaker.half_open_probes" / "pool.breaker.failure_threshold"
-  /// (defaults = the constructed config) and subscribes setters. The
-  /// breaker is the ctrl<->chaos boundary: chaos stays ctrl-free, its
-  /// embedders wire the subscription (see DESIGN.md src/ctrl).
-  void AttachControl(ctrl::ConfigService* service,
-                     const std::string& scope = std::string());
-
   const chaos::CircuitBreaker& breaker() const { return breaker_; }
   const guard::AdmissionController& admission() const { return admission_; }
   uint64_t shed_requests() const { return shed_requests_; }
@@ -110,7 +94,6 @@ class ServerPool {
   ServerPoolConfig config_;
   chaos::CircuitBreaker breaker_;
   guard::AdmissionController admission_;
-  guard::Guard* guard_ = nullptr;
   ShedHandler shed_handler_;
   uint64_t shed_requests_ = 0;
   uint64_t deadline_expired_ = 0;

@@ -61,13 +61,6 @@ class AdmissionController {
   /// Feeds one observed service time into the EWMA.
   void RecordService(SimDuration service_us);
 
-  /// Live re-configuration of the shed bounds (ctrl subscriptions land
-  /// here); the EWMA state and decision counters are untouched.
-  void SetLimits(size_t max_queue_depth, SimDuration max_wait_us) {
-    config_.max_queue_depth = max_queue_depth;
-    config_.max_wait_us = max_wait_us;
-  }
-
   SimDuration expected_service_us() const { return expected_service_; }
   SimDuration ExpectedWait(size_t queue_depth, size_t parallelism) const;
 

@@ -41,20 +41,6 @@ JiffyOp GlobalAddressSpaceStore::Get(const std::string& tenant,
   return {Status::OK(), latency_.Sample(&rng_, fk.size() + value->size())};
 }
 
-JiffyOp GlobalAddressSpaceStore::Remove(const std::string& tenant,
-                                        std::string_view key) {
-  const std::string fk = FullKey(tenant, key);
-  Partition& part = partitions_[PartitionOf(fk)];
-  auto it = part.find(fk);
-  if (it == part.end()) {
-    return {Status::NotFound("key '" + std::string(key) + "'"),
-            latency_.Sample(&rng_, fk.size())};
-  }
-  part.erase(it);
-  --item_count_;
-  return {Status::OK(), latency_.Sample(&rng_, fk.size())};
-}
-
 Result<GlobalAddressSpaceStore::GlobalRepartition>
 GlobalAddressSpaceStore::Resize(uint32_t new_nodes) {
   if (new_nodes == 0) return Status::InvalidArgument("need >= 1 node");

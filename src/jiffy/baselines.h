@@ -33,7 +33,6 @@ class GlobalAddressSpaceStore {
               std::string value);
   JiffyOp Get(const std::string& tenant, std::string_view key,
               std::string* value);
-  JiffyOp Remove(const std::string& tenant, std::string_view key);
 
   /// Scaling the *shared* address space: every tenant's data is subject to
   /// rehashing. Returns the total movement plus a per-tenant breakdown —

@@ -292,23 +292,6 @@ void JiffyController::AttachObservability(obs::Observability* o) {
   }
 }
 
-void JiffyController::AttachControl(ctrl::ConfigService* service,
-                                    const std::string& scope) {
-  (void)service->EnsureDefined(
-      {.key = "jiffy.min_free_block_fraction",
-       .default_value =
-           ctrl::ConfigValue::Double(config_.min_free_block_fraction),
-       .min_value = 0.0,
-       .max_value = 0.5,
-       .description = "free-capacity fraction below which allocations shed"});
-  service->Subscribe(
-      "jiffy.min_free_block_fraction",
-      [this](const ctrl::ConfigUpdate& u) {
-        config_.min_free_block_fraction = u.value.as_double();
-      },
-      scope);
-}
-
 void JiffyController::AttachChaos(chaos::InjectorRegistry* registry) {
   using chaos::FaultKind;
   registry->RegisterHook(

@@ -18,7 +18,6 @@
 
 #include "chaos/injector.h"
 #include "common/status.h"
-#include "ctrl/config.h"
 #include "guard/admission.h"
 #include "guard/deadline.h"
 #include "guard/guard.h"
@@ -130,13 +129,6 @@ class JiffyController {
   /// stream (taureau::guard).
   void AttachGuard(guard::Guard* g) { guard_ = g; }
   const guard::AdmissionController& admission() const { return admission_; }
-
-  /// Wires the capacity threshold to live config: defines
-  /// "jiffy.min_free_block_fraction" (default = the constructed config)
-  /// and subscribes a setter that applies at the service's push safe
-  /// points — the next allocation sees the new pressure bound.
-  void AttachControl(ctrl::ConfigService* service,
-                     const std::string& scope = std::string());
 
   /// Drives block placement from cluster membership (E25): a node the
   /// membership service declares dead has its memory nodes failed and

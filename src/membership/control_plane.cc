@@ -15,11 +15,6 @@ NodeId OwnershipTable::OwnerOf(uint64_t key) const {
   return it == entries_.end() ? kNoNode : it->second.value();
 }
 
-const Versioned<NodeId>* OwnershipTable::Find(uint64_t key) const {
-  auto it = entries_.find(key);
-  return it == entries_.end() ? nullptr : &it->second;
-}
-
 size_t OwnershipTable::CountConflicts(const OwnershipTable& other) const {
   size_t conflicts = 0;
   for (const auto& [key, entry] : entries_) {

@@ -64,7 +64,6 @@ class OwnershipTable {
   void Claim(uint64_t key, NodeId owner, NodeId writer);
   /// Owner of `key`, or kNoNode if unclaimed.
   NodeId OwnerOf(uint64_t key) const;
-  const Versioned<NodeId>* Find(uint64_t key) const;
   size_t size() const { return entries_.size(); }
 
   /// Concurrent claims of *different* owners for the same key — the

@@ -234,10 +234,6 @@ uint64_t MembershipService::IncarnationOf(NodeId observer, NodeId peer) const {
   return nodes_[observer].view[peer].incarnation;
 }
 
-const VectorClock& MembershipService::clock(NodeId observer) const {
-  return nodes_[observer].clock;
-}
-
 size_t MembershipService::AliveCount(NodeId observer) const {
   const NodeState& self = nodes_[observer];
   size_t alive = 0;

@@ -99,7 +99,6 @@ class MembershipService {
   uint64_t epoch(NodeId observer) const;
   MemberState StateOf(NodeId observer, NodeId peer) const;
   uint64_t IncarnationOf(NodeId observer, NodeId peer) const;
-  const VectorClock& clock(NodeId observer) const;
   /// Members the observer currently sees alive (itself included).
   size_t AliveCount(NodeId observer) const;
   /// Strict majority of the whole cluster currently alive.

@@ -140,17 +140,6 @@ std::string FlameProfile::ExportTenantsText() const {
   return FormatRootAggregates(by_tenant_);
 }
 
-void FlameProfile::Clear() {
-  paths_.clear();
-  by_root_.clear();
-  by_tenant_.clear();
-  path_nodes_.clear();
-  path_index_.Clear();
-  tenant_index_.clear();
-  folded_spans_ = 0;
-  folded_traces_ = 0;
-}
-
 std::string FormatRootAggregates(
     const std::map<std::string, RootAggregate>& by_root) {
   std::string out;

@@ -80,8 +80,6 @@ class FlameProfile {
   /// by_tenant()); empty when no root carried a tenant attribute.
   std::string ExportTenantsText() const;
 
-  void Clear();
-
  private:
   using RootMap = std::map<std::string, RootAggregate>;
   using RootIndex = std::unordered_map<std::string_view, RootAggregate*>;

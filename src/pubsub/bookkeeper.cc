@@ -121,12 +121,6 @@ size_t BookKeeper::DropStaleReplicas(BookieId id) {
   return dropped;
 }
 
-size_t BookKeeper::live_bookie_count() const {
-  return static_cast<size_t>(
-      std::count_if(bookies_.begin(), bookies_.end(),
-                    [](const auto& b) { return b->alive(); }));
-}
-
 Result<LedgerId> BookKeeper::CreateLedger(uint32_t ensemble_size,
                                           uint32_t write_quorum,
                                           uint32_t ack_quorum) {

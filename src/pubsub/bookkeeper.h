@@ -175,7 +175,6 @@ class BookKeeper {
 
   Bookie& bookie(BookieId id) { return *bookies_[id]; }
   size_t bookie_count() const { return bookies_.size(); }
-  size_t live_bookie_count() const;
   size_t ledger_count() const { return ledgers_.size(); }
 
  private:

@@ -283,39 +283,6 @@ Result<MessageId> PulsarCluster::Publish(const std::string& topic,
   return id;
 }
 
-void PulsarCluster::AttachControl(ctrl::ConfigService* service,
-                                  const std::string& scope) {
-  (void)service->EnsureDefined(
-      {.key = "pubsub.admission.max_queue_depth",
-       .default_value =
-           ctrl::ConfigValue::Int(int64_t(config_.admission.max_queue_depth)),
-       .min_value = 0.0,
-       .max_value = 1e9,
-       .description = "broker admission queue-depth bound (0 = unbounded)"});
-  (void)service->EnsureDefined(
-      {.key = "pubsub.admission.max_wait_us",
-       .default_value = ctrl::ConfigValue::Int(config_.admission.max_wait_us),
-       .min_value = 0.0,
-       .max_value = 24.0 * 3600 * kSecond,
-       .description = "broker admission estimated-wait bound (0 = unbounded)"});
-  service->Subscribe(
-      "pubsub.admission.max_queue_depth",
-      [this](const ctrl::ConfigUpdate& u) {
-        config_.admission.max_queue_depth = size_t(u.value.as_int());
-        admission_.SetLimits(config_.admission.max_queue_depth,
-                             config_.admission.max_wait_us);
-      },
-      scope);
-  service->Subscribe(
-      "pubsub.admission.max_wait_us",
-      [this](const ctrl::ConfigUpdate& u) {
-        config_.admission.max_wait_us = u.value.as_int();
-        admission_.SetLimits(config_.admission.max_queue_depth,
-                             config_.admission.max_wait_us);
-      },
-      scope);
-}
-
 void PulsarCluster::AttachChaos(chaos::InjectorRegistry* registry) {
   using chaos::FaultKind;
   registry->RegisterHook(

@@ -21,7 +21,6 @@
 
 #include "chaos/injector.h"
 #include "common/stats.h"
-#include "ctrl/config.h"
 #include "guard/admission.h"
 #include "guard/deadline.h"
 #include "guard/guard.h"
@@ -185,14 +184,6 @@ class PulsarCluster {
   /// Wires shed decisions into the guard's metrics and span stream.
   void AttachGuard(guard::Guard* g) { guard_ = g; }
   const guard::AdmissionController& admission() const { return admission_; }
-
-  // ------------------------------------------------------------- ctrl
-  /// Wires the broker queue bounds to live config: defines
-  /// "pubsub.admission.max_queue_depth" / "pubsub.admission.max_wait_us"
-  /// (defaults = the constructed config) and subscribes setters that
-  /// apply at the service's push safe points.
-  void AttachControl(ctrl::ConfigService* service,
-                     const std::string& scope = std::string());
 
   // -------------------------------------------------------- membership
   /// Drives the cluster from membership instead of the harness: publishes

@@ -31,10 +31,6 @@ Status FunctionContext::PublishKeyed(std::string key, std::string payload) {
   return r.status();
 }
 
-const std::string& FunctionContext::function_name() const {
-  return worker_->config_.name;
-}
-
 FunctionWorker::FunctionWorker(PulsarCluster* cluster,
                                FunctionWorkerConfig config, PulsarFunction fn)
     : cluster_(cluster), config_(std::move(config)), fn_(std::move(fn)) {}

@@ -29,7 +29,6 @@ class FunctionContext {
   Status PublishKeyed(std::string key, std::string payload);
 
   const Message& message() const { return *message_; }
-  const std::string& function_name() const;
 
  private:
   friend class FunctionWorker;

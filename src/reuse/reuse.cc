@@ -142,8 +142,7 @@ void ReuseLayer::AttachObservability(obs::Observability* o) {
   BindMetrics();
 }
 
-void ReuseLayer::AttachControl(ctrl::ConfigService* service,
-                               const std::string& scope) {
+void ReuseLayer::AttachControl(ctrl::ConfigService* service) {
   if (service == nullptr) return;
   service->EnsureDefined(
       {.key = "reuse.enabled",
@@ -167,22 +166,19 @@ void ReuseLayer::AttachControl(ctrl::ConfigService* service,
 
   service->Subscribe(
       "reuse.enabled",
-      [this](const ctrl::ConfigUpdate& u) { enabled_ = u.value.as_bool(); },
-      scope);
+      [this](const ctrl::ConfigUpdate& u) { enabled_ = u.value.as_bool(); });
   service->Subscribe(
       "reuse.approx.burn_threshold",
       [this](const ctrl::ConfigUpdate& u) {
         approx_burn_threshold_ = u.value.AsNumber();
-      },
-      scope);
+      });
   service->Subscribe(
       "reuse.cache.max_bytes",
       [this](const ctrl::ConfigUpdate& u) {
         cache_.SetLimits(size_t(std::max<int64_t>(0, u.value.as_int())),
                          cache_.config().max_entries);
         SyncCacheGauges();
-      },
-      scope);
+      });
 }
 
 ReuseStats ReuseLayer::stats() const {

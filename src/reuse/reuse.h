@@ -10,10 +10,9 @@
 //      evict hot expensive results.
 //   2. *Approximation fallback*: when the SLO burn rate crosses a live
 //      threshold ("reuse.approx.burn_threshold", a ctrl knob — so the
-//      degradation mode is canary-rollable and auto-rollback-able), a
-//      registered provider serves a sketch-backed approximate answer with
-//      an exported error bound instead of queueing exact work on a
-//      saturated fleet.
+//      degradation mode can be switched mid-run), a registered provider
+//      serves a sketch-backed approximate answer with an exported error
+//      bound instead of queueing exact work on a saturated fleet.
 //   3. *Singleflight coalescing*: concurrent identical requests attach to
 //      the one in-flight execution and fan out on completion —
 //      single-billed, per-follower spans.
@@ -199,10 +198,8 @@ class ReuseLayer {
 
   /// Defines and subscribes the live knobs: "reuse.enabled",
   /// "reuse.approx.burn_threshold" and "reuse.cache.max_bytes" (defaults =
-  /// the constructed config). A non-empty `scope` subscribes target-scoped
-  /// so a staged rollout can canary one platform's degradation mode alone.
-  void AttachControl(ctrl::ConfigService* service,
-                     const std::string& scope = std::string());
+  /// the constructed config).
+  void AttachControl(ctrl::ConfigService* service);
 
   ReuseStats stats() const;
 

@@ -4,10 +4,10 @@
 // versions, registration-ordered watchers), the sim-aware push path
 // (propagation delay, chaos-delayed pushes never applying out of version
 // order, corrupt payload rejection, scoped overrides + retract), the live
-// wiring into guard/faas, and the SLO-gated rollout controller
-// (advance-on-health, rollback-on-burn, deterministic canary ranking) —
-// including a psim differential that byte-compares rollout decisions and
-// per-shard apply ledgers across worker thread counts.
+// wiring into guard and the FaaS keep-alive, and the SLO-gated rollout
+// controller (advance-on-health, rollback-on-burn, deterministic canary
+// ranking) — including a psim differential that byte-compares rollout
+// decisions and per-shard apply ledgers across worker thread counts.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -19,9 +19,11 @@
 
 #include "chaos/fault_plan.h"
 #include "chaos/injector.h"
+#include "cluster/cluster.h"
 #include "common/time_types.h"
 #include "ctrl/config.h"
 #include "ctrl/rollout.h"
+#include "faas/platform.h"
 #include "guard/guard.h"
 #include "obs/observability.h"
 #include "psim/psim.h"
@@ -314,6 +316,46 @@ TEST(ConfigService, GuardRetryBudgetIsLive) {
   service.Push("guard.hedge.delay_quantile", ConfigValue::Double(0.99));
   sim.Run();
   EXPECT_DOUBLE_EQ(g.hedge().config().delay_quantile, 0.99);
+}
+
+TEST(ConfigService, PlatformKeepAliveIsLive) {
+  sim::Simulation sim;
+  cluster::Cluster cluster(8, {32000, 65536});
+  faas::FaasConfig config;
+  config.keep_alive_us = 10 * kMinute;
+  faas::FaasPlatform platform(&sim, &cluster, config);
+  ConfigService service(&sim);
+  platform.AttachControl(&service);
+  // Keep-alive is the platform's only live key.
+  EXPECT_EQ(service.store().size(), 1u);
+  ASSERT_TRUE(service.store().Has("faas.keep_alive_us"));
+  for (const char* name : {"before", "after"}) {
+    faas::FunctionSpec spec;
+    spec.name = name;
+    spec.exec = {faas::ExecTimeModel::Kind::kFixed, 50 * kMillisecond, 0, 0};
+    ASSERT_TRUE(platform.RegisterFunction(spec).ok());
+  }
+
+  // "before" goes idle under the constructed 10-minute retention.
+  ASSERT_TRUE(platform.InvokeSync("before", "").ok());
+  const SimTime before_idle = sim.Now();
+  service.Push("faas.keep_alive_us", ConfigValue::Int(kMinute));
+  sim.RunUntil(sim.Now() + kMillisecond);
+  EXPECT_EQ(platform.config().keep_alive_us, kMinute);
+
+  // "after" goes idle once the push applied, so it gets the new retention.
+  ASSERT_TRUE(platform.InvokeSync("after", "").ok());
+  const SimTime after_idle = sim.Now();
+  sim.RunUntil(after_idle + kMinute - kSecond);
+  EXPECT_EQ(platform.warm_container_count("after"), 1u);
+  sim.RunUntil(after_idle + kMinute + kSecond);
+  EXPECT_EQ(platform.warm_container_count("after"), 0u);
+  // The container that was already idle keeps its scheduled teardown.
+  EXPECT_EQ(platform.warm_container_count("before"), 1u);
+  sim.RunUntil(before_idle + 10 * kMinute - kSecond);
+  EXPECT_EQ(platform.warm_container_count("before"), 1u);
+  sim.RunUntil(before_idle + 10 * kMinute + kSecond);
+  EXPECT_EQ(platform.warm_container_count("before"), 0u);
 }
 
 TEST(ConfigService, OutOfRangePushLeavesGuardUntouched) {
