@@ -15,10 +15,12 @@
 //         map-lookup vs pre-resolved handle, interned streaming spans,
 //         SloEngine::Record with ~1k vs ~100k events in the burn window,
 //         and a platform-shaped trace streamed through the whole always-on
-//         layer (sampler, flame, SLO). Acceptance: the 100k-event record
-//         costs <= 3x the 1k-event one (a ratio, so host speed cancels; a
-//         window scan grows ~100x), and a streamed trace makes <= 0.01 heap
-//         allocations (span, group and attribution storage is recycled).
+//         layer (sampler, flame, SLO), dropped, and retained into a small
+//         store that evicts on every retain. Acceptance: the 100k-event
+//         record costs <= 3x the 1k-event one (a ratio, so host speed
+//         cancels; a window scan grows ~100x), and a streamed trace makes
+//         <= 0.01 heap allocations whether dropped or retained (span, group,
+//         attribution and retained-store storage is recycled).
 //   E24d  parallel sweep — the RunSweep driver over per-run isolated
 //         Simulation/Registry/Tracer worlds. Acceptance: merged results
 //         byte-identical at 1 thread and at N.
@@ -341,20 +343,25 @@ double MeasureSloRecord(long window_events, long ops) {
 
 // A platform-shaped trace streamed through the always-on layer: a root
 // "invoke:f0" with tenant, status, outcome and severity attributes and an
-// "exec" child with three, at head rate 0 (every trace folded, scored and
-// dropped) under BenchObjective. Traces are 40 us apart, so the 1 s burn
-// window holds 25k events; it is filled twice over before counting, so
-// what is counted is steady state.
+// "exec" child with three, under BenchObjective. Traces are 40 us apart, so
+// the 1 s burn window holds 25k events; it is filled twice over before
+// counting, so what is counted is steady state. At head rate 0 every trace
+// is folded, scored and dropped. At head rate 1 into a store of
+// `max_retained_spans` spans, every trace is also retained, and once the
+// store is full every retain evicts: the retained store's churn.
 struct TraceStreamResult {
   double ns_per_trace = 0;
   double allocs_per_trace = 0;
+  double store_bytes_per_span = 0;  ///< Retained store heap per held span.
 };
 
-TraceStreamResult MeasureTraceStream(long traces) {
+TraceStreamResult MeasureTraceStream(long traces, double head_rate,
+                                     size_t max_retained_spans) {
   sim::Simulation sim;
   obs::Observability o11y(&sim);
   obs::ScaleConfig scale;
-  scale.sampler.head_rate = 0;
+  scale.sampler.head_rate = head_rate;
+  scale.sampler.max_retained_spans = max_retained_spans;
   scale.objectives.push_back(BenchObjective());
   o11y.EnableScale(scale);
   obs::Tracer& tracer = o11y.tracer;
@@ -385,6 +392,11 @@ TraceStreamResult MeasureTraceStream(long traces) {
   r.ns_per_trace = 1e9 * std::chrono::duration<double>(t1 - t0).count() /
                    double(traces);
   r.allocs_per_trace = double(AllocCount() - alloc_before) / double(traces);
+  const obs::SamplingPipeline& pipeline = *o11y.pipeline();
+  if (pipeline.retained_span_count() > 0) {
+    r.store_bytes_per_span = double(pipeline.retained_store_bytes()) /
+                             double(pipeline.retained_span_count());
+  }
   return r;
 }
 
@@ -509,17 +521,36 @@ void RunExperiment() {
   telem.AddRow({"SloEngine::Record, 1 s/100 ms page policy, ~100k events "
                 "in window",
                 bench::Fmt("%.1f", slo_100k_ns), "-"});
+  const long stream_traces = small ? 100000 : 1000000;
   const TraceStreamResult stream =
-      MeasureTraceStream(small ? 100000 : 1000000);
+      MeasureTraceStream(stream_traces, /*head_rate=*/0,
+                         obs::SamplerConfig{}.max_retained_spans);
   telem.AddRow({"2-span invoke trace through EnableScale (stream, head "
                 "rate 0, flame + SLO), per trace",
                 bench::Fmt("%.1f", stream.ns_per_trace),
                 bench::Fmt("%.3f", stream.allocs_per_trace)});
+  constexpr size_t kChurnSpans = 256;
+  const TraceStreamResult churn =
+      MeasureTraceStream(stream_traces, /*head_rate=*/1, kChurnSpans);
+  telem.AddRow({"same trace at head rate 1 into a " +
+                    std::to_string(kChurnSpans) +
+                    "-span retained store (every retain evicts), per "
+                    "retained trace; store holds " +
+                    bench::Fmt("%.0f", churn.store_bytes_per_span) +
+                    " B per retained span",
+                bench::Fmt("%.1f", churn.ns_per_trace),
+                bench::Fmt("%.3f", churn.allocs_per_trace)});
   telem.Print("E24c: telemetry record-path cost");
   bench::JsonReport::Instance().Note(
       "span_allocs_per_op", bench::Fmt("%.3f", tel.span_allocs_per_op));
   bench::JsonReport::Instance().Note(
       "trace_allocs_per_trace", bench::Fmt("%.3f", stream.allocs_per_trace));
+  bench::JsonReport::Instance().Note(
+      "retained_allocs_per_trace",
+      bench::Fmt("%.3f", churn.allocs_per_trace));
+  bench::JsonReport::Instance().Note(
+      "retained_store_bytes_per_span",
+      bench::Fmt("%.0f", churn.store_bytes_per_span));
   bench::JsonReport::Instance().Note(
       "handle_vs_lookup",
       bench::Fmt("%.1fx", tel.ns_handle_inc > 0
@@ -579,8 +610,10 @@ void RunExperiment() {
 
   const bool slo_flat = slo_growth > 0 && slo_growth <= 3.0;
   const bool trace_lean = stream.allocs_per_trace <= 0.01;
+  const bool churn_lean = churn.allocs_per_trace <= 0.01;
   const bool pass = speedup >= 5.0 && same_checksum && zero_alloc &&
-                    slo_flat && trace_lean && sweep_same && rerun_same;
+                    slo_flat && trace_lean && churn_lean && sweep_same &&
+                    rerun_same;
   bench::JsonReport::Instance().Note(
       "acceptance",
       std::string(pass ? "PASS" : "FAIL") +
@@ -589,6 +622,7 @@ void RunExperiment() {
                      e24.steady_allocs_per_event) +
           bench::Fmt(" slo_record_growth=%.2fx(<=3x)", slo_growth) +
           bench::Fmt(" trace_allocs=%.3f(<=0.01)", stream.allocs_per_trace) +
+          bench::Fmt(" retained_allocs=%.3f(<=0.01)", churn.allocs_per_trace) +
           std::string(same_checksum ? " checksum=same" : " checksum=DIFF") +
           std::string(sweep_same ? " sweep=deterministic"
                                  : " sweep=DIVERGED") +
@@ -597,9 +631,10 @@ void RunExperiment() {
                                      sweep_same && rerun_same ? "yes"
                                                               : "BROKEN");
   std::printf("\nE24 acceptance: %s (speedup %.2fx, %.3f allocs/event, "
-              "SLO record growth %.2fx, %.3f allocs/trace, sweep %s)\n",
+              "SLO record growth %.2fx, %.3f allocs/trace, %.3f allocs/"
+              "retained trace, sweep %s)\n",
               pass ? "PASS" : "FAIL", speedup, e24.steady_allocs_per_event,
-              slo_growth, stream.allocs_per_trace,
+              slo_growth, stream.allocs_per_trace, churn.allocs_per_trace,
               sweep_same ? "deterministic" : "DIVERGED");
 }
 

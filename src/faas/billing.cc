@@ -16,22 +16,13 @@ Money BillingLedger::Price(SimDuration duration_us, int64_t memory_mb) const {
          rates_.per_request;
 }
 
-Money BillingLedger::Charge(uint64_t invocation_id, int attempt,
-                            const std::string& function,
+Money BillingLedger::Charge(const std::string& function,
                             SimDuration duration_us, int64_t memory_mb) {
-  const SimDuration q = rates_.quantum_us > 0 ? rates_.quantum_us : 1;
-  ChargeRecord rec;
-  rec.invocation_id = invocation_id;
-  rec.attempt = attempt;
-  rec.function = function;
-  rec.raw_duration_us = duration_us;
-  rec.billed_duration_us = (duration_us + q - 1) / q * q;
-  rec.memory_mb = memory_mb;
-  rec.amount = Price(duration_us, memory_mb);
-  total_ += rec.amount;
-  per_function_[function] += rec.amount;
-  records_.push_back(std::move(rec));
-  return records_.back().amount;
+  const Money amount = Price(duration_us, memory_mb);
+  ++record_count_;
+  total_ += amount;
+  per_function_[function] += amount;
+  return amount;
 }
 
 Money BillingLedger::TotalFor(const std::string& function) const {

@@ -1,14 +1,16 @@
 // Fine-grained billing (paper §2: "users only pay for the resources they
 // actually use, and for the duration that they use it").
 //
-// Charges are an audited, exact ledger so the billing experiments (E3) and
-// the orchestration no-double-billing property (E15) can assert equalities.
+// Billing is an aggregate, so the ledger keeps aggregates: how many
+// attempts it charged, their total, and the total per function. Those are
+// exact, so the billing experiments (E3), the orchestration
+// no-double-billing property (E15) and reuse's single-billing (E29) assert
+// equalities on them. Memory is O(functions), not O(attempts).
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "common/money.h"
 #include "common/time_types.h"
@@ -26,26 +28,15 @@ struct BillingRates {
   Money per_request = Money::FromNanoDollars(200);
 };
 
-/// One billed function attempt (retries are billed attempts too, as on
-/// real FaaS platforms).
-struct ChargeRecord {
-  uint64_t invocation_id = 0;
-  int attempt = 0;
-  std::string function;
-  SimDuration raw_duration_us = 0;
-  SimDuration billed_duration_us = 0;
-  int64_t memory_mb = 0;
-  Money amount;
-};
-
-/// Append-only charge ledger with per-function rollups.
+/// Charge ledger: a count of billed attempts (retries are billed attempts
+/// too, as on real FaaS platforms) and their totals.
 class BillingLedger {
  public:
   explicit BillingLedger(BillingRates rates) : rates_(rates) {}
 
-  /// Computes the charge for an attempt, appends it, and returns the amount.
-  Money Charge(uint64_t invocation_id, int attempt,
-               const std::string& function, SimDuration duration_us,
+  /// Prices one attempt of `function`, adds it to the totals and returns
+  /// the amount.
+  Money Charge(const std::string& function, SimDuration duration_us,
                int64_t memory_mb);
 
   /// Pure pricing function (no side effects): duration rounds up to the
@@ -54,14 +45,14 @@ class BillingLedger {
 
   Money Total() const { return total_; }
   Money TotalFor(const std::string& function) const;
-  uint64_t record_count() const { return records_.size(); }
-  const std::vector<ChargeRecord>& records() const { return records_; }
+  /// Attempts charged so far.
+  uint64_t record_count() const { return record_count_; }
   const BillingRates& rates() const { return rates_; }
 
  private:
   BillingRates rates_;
   Money total_;
-  std::vector<ChargeRecord> records_;
+  uint64_t record_count_ = 0;
   std::unordered_map<std::string, Money> per_function_;
 };
 

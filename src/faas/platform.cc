@@ -496,8 +496,8 @@ void FaasPlatform::FinishAttempt(Invocation* inv, Container* container,
 
   // Every attempt is billed for its execution time — including failed and
   // timed-out attempts, as on production FaaS platforms.
-  inv->cost_so_far += ledger_.Charge(inv->id, inv->attempt, spec.name,
-                                     exec_us, spec.demand.memory_mb);
+  inv->cost_so_far += ledger_.Charge(spec.name, exec_us,
+                                     spec.demand.memory_mb);
   h_.exec_latency_us.Add(double(exec_us));
   admission_.RecordService(startup_us + exec_us);
 
@@ -783,8 +783,8 @@ FaasPlatform::StoppedAttempt FaasPlatform::StopAttempt(Container* c,
   a.startup_us = std::min(c->inflight_startup_us,
                           std::max<SimDuration>(0, sim_->Now() - place_us));
   Invocation& inv = *a.inv;
-  inv.cost_so_far += ledger_.Charge(inv.id, inv.attempt, inv.fn->spec.name,
-                                    a.exec_us, inv.fn->spec.demand.memory_mb);
+  inv.cost_so_far += ledger_.Charge(inv.fn->spec.name, a.exec_us,
+                                    inv.fn->spec.demand.memory_mb);
   h_.exec_latency_us.Add(double(a.exec_us));
   if (killed) {
     h_.failures.Inc();

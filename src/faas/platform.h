@@ -48,7 +48,7 @@ struct FaasConfig {
   /// Median platform dispatch overhead (routing, auth, scheduling).
   SimDuration dispatch_median_us = 2 * kMillisecond;
   double dispatch_sigma = 0.3;
-  BillingRates rates;
+  BillingRates rates{};
   uint64_t seed = 42;
   /// Overload protection (taureau::guard). Takes effect once a Guard is
   /// wired in via AttachGuard: arriving invocations are rejected when the
@@ -57,7 +57,7 @@ struct FaasConfig {
   /// deadline lapses are cancelled instead of run; retries must acquire a
   /// token from the shared retry budget.
   bool enable_admission = false;
-  guard::AdmissionConfig admission;
+  guard::AdmissionConfig admission{};
 };
 
 /// How an invocation's result was produced (the computation-reuse layer

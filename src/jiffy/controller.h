@@ -42,7 +42,7 @@ struct JiffyConfig {
   /// and ops whose caller deadline has no room for the expected control-op
   /// service time are rejected on arrival.
   bool enable_admission = false;
-  guard::AdmissionConfig admission;
+  guard::AdmissionConfig admission{};
   double min_free_block_fraction = 0.02;
 };
 

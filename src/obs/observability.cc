@@ -1,5 +1,8 @@
 #include "obs/observability.h"
 
+#include <map>
+#include <string_view>
+
 #include "obs/critical_path.h"
 
 namespace taureau::obs {
@@ -18,17 +21,13 @@ bool Observability::EnableScale(const ScaleConfig& config) {
 }
 
 std::string Observability::ExportAll() const {
-  std::string out = "== trace ==\n";
-  if (tracer.store_mode() == Tracer::StoreMode::kStream && pipeline_) {
-    out += pipeline_->ExportText();
-  } else {
-    out += tracer.ExportText();
-  }
-  out += "== metrics ==\n" + registry.ExportText();
-
-  out += "== critical-path ==\n";
+  // Every section after the trace section is small: render those first, so
+  // that the export is sized once and the retained traces, which dominate
+  // it, are rendered straight into it.
+  std::string rest = "== metrics ==\n" + registry.ExportText();
+  rest += "== critical-path ==\n";
   if (flame_) {
-    out += FormatRootAggregates(flame_->by_root());
+    rest += FormatRootAggregates(flame_->by_root());
   } else {
     // Retain mode without the scale layer: aggregate every finished root
     // through the same exact attribution the flame aggregator uses.
@@ -46,23 +45,37 @@ std::string Observability::ExportAll() const {
       ++agg.count;
       agg.breakdown.Accumulate(breakdown);
     }
-    out += FormatRootAggregates(by_root);
+    rest += FormatRootAggregates(by_root);
   }
-
   if (pipeline_) {
-    out += "== sampler ==\n" + pipeline_->ExportSummaryText();
+    rest += "== sampler ==\n" + pipeline_->ExportSummaryText();
   }
   if (flame_) {
-    out += "== flame ==\n" + flame_->ExportText();
+    rest += "== flame ==\n" + flame_->ExportText();
     // Per-tenant breakdown, present only when root spans carried tenant
     // attributes — tenant-free worlds keep the pre-dimensional layout.
     if (!flame_->by_tenant().empty()) {
-      out += "== tenants ==\n" + flame_->ExportTenantsText();
+      rest += "== tenants ==\n" + flame_->ExportTenantsText();
     }
   }
   if (slo_) {
-    out += "== slo ==\n" + slo_->ExportText();
+    rest += "== slo ==\n" + slo_->ExportText();
   }
+
+  constexpr std::string_view kTraceHeader = "== trace ==\n";
+  std::string out;
+  if (tracer.store_mode() == Tracer::StoreMode::kStream && pipeline_) {
+    out.reserve(kTraceHeader.size() + pipeline_->ExportTextBound() +
+                rest.size());
+    out += kTraceHeader;
+    pipeline_->AppendExportText(&out);
+  } else {
+    const std::string spans = tracer.ExportText();
+    out.reserve(kTraceHeader.size() + spans.size() + rest.size());
+    out += kTraceHeader;
+    out += spans;
+  }
+  out += rest;
   return out;
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 
 #include "common/hash.h"
 
@@ -76,6 +77,7 @@ void SamplingPipeline::OnSpanEnd(const Span& span) {
   if (group.size < group.slots.size()) {
     group.slots[group.size] = span;
   } else {
+    if (group.slots.empty()) group.slots.reserve(Pending::kFirstSlots);
     group.slots.push_back(span);
   }
   ++group.size;
@@ -99,14 +101,16 @@ void SamplingPipeline::Finalize(uint64_t trace_id, Pending* group,
     // inherit their trace's original decision.
     const RetainReason prior = DecisionFor(trace_id);
     if (prior != RetainReason::kDropped && prior != RetainReason::kPending) {
-      auto rit = retained_.find(trace_id);
-      if (rit != retained_.end()) {
-        for (const Span& s : spans) {
-          retained_span_count_ += 1;
-          retained_bytes_ += ApproxSpanBytes(s);
-          ++stats_.spans_retained;
-          rit->second.spans.push_back(s);
+      if (RetainedTrace* trace = QueueFor(prior).Find(trace_id)) {
+        if (trace->offset + trace->length != text_.size()) {
+          // The late lines follow the trace's own, so its run moves to the
+          // end of the arena first.
+          const size_t from = trace->offset;
+          trace->offset = text_.size();
+          text_.append(text_, from, trace->length);
+          dead_bytes_ += trace->length;
         }
+        AppendSpans(spans, trace);
         EvictIfOver();
       }
     }
@@ -171,41 +175,87 @@ void SamplingPipeline::Decide(uint64_t trace_id, const Pending& group,
 
 void SamplingPipeline::Retain(uint64_t trace_id, RetainReason reason,
                               std::span<const Span> spans) {
-  RetainedTrace entry;
-  entry.reason = reason;
-  for (const Span& s : spans) {
-    retained_span_count_ += 1;
-    retained_bytes_ += ApproxSpanBytes(s);
-    ++stats_.spans_retained;
-  }
-  entry.spans.assign(spans.begin(), spans.end());
-  retained_.insert_or_assign(trace_id, std::move(entry));
-  if (reason == RetainReason::kHead) healthy_.insert(trace_id);
+  RetainedTrace trace;
+  trace.id = trace_id;
+  trace.reason = reason;
+  trace.offset = text_.size();
+  AppendSpans(spans, &trace);
+  QueueFor(reason).Insert(trace);
   EvictIfOver();
+}
+
+void SamplingPipeline::AppendSpans(std::span<const Span> spans,
+                                   RetainedTrace* trace) {
+  for (const Span& s : spans) {
+    AppendSpanLine(s, &text_);
+    const size_t bytes = ApproxSpanBytes(s);
+    trace->approx_bytes += bytes;
+    retained_bytes_ += bytes;
+  }
+  trace->length = text_.size() - trace->offset;
+  trace->spans += uint32_t(spans.size());
+  retained_span_count_ += spans.size();
+  stats_.spans_retained += spans.size();
 }
 
 void SamplingPipeline::EvictIfOver() {
   while (retained_span_count_ > config_.max_retained_spans &&
-         !retained_.empty()) {
-    uint64_t victim;
-    bool victim_important = false;
-    if (!healthy_.empty()) {
-      victim = *healthy_.begin();
-      healthy_.erase(healthy_.begin());
-    } else {
-      victim = retained_.begin()->first;
-      victim_important = true;
-    }
-    auto it = retained_.find(victim);
-    if (it == retained_.end()) continue;
-    for (const Span& s : it->second.spans) {
-      retained_span_count_ -= 1;
-      retained_bytes_ -= ApproxSpanBytes(s);
-    }
-    retained_.erase(it);
+         !(head_sampled_.empty() && important_.empty())) {
+    const bool important = head_sampled_.empty();
+    const RetainedTrace victim =
+        (important ? important_ : head_sampled_).PopFront();
+    retained_span_count_ -= victim.spans;
+    retained_bytes_ -= victim.approx_bytes;
+    dead_bytes_ += victim.length;
     ++stats_.evicted_traces;
-    if (victim_important) ++stats_.evicted_important;
+    if (important) ++stats_.evicted_important;
   }
+  if (dead_bytes_ > text_.size() - dead_bytes_) CompactText();
+}
+
+void SamplingPipeline::CompactText() {
+  by_offset_.clear();
+  for (RetainedQueue* queue : {&head_sampled_, &important_}) {
+    for (RetainedTrace& trace : queue->live()) by_offset_.push_back(&trace);
+  }
+  std::sort(by_offset_.begin(), by_offset_.end(),
+            [](const RetainedTrace* a, const RetainedTrace* b) {
+              return a->offset < b->offset;
+            });
+  size_t end = 0;
+  for (RetainedTrace* trace : by_offset_) {
+    std::memmove(text_.data() + end, text_.data() + trace->offset,
+                 trace->length);
+    trace->offset = end;
+    end += trace->length;
+  }
+  text_.resize(end);
+  dead_bytes_ = 0;
+}
+
+void SamplingPipeline::RetainedQueue::Insert(const RetainedTrace& trace) {
+  const auto at = std::upper_bound(
+      traces.begin() + ptrdiff_t(head), traces.end(), trace.id,
+      [](uint64_t id, const RetainedTrace& t) { return id < t.id; });
+  traces.insert(at, trace);
+}
+
+SamplingPipeline::RetainedTrace* SamplingPipeline::RetainedQueue::Find(
+    uint64_t id) {
+  const std::span<RetainedTrace> in = live();
+  const auto it = std::lower_bound(
+      in.begin(), in.end(), id,
+      [](const RetainedTrace& t, uint64_t want) { return t.id < want; });
+  return it != in.end() && it->id == id ? &*it : nullptr;
+}
+
+SamplingPipeline::RetainedTrace SamplingPipeline::RetainedQueue::PopFront() {
+  const RetainedTrace front = traces[head++];
+  if (2 * head >= traces.size()) {
+    traces.erase(traces.begin(), traces.begin() + ptrdiff_t(head));
+    head = 0;
+  }
+  return front;
 }
 
 void SamplingPipeline::Flush() {
@@ -242,16 +292,44 @@ size_t SamplingPipeline::ApproxSpanBytes(const Span& span) {
 
 std::string SamplingPipeline::ExportText() const {
   std::string out;
-  char buf[64];
-  for (const auto& [tid, entry] : retained_) {
-    std::snprintf(buf, sizeof(buf), "trace=%llu reason=",
-                  static_cast<unsigned long long>(tid));
-    out += buf;
-    out += RetainReasonName(entry.reason);
-    out += '\n';
-    for (const Span& s : entry.spans) AppendSpanLine(s, &out);
-  }
+  AppendExportText(&out);
   return out;
+}
+
+void SamplingPipeline::AppendExportText(std::string* out) const {
+  // The two queues are each in id order; merge them.
+  const std::span<const RetainedTrace> head = head_sampled_.live();
+  const std::span<const RetainedTrace> important = important_.live();
+  size_t h = 0;
+  size_t i = 0;
+  char buf[64];
+  while (h < head.size() || i < important.size()) {
+    const RetainedTrace& trace =
+        i == important.size() ||
+                (h < head.size() && head[h].id < important[i].id)
+            ? head[h++]
+            : important[i++];
+    std::snprintf(buf, sizeof(buf), "trace=%llu reason=",
+                  static_cast<unsigned long long>(trace.id));
+    *out += buf;
+    *out += RetainReasonName(trace.reason);
+    *out += '\n';
+    out->append(text_, trace.offset, trace.length);
+  }
+}
+
+size_t SamplingPipeline::ExportTextBound() const {
+  // "trace=" + 20 digits + " reason=" + 7 letters + newline.
+  constexpr size_t kHeaderBytes = 6 + 20 + 8 + 7 + 1;
+  const size_t traces = head_sampled_.live().size() + important_.live().size();
+  return text_.size() - dead_bytes_ + kHeaderBytes * traces;
+}
+
+size_t SamplingPipeline::retained_store_bytes() const {
+  return text_.capacity() +
+         sizeof(RetainedTrace) * (head_sampled_.traces.capacity() +
+                                  important_.traces.capacity()) +
+         sizeof(RetainedTrace*) * by_offset_.capacity();
 }
 
 std::string SamplingPipeline::ExportSummaryText() const {

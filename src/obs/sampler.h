@@ -18,13 +18,13 @@
 // critical-path attribution, hot-path top-k and burn-rate alerting are
 // exact regardless of the drop rate. The retained store is bounded:
 // when it overflows, head-sampled healthy traces are evicted before
-// important (error/fault/slow) ones. Memory is O(retained + in-flight),
-// plus one byte per trace for the decision ledger.
+// important (error/fault/slow) ones. A retained trace is kept as the span
+// lines its export prints, rendered once when it is retained, in one
+// recycled byte arena. Memory is O(retained + in-flight), plus one byte
+// per trace for the decision ledger.
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <set>
 #include <span>
 #include <string>
 #include <string_view>
@@ -104,6 +104,13 @@ class SamplingPipeline : public SpanSink {
   /// Retained traces in id order: "trace=<id> reason=<reason>" header then
   /// the canonical span lines. Same seed => byte-identical.
   std::string ExportText() const;
+  /// Appends ExportText's bytes to `*out`.
+  void AppendExportText(std::string* out) const;
+  /// An upper bound on ExportText's length, for a caller that reserves.
+  size_t ExportTextBound() const;
+  /// Heap bytes the retained store holds: its text arena and its trace
+  /// queues, at capacity.
+  size_t retained_store_bytes() const;
   /// Deterministic counters block for the "== sampler ==" export section.
   std::string ExportSummaryText() const;
 
@@ -113,6 +120,12 @@ class SamplingPipeline : public SpanSink {
   /// copy-assigning a span into a kept slot copies its inline attributes,
   /// so steady-state streaming allocates nothing here.
   struct Pending {
+    /// A platform invocation's trace has two to four spans (a root with
+    /// its queue, cold-start and exec spans, or a root and a reuse span),
+    /// so a group's first span makes room for four and a fresh group grows
+    /// once rather than three times.
+    static constexpr size_t kFirstSlots = 4;
+
     /// slots[0, size) hold this trace's closed spans in close order; slots
     /// past `size` are left from earlier traces.
     std::vector<Span> slots;
@@ -132,9 +145,37 @@ class SamplingPipeline : public SpanSink {
       root_ended = saw_error = saw_fault = late = false;
     }
   };
+  /// One retained trace: its span lines are text_[offset, offset + length).
+  /// `spans` and `approx_bytes` are what eviction takes off the store's
+  /// counts.
   struct RetainedTrace {
+    uint64_t id = 0;
+    size_t offset = 0;
+    size_t length = 0;
+    size_t approx_bytes = 0;
+    uint32_t spans = 0;
     RetainReason reason = RetainReason::kDropped;
-    std::vector<Span> spans;
+  };
+  /// Retained traces of one eviction class in id order, live from `head`
+  /// on. Traces finalize nearly in id order, so an insert lands near the
+  /// back; eviction takes the front by advancing `head`, and the evicted
+  /// prefix is erased once it is as long as the live part, so the vector's
+  /// capacity is reused rather than refilled.
+  struct RetainedQueue {
+    std::vector<RetainedTrace> traces;
+    size_t head = 0;
+
+    bool empty() const { return head == traces.size(); }
+    std::span<RetainedTrace> live() {
+      return std::span(traces).subspan(head);
+    }
+    std::span<const RetainedTrace> live() const {
+      return std::span(traces).subspan(head);
+    }
+    void Insert(const RetainedTrace& trace);
+    /// The live trace `id`, or nullptr (never retained, or evicted).
+    RetainedTrace* Find(uint64_t id);
+    RetainedTrace PopFront();
   };
 
   Pending& GroupFor(uint64_t trace_id);
@@ -145,15 +186,30 @@ class SamplingPipeline : public SpanSink {
               std::span<const Span> spans);
   void Retain(uint64_t trace_id, RetainReason reason,
               std::span<const Span> spans);
+  /// Renders `spans` at the end of text_ and adds them to `trace` and to
+  /// the store's counts.
+  void AppendSpans(std::span<const Span> spans, RetainedTrace* trace);
+  /// Evicts until the store fits max_retained_spans, then compacts text_
+  /// once its dead bytes outnumber its live ones.
   void EvictIfOver();
+  /// Moves every live trace's lines to the front of text_, in text_ order.
+  void CompactText();
+  RetainedQueue& QueueFor(RetainReason reason) {
+    return reason == RetainReason::kHead ? head_sampled_ : important_;
+  }
   static size_t ApproxSpanBytes(const Span& span);
 
   SamplerConfig config_;
   FlameProfile* flame_;
   SloEngine* slo_;
   IdSlab<Pending> pending_;  ///< In-flight span groups by trace id.
-  std::map<uint64_t, RetainedTrace> retained_;
-  std::set<uint64_t> healthy_;  ///< Evict-first candidates (head-sampled).
+  RetainedQueue head_sampled_;  ///< Evicted first.
+  RetainedQueue important_;     ///< Error, fault and slow traces.
+  /// Every retained trace's span lines, one run per trace, plus the dead
+  /// bytes of evicted traces and of runs moved to the end.
+  std::string text_;
+  size_t dead_bytes_ = 0;
+  std::vector<RetainedTrace*> by_offset_;  ///< CompactText's scratch.
   /// Decision per finalized trace id (ids are sequential from 1).
   std::vector<RetainReason> decisions_;
   size_t retained_span_count_ = 0;

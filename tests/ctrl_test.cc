@@ -321,9 +321,8 @@ TEST(ConfigService, GuardRetryBudgetIsLive) {
 TEST(ConfigService, PlatformKeepAliveIsLive) {
   sim::Simulation sim;
   cluster::Cluster cluster(8, {32000, 65536});
-  faas::FaasConfig config;
-  config.keep_alive_us = 10 * kMinute;
-  faas::FaasPlatform platform(&sim, &cluster, config);
+  faas::FaasPlatform platform(&sim, &cluster,
+                              {.keep_alive_us = 10 * kMinute});
   ConfigService service(&sim);
   platform.AttachControl(&service);
   // Keep-alive is the platform's only live key.

@@ -451,9 +451,9 @@ TEST(BillingTest, LambdaCalibration) {
 
 TEST(BillingTest, LedgerAccumulatesPerFunction) {
   BillingLedger ledger(BillingRates{});
-  ledger.Charge(1, 0, "a", 100 * kMillisecond, 128);
-  ledger.Charge(2, 0, "a", 100 * kMillisecond, 128);
-  ledger.Charge(3, 0, "b", 100 * kMillisecond, 128);
+  ledger.Charge("a", 100 * kMillisecond, 128);
+  ledger.Charge("a", 100 * kMillisecond, 128);
+  ledger.Charge("b", 100 * kMillisecond, 128);
   EXPECT_EQ(ledger.record_count(), 3u);
   EXPECT_EQ(ledger.TotalFor("a") + ledger.TotalFor("b"), ledger.Total());
   EXPECT_GT(ledger.TotalFor("a"), ledger.TotalFor("b"));

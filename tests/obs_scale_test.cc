@@ -8,6 +8,7 @@
 #include <bit>
 #include <deque>
 #include <map>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -380,6 +381,364 @@ TEST(SamplerPropertyTest, SameSeedSampledExportsByteIdentical) {
   const std::string c = RunFaultyWorld(4, 0.05);
   EXPECT_EQ(a, b);
   EXPECT_NE(a, c);
+}
+
+// ---------------------------------------- retained store reference model
+
+/// SamplingPipeline's retained store as it was before retained traces were
+/// held as their rendered lines: a std::map of span copies, a std::set of
+/// head-sampled ids and an eviction loop over both. Fed each finalized
+/// group with the pipeline's own decision, it pins the store: export order
+/// and bytes, where late lines go, which trace is evicted, and the counts
+/// eviction takes off.
+class ReferenceRetainedStore {
+ public:
+  explicit ReferenceRetainedStore(size_t max_spans) : max_spans_(max_spans) {}
+
+  void Retain(uint64_t trace, RetainReason reason, std::vector<Span> spans) {
+    for (const Span& s : spans) Count(s);
+    retained_.insert_or_assign(trace, Entry{reason, std::move(spans)});
+    if (reason == RetainReason::kHead) healthy_.insert(trace);
+    EvictIfOver();
+  }
+
+  /// A late group of `trace`; an evicted trace takes nothing.
+  void AppendLate(uint64_t trace, const std::vector<Span>& spans) {
+    const auto it = retained_.find(trace);
+    if (it == retained_.end()) return;
+    for (const Span& s : spans) {
+      Count(s);
+      it->second.spans.push_back(s);
+    }
+    EvictIfOver();
+  }
+
+  std::string ExportText() const {
+    std::string out;
+    for (const auto& [trace, entry] : retained_) {
+      out += "trace=" + std::to_string(trace) + " reason=";
+      out += RetainReasonName(entry.reason);
+      out += '\n';
+      for (const Span& s : entry.spans) AppendSpanLine(s, &out);
+    }
+    return out;
+  }
+
+  size_t span_count() const { return span_count_; }
+  size_t bytes() const { return bytes_; }
+  uint64_t spans_retained() const { return spans_retained_; }
+  uint64_t evicted_traces() const { return evicted_traces_; }
+  uint64_t evicted_important() const { return evicted_important_; }
+
+ private:
+  struct Entry {
+    RetainReason reason;
+    std::vector<Span> spans;
+  };
+
+  /// The store's byte estimate: a fixed 104-byte span base plus name,
+  /// module and each attribute with 32 bytes of node overhead.
+  static size_t ApproxBytes(const Span& s) {
+    size_t bytes = 104 + s.name.size() + s.module.size();
+    for (const auto& [k, v] : s.attrs) bytes += k.size() + v.size() + 32;
+    return bytes;
+  }
+
+  void Count(const Span& s) {
+    ++span_count_;
+    bytes_ += ApproxBytes(s);
+    ++spans_retained_;
+  }
+
+  void EvictIfOver() {
+    while (span_count_ > max_spans_ && !retained_.empty()) {
+      uint64_t victim;
+      bool important = false;
+      if (!healthy_.empty()) {
+        victim = *healthy_.begin();
+        healthy_.erase(healthy_.begin());
+      } else {
+        victim = retained_.begin()->first;
+        important = true;
+      }
+      const auto it = retained_.find(victim);
+      for (const Span& s : it->second.spans) {
+        --span_count_;
+        bytes_ -= ApproxBytes(s);
+      }
+      retained_.erase(it);
+      ++evicted_traces_;
+      if (important) ++evicted_important_;
+    }
+  }
+
+  size_t max_spans_;
+  std::map<uint64_t, Entry> retained_;
+  std::set<uint64_t> healthy_;
+  size_t span_count_ = 0;
+  size_t bytes_ = 0;
+  uint64_t spans_retained_ = 0;
+  uint64_t evicted_traces_ = 0;
+  uint64_t evicted_important_ = 0;
+};
+
+/// Forwards to the pipeline, keeping a copy of every closed span until the
+/// harness hands its group to the reference.
+class RecordingSink : public SpanSink {
+ public:
+  explicit RecordingSink(SpanSink* next) : next_(next) {}
+
+  void OnSpanStart(const Span& span) override { next_->OnSpanStart(span); }
+  void OnSpanEnd(const Span& span) override {
+    ++spans_seen;
+    closed_[span.trace].push_back(span);
+    next_->OnSpanEnd(span);
+  }
+
+  /// The closed spans of `trace`'s finalized group, in id order.
+  std::vector<Span> TakeGroup(uint64_t trace) {
+    std::vector<Span> spans = std::move(closed_[trace]);
+    closed_.erase(trace);
+    std::sort(spans.begin(), spans.end(),
+              [](const Span& a, const Span& b) { return a.id < b.id; });
+    return spans;
+  }
+
+  uint64_t spans_seen = 0;
+
+ private:
+  SpanSink* next_;
+  std::map<uint64_t, std::vector<Span>> closed_;
+};
+
+/// The reference store plus the decision counters of Stats, driven by the
+/// pipeline's decision for each trace.
+struct ReferenceSampler {
+  explicit ReferenceSampler(size_t max_spans) : store(max_spans) {}
+
+  /// `spans` is a group the pipeline just finalized. Returns the rendered
+  /// size of what the store took in.
+  size_t Finalized(const SamplingPipeline& p, uint64_t trace,
+                   std::vector<Span> spans, bool complete) {
+    const RetainReason reason = p.DecisionFor(trace);
+    EXPECT_NE(reason, RetainReason::kPending) << "trace " << trace;
+    std::string rendered;
+    if (reason != RetainReason::kDropped) {
+      for (const Span& s : spans) AppendSpanLine(s, &rendered);
+    }
+    if (!decided.insert(trace).second) {
+      ++stats.late_groups;
+      if (reason != RetainReason::kDropped) store.AppendLate(trace, spans);
+      return rendered.size();
+    }
+    ++stats.traces_finalized;
+    if (!complete) ++stats.incomplete_traces;
+    const bool important = reason == RetainReason::kError ||
+                           reason == RetainReason::kFault ||
+                           reason == RetainReason::kSlow;
+    if (important) ++stats.important_seen;
+    if (reason == RetainReason::kDropped) {
+      ++stats.traces_dropped;
+      return 0;
+    }
+    ++stats.traces_retained;
+    if (important) ++stats.important_retained;
+    store.Retain(trace, reason, std::move(spans));
+    return rendered.size();
+  }
+
+  SamplingPipeline::Stats Expected(uint64_t spans_seen) const {
+    SamplingPipeline::Stats s = stats;
+    s.spans_seen = spans_seen;
+    s.spans_retained = store.spans_retained();
+    s.evicted_traces = store.evicted_traces();
+    s.evicted_important = store.evicted_important();
+    return s;
+  }
+
+  ReferenceRetainedStore store;
+  SamplingPipeline::Stats stats;
+  std::set<uint64_t> decided;
+};
+
+std::string SummaryText(const SamplingPipeline::Stats& s, size_t span_count,
+                        size_t bytes) {
+  std::string out;
+  const auto line = [&out](const char* name, uint64_t v) {
+    out += std::string(name) + " " + std::to_string(v) + "\n";
+  };
+  line("spans_seen", s.spans_seen);
+  line("traces_finalized", s.traces_finalized);
+  line("traces_retained", s.traces_retained);
+  line("traces_dropped", s.traces_dropped);
+  line("spans_retained", s.spans_retained);
+  line("important_seen", s.important_seen);
+  line("important_retained", s.important_retained);
+  line("late_groups", s.late_groups);
+  line("incomplete_traces", s.incomplete_traces);
+  line("evicted_traces", s.evicted_traces);
+  line("evicted_important", s.evicted_important);
+  line("retained_span_count", span_count);
+  line("retained_bytes", bytes);
+  return out;
+}
+
+void ExpectMatchesReference(const SamplingPipeline& p,
+                            const ReferenceSampler& ref, uint64_t spans_seen,
+                            const std::string& where) {
+  ASSERT_EQ(p.ExportText(), ref.store.ExportText()) << where;
+  ASSERT_EQ(p.retained_span_count(), ref.store.span_count()) << where;
+  ASSERT_EQ(p.retained_bytes(), ref.store.bytes()) << where;
+  const SamplingPipeline::Stats want = ref.Expected(spans_seen);
+  const SamplingPipeline::Stats& got = p.stats();
+  ASSERT_EQ(SummaryText(got, p.retained_span_count(), p.retained_bytes()),
+            SummaryText(want, ref.store.span_count(), ref.store.bytes()))
+      << where;
+  ASSERT_EQ(p.ExportSummaryText(),
+            SummaryText(want, ref.store.span_count(), ref.store.bytes()))
+      << where;
+}
+
+TEST(SamplerReferenceTest, RetainedStoreMatchesMapOfSpanCopies) {
+  // Seeded traces through a real pipeline: head rate 0.3, error/fault/slow
+  // outcomes in bursts, several traces open at once so they finalize out
+  // of id order, and late groups for kept and for dropped traces. The
+  // store holds 48 spans, so every retain evicts, both eviction branches
+  // run, and the text arena is compacted many times over.
+  constexpr size_t kMaxSpans = 48;
+  constexpr SimDuration kSlowUs = 1500;
+  sim::Simulation sim;
+  SamplerConfig cfg;
+  cfg.head_rate = 0.3;
+  cfg.seed = 11;
+  cfg.slow_threshold_us = kSlowUs;
+  cfg.max_retained_spans = kMaxSpans;
+  SamplingPipeline pipeline(cfg, nullptr, nullptr);
+  RecordingSink recorder(&pipeline);
+  Tracer tracer(&sim);
+  ASSERT_TRUE(tracer.SetStoreMode(Tracer::StoreMode::kStream));
+  tracer.SetSink(&recorder);
+  ReferenceSampler ref(kMaxSpans);
+
+  struct Open {
+    TraceContext top;  ///< The group's first span: a root or a late span.
+    SimTime start;
+  };
+  std::vector<Open> open;
+  std::vector<TraceContext> finished_roots;
+  Rng rng(20260);
+  SimTime now = 0;
+  size_t rendered_in = 0;
+  size_t peak_store_bytes = 0;
+  const char* const kOutcomes[] = {kOutcomeOk, kOutcomeError, kOutcomeFault};
+
+  const auto close = [&](size_t i) {
+    const Open group = open[i];
+    open.erase(open.begin() + ptrdiff_t(i));
+    const bool late = ref.decided.count(group.top.trace_id) > 0;
+    now += 1 + SimTime(rng.NextBounded(20));
+    // One root in ten runs past the slow threshold.
+    const SimTime end =
+        late || !rng.NextBool(0.1) ? now : group.start + kSlowUs + 1;
+    now = std::max(now, end);
+    tracer.EndSpanAt(group.top, end);
+    if (!late) finished_roots.push_back(group.top);
+    rendered_in += ref.Finalized(pipeline, group.top.trace_id,
+                                 recorder.TakeGroup(group.top.trace_id),
+                                 /*complete=*/true);
+    peak_store_bytes =
+        std::max(peak_store_bytes, pipeline.retained_store_bytes());
+    ExpectMatchesReference(pipeline, ref, recorder.spans_seen,
+                           "after trace " +
+                               std::to_string(group.top.trace_id));
+  };
+
+  for (int step = 0; step < 10000 && !HasFatalFailure(); ++step) {
+    // Error and fault outcomes come in bursts, so that the store sometimes
+    // holds no head-sampled trace and must evict an important one.
+    const bool burst = (step / 500) % 3 == 2;
+    const uint64_t roll = rng.NextBounded(10);
+    if (open.size() < 2 || (roll < 3 && open.size() < 6)) {
+      now += SimTime(rng.NextBounded(5));
+      const TraceContext root = tracer.StartSpanAt("req", "svc", {}, now);
+      if (rng.NextBool(0.5)) tracer.SetAttr(root, kTenantAttr, "acme");
+      open.push_back({root, now});
+    } else if (roll < 6) {
+      // A child of an open group, with up to three attributes and
+      // sometimes the trace's outcome marker.
+      Open& group = open[rng.NextBounded(open.size())];
+      const SimTime start = now + SimTime(rng.NextBounded(10));
+      SpanAttrList attrs;
+      attrs.Add(kCategoryAttr, rng.NextBool(0.5) ? "exec" : "queue");
+      if (rng.NextBool(0.3)) attrs.Add("attempt", "1");
+      if (rng.NextBool(burst ? 0.5 : 0.03)) {
+        attrs.Add(kOutcomeAttr, kOutcomes[1 + rng.NextBounded(2)]);
+      }
+      tracer.EmitSpan(rng.NextBool(0.5) ? "exec" : "cold", "svc", group.top,
+                      start, start + SimTime(rng.NextBounded(50)), attrs);
+    } else if (roll < 9 || finished_roots.empty()) {
+      const size_t i = rng.NextBounded(open.size());
+      if (ref.decided.count(open[i].top.trace_id) == 0 &&
+          rng.NextBool(burst ? 0.4 : 0.03)) {
+        tracer.SetAttr(open[i].top, kOutcomeAttr,
+                       kOutcomes[rng.NextBounded(3)]);
+      }
+      close(i);
+    } else {
+      // A late group: follow-from work on a trace that already finished,
+      // kept or dropped, recent or long gone.
+      const TraceContext parent =
+          rng.NextBool(0.7)
+              ? finished_roots[finished_roots.size() - 1 -
+                               rng.NextBounded(
+                                   std::min<size_t>(8, finished_roots.size()))]
+              : finished_roots[rng.NextBounded(finished_roots.size())];
+      // Spans of one trace share one group, so a trace gets one late group
+      // at a time.
+      if (std::any_of(open.begin(), open.end(), [&](const Open& group) {
+            return group.top.trace_id == parent.trace_id;
+          })) {
+        continue;
+      }
+      const TraceContext top = tracer.StartSpanAt("deliver", "svc", parent,
+                                                  now);
+      tracer.SetAttr(top, kAsyncAttr, "1");
+      open.push_back({top, now});
+      if (rng.NextBool(0.5)) {
+        tracer.EmitSpan("handle", "svc", top, now, now + 3,
+                        {{kCategoryAttr, "exec"}});
+      }
+      if (rng.NextBool(0.5)) close(open.size() - 1);
+    }
+  }
+  ASSERT_FALSE(HasFatalFailure());
+
+  // Flush what is still open: first groups (one with no closed span at
+  // all) and late groups alike, in trace-id order.
+  for (bool kept = false; !kept;) {
+    const TraceContext bare = tracer.StartSpanAt("req", "svc", {}, now);
+    open.push_back({bare, now});
+    kept = pipeline.HeadKeeps(bare.trace_id);
+  }
+  std::vector<uint64_t> pending;
+  for (const Open& group : open) pending.push_back(group.top.trace_id);
+  std::sort(pending.begin(), pending.end());
+  pipeline.Flush();
+  for (uint64_t trace : pending) {
+    ref.Finalized(pipeline, trace, recorder.TakeGroup(trace),
+                  /*complete=*/false);
+  }
+  ExpectMatchesReference(pipeline, ref, recorder.spans_seen, "after Flush");
+
+  // The run covered what it is meant to cover.
+  const SamplingPipeline::Stats& s = pipeline.stats();
+  EXPECT_GT(s.late_groups, 300u);
+  EXPECT_GT(s.evicted_important, 100u);
+  EXPECT_GT(s.evicted_traces - s.evicted_important, 100u);
+  EXPECT_GT(s.incomplete_traces, 0u);
+  // Far more text went through the store than it ever held at once, so
+  // the arena was compacted and reused many times.
+  EXPECT_GT(rendered_in, 20 * peak_store_bytes);
 }
 
 // --------------------------------------------------------------- flame

@@ -271,13 +271,14 @@ TEST_P(ChainDepthSweep, CostGrowsLinearlyNoOverhead) {
   ASSERT_TRUE(res.ok());
   ASSERT_TRUE(res->status.ok());
   EXPECT_EQ(res->function_invocations, uint64_t(depth));
-  // All invocations identical (fixed exec) => identical per-call charge.
-  const auto& records = f.platform.ledger().records();
-  ASSERT_EQ(records.size(), size_t(depth));
-  for (const auto& r : records) {
-    EXPECT_EQ(r.amount, records[0].amount);
-  }
-  EXPECT_EQ(res->cost, records[0].amount * depth);
+  // Each step is one attempt of the same fixed-exec function, billed at the
+  // single-call price; the run's cost is the ledger's whole total.
+  const faas::BillingLedger& ledger = f.platform.ledger();
+  EXPECT_EQ(ledger.record_count(), uint64_t(depth));
+  const Money single =
+      ledger.Price(20 * kMillisecond, faas::FunctionSpec{}.demand.memory_mb);
+  EXPECT_EQ(ledger.Total(), single * depth);
+  EXPECT_EQ(res->cost, ledger.Total());
 }
 
 INSTANTIATE_TEST_SUITE_P(Depths, ChainDepthSweep,
